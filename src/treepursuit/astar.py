@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    check_problem,
     correlations,
     top_indices,
 )
@@ -200,12 +201,13 @@ def write_default_config(path):
         fh.write("\n")
 
 
-@dataclass
+@dataclass(eq=False)
 class PathState:
     """One search path: ordered support, residue-norm history, cost.
 
     norms[0] is ||y||; norms[i] is the residue norm after the first i
     atoms.  canonical and node are attached by the trie on insertion.
+    Paths compare by identity: the trie registers live paths by object.
     exhausted marks a path whose expansion produced no new child; it is
     treated as complete so the search cannot revisit it.
     """
@@ -437,10 +439,7 @@ def aomp_recover(phi, y, config=None, priorities=None):
     t0 = time.perf_counter()
     if config is None:
         config = default_config()
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if phi.ndim != 2 or y.ndim != 1 or phi.shape[0] != y.shape[0]:
-        raise ValueError("phi must be (M, N) and y length M")
+    phi, y = check_problem(phi, y)
     trie, done = init_search(phi, y, config, priorities=priorities)
     counters = {
         "iterations": 0,
@@ -493,8 +492,7 @@ def hybrid_recover(phi, y, config, k):
     from .baselines import omp_recover
 
     t0 = time.perf_counter()
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
+    phi, y = check_problem(phi, y)
     m, n = phi.shape
     if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= M")

@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    check_problem,
     correlations,
     project,
     top_indices,
@@ -36,10 +37,7 @@ DEFAULT_EPSILON = 1e-6
 
 
 def _prep(phi, y):
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if phi.ndim != 2 or y.ndim != 1 or phi.shape[0] != y.shape[0]:
-        raise ValueError("phi must be (M, N) and y length M")
+    phi, y = check_problem(phi, y)
     return phi, y, float(np.linalg.norm(y))
 
 

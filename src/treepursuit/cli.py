@@ -174,7 +174,7 @@ def _write_manifest(run_dir, args, resolved, outputs, started, finished):
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "argv": resolved.pop("_argv", None),
+        "argv": args.argv,
         "resolved": resolved,
         "outputs": sorted(outputs),
         "started_utc": started,
@@ -430,12 +430,14 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
+    args.argv = argv  # recorded verbatim in every manifest
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

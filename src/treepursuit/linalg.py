@@ -1,17 +1,24 @@
 """Dense linear-algebra kernel shared by every solver.
 
-Correlation scores, deterministic top-k selection, and least-squares
-projection onto a growing atom set.  Projections are maintained through an
-incremental QR factorization (modified Gram-Schmidt with one
-reorthogonalization pass), so search paths that share a prefix can branch
-cheaply: appending one atom costs O(M*l) instead of a refactorization.
+Input validation, correlation scores, deterministic top-k selection, and
+least-squares projection onto a growing atom set.  Projections are
+maintained through an incremental QR factorization (modified Gram-Schmidt
+with one reorthogonalization pass), so search paths that share a prefix
+can branch cheaply: appending one atom costs O(M*l) and copies nothing of
+the parent's factorization.  A child keeps a reference to its parent plus
+its own new column and assembles its full Q, R and Q^T y only when they
+are first read, so children that are never extended or returned never pay
+for that copy.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = [
     "SingularSupportError",
+    "check_problem",
     "correlations",
     "top_indices",
     "project",
@@ -25,6 +32,34 @@ DEPENDENCY_TOL = 1e-12
 
 class SingularSupportError(Exception):
     """The requested support set is numerically rank deficient."""
+
+
+def _real_finite(x, name):
+    if np.iscomplexobj(x):
+        raise ValueError("%s must be real, got a complex array" % name)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("%s contains NaN or infinite entries" % name)
+    return x
+
+
+def check_problem(phi, y):
+    """Validate a recovery problem; returns (phi, y) as float arrays.
+
+    phi must be a real (M, N) matrix and y a real vector of length M, both
+    free of NaN and infinite entries.  Raises ValueError otherwise.
+    """
+    phi = _real_finite(phi, "phi")
+    y = _real_finite(y, "y")
+    if phi.ndim != 2 or y.ndim != 1 or phi.shape[0] != y.shape[0]:
+        raise ValueError("phi must be (M, N) and y length M")
+    return phi, y
+
+
+def _norm(v):
+    # the expression np.linalg.norm evaluates for a real vector, so results
+    # are bit-identical, without its per-call dispatch
+    return math.sqrt(v.dot(v))
 
 
 def correlations(phi, r):
@@ -67,12 +102,11 @@ def top_indices(scores, count, exclude=()):
             "requested %d indices but only %d are available"
             % (count, scores.shape[0] - len(excluded))
         )
-    if excluded:
-        scores = scores.copy()
-        scores[list(excluded)] = -np.inf
     # stable sort on the negated scores keeps ties in ascending-index order
-    order = np.argsort(-scores, kind="stable")
-    return [int(i) for i in order[:count]]
+    order = np.negative(scores)
+    if excluded:
+        order[list(excluded)] = np.inf
+    return np.argsort(order, kind="stable")[:count].tolist()
 
 
 class IncrementalFactorization:
@@ -80,19 +114,28 @@ class IncrementalFactorization:
     with the residue of y against that support.
 
     `appended` returns a new factorization and leaves the original intact,
-    so factorizations are single-owner values: paths that share a prefix
-    branch without aliasing.  Orthogonalization is modified Gram-Schmidt
-    with one full reorthogonalization pass, float64 only.
+    so paths that share a prefix branch without aliasing.  The child only
+    stores its new column (the orthonormal direction, its R column and its
+    entry of Q^T y) plus a reference to its parent; `q`, `rmat` and `qty`
+    are assembled on first read, after which the parent reference is
+    dropped, so at most one generation is held.  The residue and its norm
+    are computed eagerly.  Orthogonalization is modified Gram-Schmidt with
+    one full reorthogonalization pass, float64 only.
     """
 
-    __slots__ = ("support", "q", "rmat", "qty", "residue")
+    __slots__ = (
+        "support", "residue", "residue_norm",
+        "_q", "_rmat", "_qty", "_parent", "_qhat", "_coef", "_vnorm", "_proj",
+    )
 
     def __init__(self, support, q, rmat, qty, residue):
         self.support = support
-        self.q = q
-        self.rmat = rmat
-        self.qty = qty
         self.residue = residue
+        self.residue_norm = _norm(residue)
+        self._q = q
+        self._rmat = rmat
+        self._qty = qty
+        self._parent = None
 
     @classmethod
     def empty(cls, y):
@@ -107,9 +150,40 @@ class IncrementalFactorization:
     def length(self):
         return len(self.support)
 
+    def _materialize(self):
+        # the parent was materialized when this child was appended to it
+        parent = self._parent
+        l = len(parent.support)
+        q = np.empty((self.residue.shape[0], l + 1))
+        q[:, :l] = parent._q
+        q[:, l] = self._qhat
+        rmat = np.zeros((l + 1, l + 1))
+        rmat[:l, :l] = parent._rmat
+        rmat[:l, l] = self._coef
+        rmat[l, l] = self._vnorm
+        qty = np.empty(l + 1)
+        qty[:l] = parent._qty
+        qty[l] = self._proj
+        self._q, self._rmat, self._qty = q, rmat, qty
+        self._parent = self._qhat = self._coef = None
+
     @property
-    def residue_norm(self):
-        return float(np.linalg.norm(self.residue))
+    def q(self):
+        if self._parent is not None:
+            self._materialize()
+        return self._q
+
+    @property
+    def rmat(self):
+        if self._parent is not None:
+            self._materialize()
+        return self._rmat
+
+    @property
+    def qty(self):
+        if self._parent is not None:
+            self._materialize()
+        return self._qty
 
     def appended(self, index, column):
         """New factorization with `column` (atom `index`) appended.
@@ -120,33 +194,33 @@ class IncrementalFactorization:
         column = np.asarray(column, dtype=float)
         if column.shape != self.residue.shape:
             raise ValueError("column length must match the measurement size")
-        colnorm = float(np.linalg.norm(column))
+        q = self.q
+        qt = q.T
         v = column.copy()
-        coef = self.q.T @ v
-        v -= self.q @ coef
-        extra = self.q.T @ v
-        v -= self.q @ extra
+        colnorm = _norm(v)
+        coef = qt.dot(v)
+        v -= q.dot(coef)
+        extra = qt.dot(v)
+        v -= q.dot(extra)
         coef += extra
-        vnorm = float(np.linalg.norm(v))
+        vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
             raise SingularSupportError(
                 "atom %d is linearly dependent on the current support" % index
             )
         qhat = v / vnorm
-        l = self.length
-        rmat = np.zeros((l + 1, l + 1))
-        rmat[:l, :l] = self.rmat
-        rmat[:l, l] = coef
-        rmat[l, l] = vnorm
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
-        proj = float(qhat @ self.residue)
-        return IncrementalFactorization(
-            self.support + (int(index),),
-            np.column_stack([self.q, qhat]),
-            rmat,
-            np.append(self.qty, proj),
+        proj = float(qhat.dot(self.residue))
+        child = IncrementalFactorization(
+            self.support + (int(index),), None, None, None,
             self.residue - proj * qhat,
         )
+        child._parent = self
+        child._qhat = qhat
+        child._coef = coef
+        child._vnorm = vnorm
+        child._proj = proj
+        return child
 
     def coefficients(self):
         """Least-squares coefficients of y over the support, support order."""

@@ -9,6 +9,9 @@ many paths sit near the root, which keeps the tree compact.
 Nodes that ever carried a path keep a marker after the path moves on, so
 the trie doubles as the memory of which support sets have been opened
 before.  Nodes persist for the lifetime of one search.
+
+Live paths are also registered by object identity in an insertion-ordered
+dict, so removing a path costs O(1) and never compares path contents.
 """
 
 __all__ = ["SearchTrie"]
@@ -29,7 +32,9 @@ class SearchTrie:
     """Prefix tree of live search paths under a fixed atom priority order.
 
     priority_order lists atom indices from highest to lowest priority and
-    must be a permutation of range(N).
+    must be a permutation of range(N).  Live paths are keyed by identity
+    (id(path)), so paths need no equality of their own; paths() lists them
+    in insertion order.
     """
 
     def __init__(self, priority_order):
@@ -44,7 +49,7 @@ class SearchTrie:
             rank[atom] = pos
         self._rank = rank
         self._root = _Node(None, None)
-        self._live = []
+        self._live = {}  # id(path) -> path, insertion-ordered
         self.inserted_total = 0
 
     def canonical(self, support):
@@ -57,7 +62,7 @@ class SearchTrie:
 
     def paths(self):
         """Snapshot list of live paths (insertion order, no aliasing)."""
-        return list(self._live)
+        return list(self._live.values())
 
     def _walk(self, canonical):
         node = self._root
@@ -88,7 +93,7 @@ class SearchTrie:
         node.was_path = True
         path.canonical = canonical
         path.node = node
-        self._live.append(path)
+        self._live[id(path)] = path
         self.inserted_total += 1
 
     def remove(self, path):
@@ -98,4 +103,4 @@ class SearchTrie:
             raise ValueError("path is not live in this trie")
         node.payload = None
         path.node = None
-        self._live.remove(path)
+        del self._live[id(path)]

@@ -280,3 +280,85 @@ def test_hybrid_validates_k():
         hybrid_recover(ens.phi, inst.y, AompConfig(kmax=5), 0)
     with pytest.raises(ValueError):
         hybrid_recover(ens.phi, inst.y, AompConfig(kmax=5), 11)
+
+
+def test_rejects_non_finite_and_complex_input():
+    ens, inst = gen_problem(12, 24, 3, "gaussian", 4)
+    bad_y = inst.y.copy()
+    bad_y[2] = np.nan
+    bad_phi = ens.phi.copy()
+    bad_phi[1, 5] = np.inf
+    cfg = AompConfig(kmax=6)
+    cases = [
+        (ens.phi, bad_y, "NaN"),
+        (bad_phi, inst.y, "NaN or infinite"),
+        (ens.phi.astype(complex), inst.y, "complex"),
+        (ens.phi, inst.y + 1j, "complex"),
+    ]
+    for phi, y, message in cases:
+        with pytest.raises(ValueError, match=message):
+            aomp_recover(phi, y, cfg)
+        with pytest.raises(ValueError, match=message):
+            hybrid_recover(phi, y, cfg, 3)
+    with pytest.raises(ValueError):
+        hybrid_recover(np.zeros((4, 8)), np.zeros(5), cfg, 2)
+
+
+# Work counters and supports of fixed-seed searches, recorded before the
+# factorization became lazy.  An optimisation that claims to leave the
+# search unchanged must reproduce them exactly on every machine.
+DESK = dict(m=100, n=256, k=30, config=dict(kmax=70))
+IMAGE_BLOCK = dict(m=40, n=64, k=12, config=dict(kmax=20, alpha_amul=0.85))
+GOLDEN = [
+    (DESK, 3, {
+        "aomp": (128, 255, 213, 44),
+        "hybrid": (128, 255, 213, 44),
+    }, {
+        "aomp": (225, 104, 241, 195, 44, 182, 95, 13, 228, 245, 126, 103, 234,
+                 59, 209, 57, 99, 71, 118, 208, 127, 101, 206, 116, 35, 80, 102,
+                 149, 173, 140, 61, 186, 43, 18, 51),
+        "hybrid": (225, 104, 241, 195, 44, 182, 95, 13, 228, 245, 126, 103, 234,
+                   59, 209, 57, 99, 71, 118, 208, 127, 101, 206, 116, 35, 80, 102,
+                   149, 173, 140, 61, 186, 43, 18, 51),
+    }),
+    (DESK, 11, {
+        "aomp": (46, 91, 77, 16),
+        "hybrid": (30, 0, 0, 0),
+    }, {
+        "aomp": (8, 239, 144, 69, 56, 119, 146, 55, 170, 246, 58, 149, 169, 207,
+                 227, 185, 107, 249, 218, 201, 222, 150, 82, 86, 212, 232, 38,
+                 225, 152, 118),
+        "hybrid": (8, 69, 56, 144, 239, 119, 146, 207, 170, 55, 246, 58, 82, 169,
+                   149, 227, 185, 249, 107, 201, 218, 222, 150, 86, 212, 232, 38,
+                   152, 225, 118),
+    }),
+    (IMAGE_BLOCK, 17, {
+        "aomp": (19, 37, 35, 4),
+        "hybrid": (19, 37, 35, 4),
+    }, {
+        "aomp": (30, 48, 6, 45, 43, 33, 4, 63, 60, 56, 34, 12),
+        "hybrid": (30, 48, 6, 45, 43, 33, 4, 63, 60, 56, 34, 12),
+    }),
+    (IMAGE_BLOCK, 3, {
+        "aomp": (19, 37, 34, 5),
+        "hybrid": (12, 0, 0, 0),
+    }, {
+        "aomp": (29, 11, 19, 46, 9, 34, 59, 4, 60, 15, 35, 55),
+        "hybrid": (11, 19, 29, 46, 34, 59, 60, 4, 9, 15, 55, 35),
+    }),
+]
+
+
+@pytest.mark.parametrize("size, seed, counters, supports", GOLDEN)
+def test_golden_work_counters(size, seed, counters, supports):
+    ens, inst = gen_problem(size["m"], size["n"], size["k"], "gaussian", seed)
+    cfg = AompConfig(**size["config"])
+    outs = {
+        "aomp": aomp_recover(ens.phi, inst.y, cfg),
+        "hybrid": hybrid_recover(ens.phi, inst.y, cfg, size["k"]),
+    }
+    for name, out in outs.items():
+        got = (out.iterations, out.nodes_expanded, out.paths_opened, out.equivalent_hits)
+        assert got == counters[name], name
+        assert out.support == supports[name], name
+        assert out.reason == REASON_RESIDUE

@@ -262,3 +262,29 @@ def test_all_baselines_report_final_residual():
     ):
         recomputed = np.linalg.norm(inst.y - ens.phi @ out.xhat)
         assert out.residual_norm == pytest.approx(recomputed, abs=1e-10)
+
+
+def test_all_baselines_reject_bad_input():
+    ens, inst = gen_problem(24, 48, 5, "gaussian", 34)
+    nan_y = inst.y.copy()
+    nan_y[0] = np.nan
+    inf_phi = ens.phi.copy()
+    inf_phi[3, 7] = -np.inf
+    solvers = (
+        lambda phi, y: omp_recover(phi, y),
+        lambda phi, y: sp_recover(phi, y, 5),
+        lambda phi, y: iht_recover(phi, y, 5),
+        lambda phi, y: fbp_recover(phi, y),
+        lambda phi, y: mmp_df_recover(phi, y, 5),
+    )
+    for solve in solvers:
+        with pytest.raises(ValueError, match="NaN"):
+            solve(ens.phi, nan_y)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve(inf_phi, inst.y)
+        with pytest.raises(ValueError, match="complex"):
+            solve(ens.phi * (1 + 1j), inst.y)
+        with pytest.raises(ValueError, match="complex"):
+            solve(ens.phi, inst.y.astype(complex))
+        with pytest.raises(ValueError, match="length M"):
+            solve(ens.phi, inst.y[:-1])

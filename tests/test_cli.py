@@ -77,7 +77,23 @@ def test_recover_replay_is_identical(tmp_path):
     with open(dir_b / "result.json") as fh:
         res_b = strip_volatile(json.load(fh))
     assert res_a == res_b
-    assert strip_volatile(read_manifest(dir_a)) == strip_volatile(read_manifest(dir_b))
+    man_a, man_b = strip_volatile(read_manifest(dir_a)), strip_volatile(read_manifest(dir_b))
+    # the manifests differ only in the --out pair of the recorded argv
+    assert man_a.pop("argv") == args + ["--out", str(tmp_path / "a")]
+    assert man_b.pop("argv") == args + ["--out", str(tmp_path / "b")]
+    assert man_a == man_b
+
+
+def test_manifest_records_argv(tmp_path, monkeypatch):
+    out = tmp_path / "runs"
+    args = ["recover", "--n", "32", "--m", "16", "--k", "3", "--seed", "4", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    # without an explicit list the process arguments are recorded
+    monkeypatch.setattr("sys.argv", ["treepursuit"] + args)
+    assert main() == EXIT_OK
+    first, second = run_dirs(out)
+    assert read_manifest(first)["argv"] == args
+    assert read_manifest(second)["argv"] == args
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -6,10 +6,13 @@ factorization must agree with it to tight tolerance on every prefix.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    check_problem,
     correlations,
     project,
     top_indices,
@@ -140,3 +143,168 @@ def test_empty_factorization_residue_is_y():
     assert fact.length == 0
     assert np.array_equal(fact.residue, y)
     assert fact.coefficients().size == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_top_indices_matches_sorted_reference(scores, data):
+    n = len(scores)
+    excluded = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    form = data.draw(st.sampled_from([set, tuple, list]))
+    available = n - len(set(excluded))
+    reference = [
+        i for i in sorted(range(n), key=lambda i: (-scores[i], i)) if i not in set(excluded)
+    ]
+    if available == 0:
+        with pytest.raises(ValueError):
+            top_indices(scores, 1, exclude=form(excluded))
+        return
+    count = data.draw(st.integers(1, available))
+    picked = top_indices(np.array(scores), count, exclude=form(excluded))
+    assert picked == reference[:count]
+    assert all(type(i) is int for i in picked)
+    with pytest.raises(ValueError):
+        top_indices(scores, available + 1, exclude=form(excluded))
+
+
+def _chain(y, phi, support):
+    fact = IncrementalFactorization.empty(y)
+    for j in support:
+        fact = fact.appended(j, phi[:, j])
+    return fact
+
+
+def _eager_chain(y, phi, support):
+    """Reference: every append copies Q, R and Q^T y at once, with the same
+    arithmetic as the lazy factorization, so results must agree bit for bit."""
+    m = y.shape[0]
+    q, rmat, qty, residue = np.empty((m, 0)), np.empty((0, 0)), np.empty(0), y.copy()
+    for j in support:
+        v = phi[:, j].copy()
+        coef = q.T @ v
+        v -= q @ coef
+        extra = q.T @ v
+        v -= q @ extra
+        coef += extra
+        vnorm = float(np.linalg.norm(v))
+        qhat = v / vnorm
+        l = q.shape[1]
+        grown = np.zeros((l + 1, l + 1))
+        grown[:l, :l] = rmat
+        grown[:l, l] = coef
+        grown[l, l] = vnorm
+        proj = float(qhat @ residue)
+        q, rmat = np.column_stack([q, qhat]), grown
+        qty = np.append(qty, proj)
+        residue = residue - proj * qhat
+    return q, rmat, qty, residue
+
+
+def _values(fact):
+    return fact.q.copy(), fact.rmat.copy(), fact.qty.copy(), fact.coefficients()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(3, 10),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),  # which existing factorization to extend
+            st.integers(0, 10**6),  # which atom to append
+            st.booleans(),  # read the parent before appending to it
+            st.sampled_from(["none", "q", "rmat", "qty", "coefficients"]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_factorization_branches_agree_with_lstsq(seed, m, steps):
+    # sibling branches appended from one parent in any order, with reads
+    # before and after the siblings, give the values of an eager chain of
+    # appends along the same support, and those agree with dense lstsq
+    rng = np.random.default_rng(seed)
+    n = m + 4
+    phi = rng.normal(size=(m, n))
+    y = rng.normal(size=m)
+    nodes = [IncrementalFactorization.empty(y)]
+    seen = {}
+    for pick, atom, read_parent, read in steps:
+        parent = nodes[pick % len(nodes)]
+        before = _values(parent) if read_parent and parent.length else None
+        j = atom % n
+        if j in parent.support:
+            with pytest.raises(SingularSupportError):
+                parent.appended(j, phi[:, j])
+            continue
+        if parent.length >= m - 1:
+            continue
+        child = parent.appended(j, phi[:, j])
+        nodes.append(child)
+        if read == "coefficients":
+            child.coefficients()
+        elif read != "none":
+            getattr(child, read)
+        if before is not None:
+            for old, new in zip(before, _values(parent)):
+                assert np.array_equal(old, new)
+        # read some earlier node again, after its siblings were appended
+        other = nodes[atom % len(nodes)]
+        if other.length:
+            seen.setdefault(id(other), (other, _values(other)))
+    for node, frozen in seen.values():
+        for old, new in zip(frozen, _values(node)):
+            assert np.array_equal(old, new)
+    for node in nodes[1:]:
+        q, rmat, qty, residue = _eager_chain(y, phi, node.support)
+        assert np.array_equal(node.q, q)
+        assert np.array_equal(node.rmat, rmat)
+        assert np.array_equal(node.qty, qty)
+        assert np.array_equal(node.residue, residue)
+        assert node.residue_norm == float(np.linalg.norm(residue))
+        assert node.length == len(node.support)
+        sub = phi[:, list(node.support)]
+        z_ref, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        tol = 1e-10 * np.linalg.cond(sub) * max(1.0, float(np.linalg.norm(z_ref)))
+        assert np.linalg.norm(node.coefficients() - z_ref) <= tol
+        assert np.allclose(node.q @ node.rmat, sub, atol=1e-10)
+        assert np.allclose(node.residue, y - sub @ z_ref, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 9), data=st.data())
+def test_dependent_and_zero_columns_raise_on_lazy_children(seed, m, data):
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=(m, m + 2))
+    y = rng.normal(size=m)
+    support = data.draw(st.lists(st.integers(0, m + 1), min_size=1, max_size=m - 1, unique=True))
+    fact = _chain(y, phi, support)  # the last append is still unmaterialized
+    with pytest.raises(SingularSupportError):
+        fact.appended(support[-1], phi[:, support[-1]])
+    with pytest.raises(SingularSupportError):
+        fact.appended(m + 2, np.zeros(m))
+    weights = rng.normal(size=len(support))
+    with pytest.raises(SingularSupportError):
+        fact.appended(m + 3, phi[:, support] @ weights)
+
+
+def test_check_problem_rejects_bad_input():
+    phi = np.eye(3)
+    y = np.ones(3)
+    got_phi, got_y = check_problem(phi.tolist(), y.tolist())
+    assert got_phi.dtype == float and got_y.dtype == float
+    with pytest.raises(ValueError, match="NaN"):
+        check_problem(phi, np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="phi contains"):
+        check_problem(np.diag([1.0, np.inf, 1.0]), y)
+    with pytest.raises(ValueError, match="phi must be real"):
+        check_problem(phi + 0j, y)
+    with pytest.raises(ValueError, match="y must be real"):
+        check_problem(phi, [1.0, 2.0, 1j])
+    with pytest.raises(ValueError, match="length M"):
+        check_problem(phi, np.ones(4))
+    with pytest.raises(ValueError, match="length M"):
+        check_problem(np.ones(3), y)

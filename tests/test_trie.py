@@ -1,7 +1,12 @@
 """Prefix-tree semantics: canonical ordering, equivalence memory, liveness."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treepursuit.astar import PathState
+from treepursuit.linalg import IncrementalFactorization
 from treepursuit.trie import SearchTrie
 
 
@@ -83,3 +88,47 @@ def test_paths_snapshot_does_not_alias():
     assert len(snap) == 2
     assert trie.live_count == 1
     assert trie.inserted_total == 2
+
+
+def test_remove_drops_exactly_the_given_object():
+    # paths with equal field values are still distinct objects: the
+    # registry must never confuse them, whatever their contents
+    fact = IncrementalFactorization.empty(np.ones(3))
+    a = PathState((0,), (1.0, 0.5), 0.5, fact)
+    b = PathState((1,), (1.0, 0.5), 0.5, fact)
+    twin = PathState((0,), (1.0, 0.5), 0.5, fact)
+    assert a != twin
+    trie = SearchTrie(list(range(4)))
+    trie.insert(a)
+    trie.insert(b)
+    with pytest.raises(ValueError):
+        trie.remove(twin)
+    trie.remove(a)
+    assert trie.paths() == [b]
+    trie.insert(twin)
+    assert trie.paths() == [b, twin]
+    assert trie.paths()[1] is twin
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=60))
+def test_registry_keeps_insertion_order_under_removals(ops):
+    supports = [(a,) for a in range(6)] + [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    trie = SearchTrie(list(range(6)))
+    live = []  # reference registry, insertion order
+    for insert, pick in ops:
+        if insert:
+            taken = {p.canonical for p in live}
+            free = [s for s in supports if trie.canonical(s) not in taken]
+            if not free:
+                continue
+            path = FakePath(free[pick % len(free)])
+            trie.insert(path)
+            live.append(path)
+        elif live:
+            path = live.pop(pick % len(live))
+            trie.remove(path)
+            assert path.node is None
+        got = trie.paths()
+        assert len(got) == len(live) == trie.live_count
+        assert all(g is want for g, want in zip(got, live))
