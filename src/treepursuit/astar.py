@@ -122,7 +122,6 @@ class AompConfig:
     alpha_mul: float = 0.9
     alpha_amul: float = 0.97
     termination: str = TERM_RESIDUE
-    select_among_all: bool = False  # pre-modification selection rule, A/B only
     audit: bool = False  # per-iteration invariant checks
     max_iterations: int = 1_000_000
 
@@ -159,17 +158,30 @@ class AompConfig:
         return cost_amul(norms, self.kmax, self.alpha_amul)
 
     @classmethod
-    def sparsity_based(cls, k, **overrides):
+    def sparsity_based(cls, k, **settings):
         """Search capped at K atoms; the conventional decay is 0.8."""
-        kw = dict(kmax=int(k), termination=TERM_SPARSITY, alpha_mul=0.8)
-        kw.update(overrides)
-        return cls(**kw)
+        if settings.get("kmax", "auto") not in ("auto", k):
+            raise ValueError(
+                "sparsity termination caps paths at K = %d, not kmax = %r" % (k, settings["kmax"])
+            )
+        return cls.from_dict(
+            {"alpha_mul": 0.8, **settings, "kmax": int(k), "termination": TERM_SPARSITY}
+        )
 
     @classmethod
-    def residue_based(cls, kmax, **overrides):
-        kw = dict(kmax=int(kmax), termination=TERM_RESIDUE)
-        kw.update(overrides)
-        return cls(**kw)
+    def for_problem(cls, m, n, k, **settings):
+        """The search config for an M x N problem of sparsity K.
+
+        Sparsity termination is `sparsity_based(k)`.  Under residue
+        termination kmax "auto" (the default) is the widest useful path
+        length for the undersampling ratio M/N.  Unknown keys raise
+        ValueError.
+        """
+        if settings.get("termination") == TERM_SPARSITY:
+            return cls.sparsity_based(k, **settings)
+        if settings.get("kmax", "auto") == "auto":
+            settings["kmax"] = max(k + 1, round((0.5 + 0.5 * (m / n)) * m))
+        return cls.from_dict(settings)
 
     def to_dict(self):
         return asdict(self)
@@ -452,15 +464,9 @@ def aomp_recover(phi, y, config=None, priorities=None):
     converged = True
     if chosen is None:
         while True:
-            if config.select_among_all:
-                best = _best_any(trie)
-                if best is None or best.complete(config.kmax):
-                    chosen = best
-                    break
-            else:
-                best = select_best_incomplete(trie, config)
-                if best is None:
-                    break
+            best = select_best_incomplete(trie, config)
+            if best is None:
+                break
             if counters["iterations"] >= config.max_iterations:
                 converged = False
                 break

@@ -23,25 +23,32 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .astar import AompConfig, aomp_recover, hybrid_recover
+from .astar import TERM_SPARSITY, AompConfig
 from .experiments import (
+    SOLVERS,
     make_solver,
-    run_batch,
     sweep_k,
     phase_transition,
     write_records_csv,
     write_records_jsonl,
 )
-from .imaging import psnr, read_pgm, recover_image, synthetic_image, write_pgm
+from .imaging import read_pgm, recover_image, synthetic_image, write_pgm
 from .results import REASON_RESIDUE
 from .rip import condition_report, ric_table
-from .siggen import gen_problem
+from .siggen import ENSEMBLES, derive_seed, gen_matrix, gen_problem
 
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CONVERGENCE = 2
+
+# "aomp" is the tree search whose label --cost-model and --termination pick
+SOLVER_NAMES = ["aomp", *SOLVERS]
+
+# image search settings below the config file and the flags, for every
+# solver that takes them
+IMAGE_DEFAULTS = {"kmax": 20, "alpha_amul": 0.85}
 
 
 def build_parser():
@@ -55,46 +62,44 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default="runs", help="parent directory for run outputs")
-        p.add_argument("--config", default=None, help="JSON file with search settings")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for batches")
 
     p = sub.add_parser("recover", help="recover a single synthetic instance")
     common(p)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--k", type=int, default=20)
-    p.add_argument("--ensemble", default="gaussian", choices=["gaussian", "uniform", "cars"])
-    p.add_argument("--solver", default="aomp",
-                   choices=["aomp", "hybrid", "omp", "sp", "iht", "fbp", "mmp-df"])
+    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
+    p.add_argument("--solver", default="aomp", choices=SOLVER_NAMES)
     _search_flags(p)
 
     p = sub.add_parser("sweep", help="exact-recovery rate versus sparsity for several solvers")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for batches")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--k-values", default="10,20,30",
                    help="comma-separated sparsity levels")
-    p.add_argument("--ensemble", default="gaussian", choices=["gaussian", "uniform", "cars"])
+    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--solvers", default="amul-aompe,omp,sp",
-                   help="comma-separated solver labels")
+                   help="comma-separated solver names: %s" % ", ".join(SOLVER_NAMES))
 
     p = sub.add_parser("phase", help="empirical phase-transition curve")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for batches")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--lambdas", default="0.2,0.4,0.6,0.8")
     p.add_argument("--rhos", default="0.1,0.2,0.3,0.4,0.5,0.6")
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--ensemble", default="gaussian", choices=["gaussian", "uniform", "cars"])
-    p.add_argument("--solver", default="amul-aompe")
+    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
+    p.add_argument("--solver", default="amul-aompe", choices=SOLVER_NAMES)
 
     p = sub.add_parser("image", help="block-sparse image recovery")
     common(p)
     p.add_argument("--input", default=None, help="PGM image; omit for a synthetic one")
     p.add_argument("--k", type=int, default=12, help="coefficients kept per 8x8 block")
     p.add_argument("--m", type=int, default=32, help="measurements per block")
-    p.add_argument("--solver", default="aomp",
-                   choices=["aomp", "hybrid", "omp", "sp", "iht", "fbp", "mmp-df"])
+    p.add_argument("--solver", default="aomp", choices=SOLVER_NAMES)
     _search_flags(p)
 
     p = sub.add_parser("rip", help="restricted-isometry constants and recovery conditions")
@@ -106,7 +111,6 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--levels", type=int, default=4,
                    help="largest support size whose constant is computed")
-    p.add_argument("--ensemble", default="gaussian", choices=["gaussian", "uniform", "cars"])
 
     p = sub.add_parser("bench", help="compare two-stage startup against plain search")
     common(p)
@@ -114,12 +118,14 @@ def build_parser():
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--k", type=int, default=25)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--ensemble", default="gaussian", choices=["gaussian", "uniform", "cars"])
+    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
     _search_flags(p)
     return parser
 
 
 def _search_flags(p):
+    """Settings handed to make_solver; each flag is named after its AompConfig field."""
+    p.add_argument("--config", default=None, help="JSON file with search settings")
     p.add_argument("--cost-model", default=None, choices=["mul", "amul"])
     p.add_argument("--termination", default=None, choices=["residue", "sparsity"])
     p.add_argument("--kmax", type=int, default=None)
@@ -132,29 +138,17 @@ def _search_flags(p):
     p.add_argument("--audit", action="store_true", default=None)
 
 
-_SEARCH_KEYS = [
-    "cost_model", "termination", "kmax", "epsilon", "alpha_mul",
-    "alpha_amul", "initial_paths", "branch", "max_paths", "audit",
-]
-
-
-def _resolve_config(args):
-    """Defaults, overridden by the config file, overridden by flags."""
+def _settings(args):
+    """The config file's settings, overridden by flags."""
     settings = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(_SEARCH_KEYS)
-        if unknown:
-            raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-        settings.update(loaded)
-    for key in _SEARCH_KEYS:
+            settings.update(json.load(fh))
+    for key in AompConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    config = AompConfig(**settings)
-    config.validate()
-    return config, settings
+    return settings
 
 
 def _make_run_dir(args):
@@ -192,19 +186,9 @@ def _now():
 
 
 def _cmd_recover(args):
-    config, settings = _resolve_config(args)
-    if args.solver in ("aomp", "hybrid") and args.kmax is None and "kmax" not in settings:
-        lam = args.m / args.n
-        config.kmax = max(args.k + 1, round((0.5 + 0.5 * lam) * args.m))
-    if config.termination == "sparsity":
-        config.kmax = args.k
+    solver = make_solver(args.solver, **_settings(args))
     ens, inst = gen_problem(args.m, args.n, args.k, args.ensemble, args.seed)
-    if args.solver == "aomp":
-        out = aomp_recover(ens.phi, inst.y, config)
-    elif args.solver == "hybrid":
-        out = hybrid_recover(ens.phi, inst.y, config, args.k)
-    else:
-        out = make_solver(args.solver).run(ens.phi, inst.y, args.k)
+    out = solver.run(ens.phi, inst.y, args.k)
     run_dir = _make_run_dir(args)
     result_path = run_dir / "result.json"
     out.write_json(result_path)
@@ -213,41 +197,17 @@ def _cmd_recover(args):
     payload["relative_error"] = rel
     print(json.dumps(payload, indent=2, sort_keys=True))
     resolved = {
-        "solver": args.solver, "n": args.n, "m": args.m, "k": args.k,
-        "ensemble": args.ensemble, "search": settings,
+        "solver": solver.label, "n": args.n, "m": args.m, "k": args.k,
+        "ensemble": args.ensemble, "search": solver.params,
     }
     _write_manifest(run_dir, args, resolved, [result_path.name], _now(), _now())
     print("run dir: %s" % run_dir)
     return EXIT_OK if out.reason == REASON_RESIDUE else EXIT_NO_CONVERGENCE
 
 
-# labels accepted by `sweep --solvers` and `phase --solver`
-_LABEL_SPECS = {
-    "omp": lambda: make_solver("omp"),
-    "sp": lambda: make_solver("sp"),
-    "iht": lambda: make_solver("iht"),
-    "fbp": lambda: make_solver("fbp"),
-    "mmp-df": lambda: make_solver("mmp-df"),
-    "amul-aompe": lambda: make_solver("aomp", cost_model="amul", termination="residue"),
-    "mul-aompe": lambda: make_solver("aomp", cost_model="mul", termination="residue"),
-    "mul-aompk": lambda: make_solver("aomp", cost_model="mul", termination="sparsity"),
-    "amul-aompk": lambda: make_solver("aomp", cost_model="amul", termination="sparsity"),
-    "hybrid": lambda: make_solver("hybrid"),
-}
-
-
-def _solver_from_label(label):
-    label = label.strip()
-    if label not in _LABEL_SPECS:
-        raise ValueError(
-            "unknown solver label %r (known: %s)" % (label, ", ".join(sorted(_LABEL_SPECS)))
-        )
-    return _LABEL_SPECS[label]()
-
-
 def _cmd_sweep(args):
     started = _now()
-    solvers = [_solver_from_label(s) for s in args.solvers.split(",")]
+    solvers = [make_solver(s.strip()) for s in args.solvers.split(",")]
     k_values = [int(k) for k in args.k_values.split(",")]
     result = sweep_k(
         solvers, args.n, args.m, k_values, args.ensemble,
@@ -276,7 +236,7 @@ def _cmd_sweep(args):
 
 def _cmd_phase(args):
     started = _now()
-    solver = _solver_from_label(args.solver)
+    solver = make_solver(args.solver)
     lambdas = [float(v) for v in args.lambdas.split(",")]
     rhos = [float(v) for v in args.rhos.split(",")]
     curve = phase_transition(
@@ -303,22 +263,16 @@ def _cmd_phase(args):
 
 def _cmd_image(args):
     started = _now()
-    config, settings = _resolve_config(args)
-    if args.kmax is None and "kmax" not in settings:
-        config.kmax = 20
-    if args.alpha_amul is None and "alpha_amul" not in settings:
-        config.alpha_amul = 0.85
+    solver = make_solver(args.solver, **_settings(args))
+    accepts = SOLVERS[solver.name].accepts
+    defaults = {key: v for key, v in IMAGE_DEFAULTS.items() if key in accepts}
+    if solver.params.get("termination") == TERM_SPARSITY:
+        defaults.pop("kmax", None)  # paths stop at K
+    solver = make_solver(solver.name, **{**defaults, **solver.params})
     if args.input:
         image = read_pgm(args.input)
     else:
         image = synthetic_image(seed=args.seed)
-
-    if args.solver == "aomp":
-        solver = make_solver("aomp", **{k: v for k, v in settings.items()})
-        solver.params.setdefault("kmax", config.kmax)
-        solver.params.setdefault("alpha_amul", config.alpha_amul)
-    else:
-        solver = make_solver(args.solver)
     result = recover_image(image, args.k, args.m, solver, args.seed)
     run_dir = _make_run_dir(args)
     write_pgm(run_dir / "input.pgm", image)
@@ -328,7 +282,7 @@ def _cmd_image(args):
     print("psnr vs sparsified input: %.2f dB" % result.psnr_db)
     resolved = {
         "solver": solver.label, "k": args.k, "m": args.m,
-        "input": args.input or "synthetic", "search": settings,
+        "input": args.input or "synthetic", "search": solver.params,
     }
     _write_manifest(
         run_dir, args, resolved,
@@ -340,15 +294,13 @@ def _cmd_image(args):
 
 def _cmd_rip(args):
     started = _now()
-    from .siggen import gen_matrix
-
     # unit-norm columns in expectation; the condition bounds assume that scale
     ens = gen_matrix(args.m, args.n, args.seed, entry_std=1.0 / math.sqrt(args.m))
     table = ric_table(ens.phi, args.levels)
     report = condition_report(table, args.k, args.branch, kmax=args.kmax)
     run_dir = _make_run_dir(args)
     payload = {
-        "matrix": {"m": args.m, "n": args.n, "seed": args.seed, "ensemble": args.ensemble},
+        "matrix": {"m": args.m, "n": args.n, "seed": args.seed},
         "constants": table.to_dict(),
         "report": report,
     }
@@ -368,22 +320,19 @@ def _cmd_rip(args):
 
 def _cmd_bench(args):
     started = _now()
-    config, settings = _resolve_config(args)
-    if args.kmax is None and "kmax" not in settings:
-        lam = args.m / args.n
-        config.kmax = max(args.k + 1, round((0.5 + 0.5 * lam) * args.m))
+    settings = _settings(args)
+    plain_solver = make_solver("aomp", **settings)
+    staged_solver = make_solver("hybrid", **settings)
     rows = []
     same_support = 0
     for t in range(args.trials):
-        from .siggen import derive_seed
-
         seed = derive_seed(args.seed, "trial", t)
         ens, inst = gen_problem(args.m, args.n, args.k, args.ensemble, seed)
         t0 = time.perf_counter()
-        plain = aomp_recover(ens.phi, inst.y, config)
+        plain = plain_solver.run(ens.phi, inst.y, args.k)
         t_plain = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
-        staged = hybrid_recover(ens.phi, inst.y, config, args.k)
+        staged = staged_solver.run(ens.phi, inst.y, args.k)
         t_staged = (time.perf_counter() - t0) * 1e3
         same = sorted(plain.support) == sorted(staged.support)
         same_support += int(same)
@@ -391,6 +340,7 @@ def _cmd_bench(args):
             {
                 "seed": seed, "plain_ms": t_plain, "staged_ms": t_staged,
                 "same_support": bool(same), "staged_stage": staged.hybrid_stage,
+                "plain_atoms": len(plain.support), "staged_atoms": len(staged.support),
             }
         )
     mean_plain = float(np.mean([r["plain_ms"] for r in rows]))

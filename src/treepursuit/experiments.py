@@ -13,10 +13,19 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .astar import AompConfig, aomp_recover, hybrid_recover
+from .astar import (
+    COST_AMUL,
+    COST_MUL,
+    TERM_RESIDUE,
+    TERM_SPARSITY,
+    AompConfig,
+    aomp_recover,
+    hybrid_recover,
+)
 from .baselines import (
     omp_recover,
     sp_recover,
@@ -24,12 +33,14 @@ from .baselines import (
     fbp_recover,
     mmp_df_recover,
 )
+from .results import NUMERICAL_ERRORS
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
     "EXACT_RTOL",
     "relative_error",
     "anmse",
+    "SOLVERS",
     "SolverSpec",
     "make_solver",
     "TrialRecord",
@@ -47,7 +58,9 @@ __all__ = [
 # an instance counts as exactly recovered when ||x - xhat|| <= 0.01 ||x||
 EXACT_RTOL = 1e-2
 
-RECORD_FIELDS = ["solver", "seed", "N", "M", "K", "ensemble", "exact", "rel_err", "time_ms"]
+RECORD_FIELDS = [
+    "solver", "seed", "N", "M", "K", "ensemble", "exact", "rel_err", "time_ms", "failed", "reason",
+]
 
 
 def relative_error(x, xhat):
@@ -74,13 +87,78 @@ def anmse(rel_errors):
     return float(np.mean(errs**2))
 
 
+def _search(phi, y, k, **settings):
+    return aomp_recover(phi, y, AompConfig.for_problem(*phi.shape, k, **settings))
+
+
+def _hybrid(phi, y, k, **settings):
+    return hybrid_recover(phi, y, AompConfig.for_problem(*phi.shape, k, **settings), k)
+
+
+class Solver(NamedTuple):
+    call: Callable  # (phi, y, k, **params) -> RecoveryOutput
+    fixed: dict
+    accepts: tuple
+
+
+_CONFIG_KEYS = tuple(AompConfig.__dataclass_fields__)
+
+
+def _variant(cost_model, termination):
+    """A tree-search label: its cost model and termination are fixed."""
+    fixed = {"cost_model": cost_model, "termination": termination}
+    unused = {"alpha_amul" if cost_model == COST_MUL else "alpha_mul"}
+    if termination == TERM_SPARSITY:
+        unused.add("kmax")
+    return Solver(_search, fixed, tuple(f for f in _CONFIG_KEYS if f not in fixed.keys() | unused))
+
+
+# Every solver by label.  The calls look their solver function up when
+# they run, so a wrapper installed on a module attribute sees every call.
+SOLVERS = {
+    "amul-aompe": _variant(COST_AMUL, TERM_RESIDUE),
+    "mul-aompe": _variant(COST_MUL, TERM_RESIDUE),
+    "mul-aompk": _variant(COST_MUL, TERM_SPARSITY),
+    "amul-aompk": _variant(COST_AMUL, TERM_SPARSITY),
+    "hybrid": Solver(_hybrid, {}, _CONFIG_KEYS),
+    "omp": Solver(lambda phi, y, k, **p: omp_recover(phi, y, **p), {}, ("epsilon", "max_iter")),
+    "sp": Solver(lambda phi, y, k, **p: sp_recover(phi, y, k, **p), {}, ("max_iter",)),
+    "iht": Solver(lambda phi, y, k, **p: iht_recover(phi, y, k, **p), {}, ("step", "max_iter")),
+    "fbp": Solver(
+        lambda phi, y, k, **p: fbp_recover(phi, y, **p),
+        {},
+        ("alpha", "beta", "epsilon", "max_iter"),
+    ),
+    "mmp-df": Solver(
+        lambda phi, y, k, **p: mmp_df_recover(phi, y, k, **p),
+        {},
+        ("branching", "max_paths", "epsilon"),
+    ),
+}
+
+
+def _aomp_label(params):
+    """The tree-search label whose fixed settings match; pops them."""
+    wanted = {
+        "cost_model": params.pop("cost_model", COST_AMUL),
+        "termination": params.pop("termination", TERM_RESIDUE),
+    }
+    for label, solver in SOLVERS.items():
+        if solver.fixed == wanted:
+            return label
+    raise ValueError("no tree search with %s" % wanted)
+
+
 @dataclass
 class SolverSpec:
     """A named, parameterized solver that can be run on any instance.
 
-    Plain data, so specs travel across process boundaries for parallel
-    batches.  `run` dispatches on the name; the sparsity k of the instance
-    is always passed in because several solvers need it.
+    name is a label of SOLVERS, or "aomp" for the tree search whose
+    cost_model and termination params (default amul, residue) pick the
+    label.  Params are checked against what the solver takes when the
+    spec is built.  Plain data, so specs travel across process boundaries
+    for parallel batches; the sparsity k of the instance is always passed
+    to `run` because several solvers need it.
     """
 
     name: str
@@ -88,79 +166,26 @@ class SolverSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not self.label:
-            self.label = _default_label(self.name, self.params)
-
-    def _aomp_config(self, m, n, k):
-        p = self.params
-        termination = p.get("termination", "residue")
-        cost_model = p.get("cost_model", "amul")
-        if termination == "sparsity":
-            kmax = k
-            alpha_mul = p.get("alpha_mul", 0.8)
-        else:
-            kmax = p.get("kmax", "auto")
-            if kmax == "auto":
-                # widest useful path length for this undersampling ratio
-                lam = m / n
-                kmax = max(k + 1, round((0.5 + 0.5 * lam) * m))
-            alpha_mul = p.get("alpha_mul", 0.9)
-        return AompConfig(
-            initial_paths=p.get("initial_paths", 3),
-            branch=p.get("branch", 2),
-            max_paths=p.get("max_paths", 200),
-            kmax=int(kmax),
-            epsilon=p.get("epsilon", 1e-6),
-            cost_model=cost_model,
-            alpha_mul=alpha_mul,
-            alpha_amul=p.get("alpha_amul", 0.97),
-            termination=termination,
-            audit=p.get("audit", False),
-        )
+        params = dict(self.params)
+        if self.name == "aomp":
+            self.name = _aomp_label(params)
+        if self.name not in SOLVERS:
+            raise ValueError(
+                "unknown solver %r (known: aomp, %s)" % (self.name, ", ".join(SOLVERS))
+            )
+        solver = SOLVERS[self.name]
+        for key, value in params.items():
+            if key in solver.fixed and value != solver.fixed[key]:
+                raise ValueError("%s fixes %s=%r" % (self.name, key, solver.fixed[key]))
+            if key not in solver.fixed and key not in solver.accepts:
+                raise ValueError(
+                    "%s takes no %r (it takes: %s)" % (self.name, key, ", ".join(solver.accepts))
+                )
+        self.params = {**solver.fixed, **params}
+        self.label = self.label or self.name
 
     def run(self, phi, y, k):
-        p = self.params
-        if self.name == "aomp":
-            return aomp_recover(phi, y, self._aomp_config(phi.shape[0], phi.shape[1], k))
-        if self.name == "hybrid":
-            return hybrid_recover(phi, y, self._aomp_config(phi.shape[0], phi.shape[1], k), k)
-        if self.name == "omp":
-            return omp_recover(
-                phi, y, epsilon=p.get("epsilon", 1e-6), max_iter=p.get("max_iter")
-            )
-        if self.name == "sp":
-            return sp_recover(phi, y, k, max_iter=p.get("max_iter", 100))
-        if self.name == "iht":
-            return iht_recover(
-                phi, y, k, step=p.get("step", 1.0), max_iter=p.get("max_iter", 500)
-            )
-        if self.name == "fbp":
-            return fbp_recover(
-                phi,
-                y,
-                alpha=p.get("alpha"),
-                beta=p.get("beta"),
-                epsilon=p.get("epsilon", 1e-6),
-                max_iter=p.get("max_iter"),
-            )
-        if self.name == "mmp-df":
-            return mmp_df_recover(
-                phi,
-                y,
-                k,
-                branching=p.get("branching", 6),
-                max_paths=p.get("max_paths", 200),
-                epsilon=p.get("epsilon", 1e-6),
-            )
-        raise ValueError("unknown solver %r" % (self.name,))
-
-
-def _default_label(name, params):
-    if name == "aomp":
-        cost = params.get("cost_model", "amul")
-        term = "k" if params.get("termination", "residue") == "sparsity" else "e"
-        return "%s-aomp%s" % (cost, term)
-    return name
+        return SOLVERS[self.name].call(phi, y, k, **self.params)
 
 
 def make_solver(name, **params):
@@ -208,13 +233,13 @@ def _run_trial(solver, n, m, k, ensemble, seed):
     ens, inst = gen_problem(m, n, k, ensemble, seed)
     t0 = time.perf_counter()
     failed = False
-    reason = "error"
     try:
         out = solver.run(ens.phi, inst.y, k)
         reason = out.reason
-    except Exception:
+    except NUMERICAL_ERRORS as exc:
         out = None
         failed = True
+        reason = "%s: %s" % (type(exc).__name__, exc)
     elapsed = (time.perf_counter() - t0) * 1e3
     rel = 1.0 if failed else relative_error(inst.x, out.xhat)
     return TrialRecord(
@@ -273,6 +298,8 @@ def write_records_csv(records, path):
                     int(r.exact),
                     repr(r.rel_err),
                     repr(r.time_ms),
+                    int(r.failed),
+                    r.reason,
                 ]
             )
 

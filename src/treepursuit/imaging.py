@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .haar import BLOCK, haar_basis, sparsify_blocks
+from .results import NUMERICAL_ERRORS
 from .siggen import derive_seed, gen_matrix, substream
 
 __all__ = [
@@ -132,10 +133,10 @@ def recover_image(image, k, m, solver, seed, shared_matrix=True):
                 reasons.append(out.reason)
                 if out.reason == "residue_met":
                     met += 1
-            except Exception:
+            except NUMERICAL_ERRORS as exc:
                 z = np.zeros(dim)
                 failed += 1
-                reasons.append("error")
+                reasons.append("%s: %s" % (type(exc).__name__, exc))
             recon[i : i + BLOCK, j : j + BLOCK] = (psi.T @ z).reshape(BLOCK, BLOCK)
     clamped = np.clip(recon, 0.0, 255.0)
     return ImageRecovery(

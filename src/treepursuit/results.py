@@ -13,6 +13,7 @@ __all__ = [
     "REASON_STALLED",
     "REASON_DIVERGED",
     "REASON_BUDGET",
+    "NUMERICAL_ERRORS",
 ]
 
 REASON_RESIDUE = "residue_met"
@@ -21,6 +22,10 @@ REASON_MAX_ITER = "max_iter"
 REASON_STALLED = "stalled"
 REASON_DIVERGED = "diverged"
 REASON_BUDGET = "budget_exhausted"
+
+# what a solver may raise on a numerically bad instance; batch drivers
+# record these as failed recoveries and let anything else propagate
+NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 
 @dataclass

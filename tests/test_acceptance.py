@@ -78,9 +78,9 @@ def k30_timing():
 @pytest.fixture(scope="session")
 def hybrid_runs():
     """Per-instance plain and two-stage runs at K=25, audited and timed."""
-    kmax = max(26, round((0.5 + 0.5 * DESK_M / DESK_N) * DESK_M))
-    audited = AompConfig(kmax=kmax, audit=True)
-    plain_cfg = AompConfig(kmax=kmax)
+    plain_cfg = AompConfig.for_problem(DESK_M, DESK_N, 25)
+    assert plain_cfg.kmax == 70
+    audited = AompConfig.for_problem(DESK_M, DESK_N, 25, audit=True)
     rows = []
     for t in range(TRIALS):
         seed = derive_seed(BASE_SEED, "trial", t)

@@ -79,6 +79,27 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
     assert load_config(path) == default_config()
 
 
+def test_for_problem_kmax_and_sparsity_rules():
+    # residue termination: kmax "auto" (the default) follows M/N, at least K + 1
+    assert AompConfig.for_problem(100, 256, 25).kmax == 70
+    assert AompConfig.for_problem(100, 256, 25, kmax="auto").kmax == 70
+    assert AompConfig.for_problem(40, 64, 12).kmax == 32  # round(32.5), half to even
+    assert AompConfig.for_problem(32, 64, 30).kmax == 31
+    assert AompConfig.for_problem(100, 256, 25, kmax=40).kmax == 40
+    # sparsity termination: paths stop at K and the decay defaults to 0.8
+    cfg = AompConfig.for_problem(100, 256, 25, termination="sparsity", cost_model="mul")
+    assert (cfg.kmax, cfg.alpha_mul, cfg.cost_model) == (25, 0.8, "mul")
+    assert cfg == AompConfig.sparsity_based(25, cost_model="mul")
+    cfg = AompConfig.for_problem(100, 256, 25, termination="sparsity", alpha_mul=0.9)
+    assert cfg.alpha_mul == 0.9
+    with pytest.raises(ValueError, match="caps paths at K"):
+        AompConfig.for_problem(100, 256, 25, termination="sparsity", kmax=30)
+    for bad in ({"kmx": 9}, {"select_among_all": True}, {"alpha_amul": 1.5}):
+        with pytest.raises(ValueError):
+            AompConfig.for_problem(100, 256, 25, **bad)
+    assert len(AompConfig.__dataclass_fields__) == 11
+
+
 def test_sparsity_preset_floors_epsilon():
     cfg = AompConfig.sparsity_based(8, epsilon=0.0)
     assert cfg.kmax == 8
@@ -175,13 +196,6 @@ def test_custom_priorities_still_recover():
     assert out.reason == REASON_RESIDUE
     rel = np.linalg.norm(inst.x - out.xhat) / np.linalg.norm(inst.x)
     assert rel < 1e-8
-
-
-def test_select_among_all_legacy_mode():
-    ens, inst = gen_problem(32, 64, 6, "gaussian", 23)
-    cfg = AompConfig(kmax=12, select_among_all=True)
-    out = aomp_recover(ens.phi, inst.y, cfg)
-    assert out.reason == REASON_RESIDUE
 
 
 def test_zero_measurement_short_circuits():

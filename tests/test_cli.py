@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from treepursuit.astar import AompConfig, aomp_recover
 from treepursuit.cli import EXIT_ERROR, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from treepursuit.siggen import gen_problem
 
 
 def run_dirs(out_root):
@@ -133,7 +135,7 @@ def test_sweep_writes_records_and_summary(tmp_path):
     for name in ("trials.csv", "trials.jsonl", "summary.csv"):
         assert (run_dir / name).exists()
     lines = (run_dir / "trials.csv").read_text().strip().splitlines()
-    assert lines[0] == "solver,seed,N,M,K,ensemble,exact,rel_err,time_ms"
+    assert lines[0] == "solver,seed,N,M,K,ensemble,exact,rel_err,time_ms,failed,reason"
     assert len(lines) == 1 + 2 * 2 * 4  # solvers x k-values x trials
     assert read_manifest(run_dir)["resolved"]["k_values"] == [3, 5]
 
@@ -202,6 +204,86 @@ def test_bench_compares_plain_and_staged(tmp_path, capsys):
     assert payload["trials"] == 3
     assert len(payload["rows"]) == 3
     assert payload["identical_supports"] <= 3
+
+
+def test_flags_a_subcommand_would_ignore_are_errors(tmp_path):
+    cfg = tmp_path / "x.json"
+    cfg.write_text(json.dumps({"kmax": 9}))
+    out = ["--out", str(tmp_path / "runs")]
+    assert main(["sweep", "--config", str(cfg)] + out) == EXIT_ERROR
+    assert main(["rip", "--ensemble", "cars"] + out) == EXIT_ERROR
+    assert main(["recover", "--jobs", "2"] + out) == EXIT_ERROR
+    assert main(["recover", "--solver", "omp", "--kmax", "5"] + out) == EXIT_ERROR
+    assert main(["recover", "--solver", "omp", "--config", str(cfg)] + out) == EXIT_ERROR
+    assert main(["recover", "--termination", "sparsity", "--kmax", "30"] + out) == EXIT_ERROR
+    assert main(["image", "--cost-model", "mul", "--alpha-amul", "0.9"] + out) == EXIT_ERROR
+    assert not (tmp_path / "runs").exists()
+
+
+def read_result(out_root):
+    (run_dir,) = run_dirs(out_root)
+    with open(run_dir / "result.json") as fh:
+        return json.load(fh)
+
+
+def test_recover_sparsity_mul_uses_the_sparsity_decay(tmp_path):
+    ens, inst = gen_problem(32, 64, 6, "gaussian", 3)
+    runs = {
+        alpha: aomp_recover(
+            ens.phi, inst.y, AompConfig.sparsity_based(6, cost_model="mul", alpha_mul=alpha)
+        )
+        for alpha in (0.8, 0.9)
+    }
+    assert runs[0.8].iterations != runs[0.9].iterations  # the instance tells them apart
+    code = main([
+        "recover", "--n", "64", "--m", "32", "--k", "6", "--seed", "3",
+        "--termination", "sparsity", "--cost-model", "mul", "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_OK
+    result = read_result(tmp_path / "runs")
+    assert result["iterations"] == runs[0.8].iterations
+    assert result["support"] == list(runs[0.8].support)
+
+
+def test_recover_omp_honours_epsilon(tmp_path):
+    code = main([
+        "recover", "--n", "64", "--m", "32", "--k", "8", "--seed", "1",
+        "--solver", "omp", "--epsilon", "0.5", "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_OK
+    result = read_result(tmp_path / "runs")
+    assert 1 <= len(result["support"]) < 8
+    assert result["residual_norm"] > 1e-3
+
+
+def test_bench_sparsity_termination_caps_paths_at_k(tmp_path):
+    # constant-amplitude signs at K=8: searches left uncapped return 9 and
+    # 10 atoms on two of these instances
+    code = main([
+        "bench", "--n", "64", "--m", "32", "--k", "8", "--trials", "3",
+        "--ensemble", "cars", "--termination", "sparsity", "--seed", "8",
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    with open(run_dir / "bench.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert [r["plain_atoms"] for r in rows] == [8, 8, 8]
+    assert all(r["staged_atoms"] <= 8 for r in rows)
+
+
+def test_image_hybrid_takes_the_search_flags(tmp_path):
+    out = tmp_path / "runs"
+    code = main([
+        "image", "--k", "6", "--m", "28", "--seed", "2", "--solver", "hybrid",
+        "--kmax", "9", "--out", str(out),
+    ])
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    (run_dir,) = run_dirs(out)
+    resolved = read_manifest(run_dir)["resolved"]
+    assert resolved["solver"] == "hybrid"
+    # the flag beats the image default kmax, which beats nothing else
+    assert resolved["search"] == {"kmax": 9, "alpha_amul": 0.85}
 
 
 def test_usage_errors_do_not_crash():

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from treepursuit.experiments import (
     EXACT_RTOL,
+    SOLVERS,
     anmse,
     fit_rho_star,
     make_solver,
@@ -48,6 +51,69 @@ def test_solver_labels():
     assert make_solver("sp", label="sp-custom").label == "sp-custom"
     with pytest.raises(ValueError):
         make_solver("basis-pursuit").run(np.zeros((2, 2)), np.zeros(2), 1)
+
+
+def test_make_solver_rejects_what_the_solver_does_not_take():
+    for name, params in [
+        ("aomp", {"kmx": 9}),
+        ("omp", {"kmax": 3}),
+        ("aomp", {"max_iter": 5}),
+        ("aomp", {"termination": "never"}),
+        ("amul-aompe", {"cost_model": "mul"}),
+        ("mul-aompe", {"alpha_amul": 0.9}),
+        ("mul-aompk", {"kmax": 8}),
+        ("sp", {"epsilon": 0.5}),
+    ]:
+        with pytest.raises(ValueError):
+            make_solver(name, **params)
+
+
+def test_make_solver_passes_every_setting_through():
+    ens, inst = gen_problem(30, 60, 12, "cars", 3)
+    out = make_solver("aomp", max_iterations=1).run(ens.phi, inst.y, 12)
+    assert (out.iterations, out.reason) == (1, "budget_exhausted")
+    spec = make_solver("aomp", cost_model="amul", termination="residue", kmax=9)
+    assert spec.name == "amul-aompe"
+    assert spec.params == {"cost_model": "amul", "termination": "residue", "kmax": 9}
+    # the fixed settings of a label may be restated but not changed
+    assert make_solver("amul-aompe", **spec.params) == spec
+
+
+@pytest.mark.parametrize("label", list(SOLVERS))
+def test_every_table_label_builds_and_runs(label):
+    ens, inst = gen_problem(32, 64, 4, "gaussian", 5)
+    spec = make_solver(label)
+    assert spec.label == label
+    out = spec.run(ens.phi, inst.y, 4)
+    assert out.xhat.shape == (64,)
+    assert np.isfinite(out.residual_norm)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_readme_solver_table_matches_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("Solver labels"):]
+    section = section[: section.index("\n\n", section.index("| label"))]
+    labels = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert labels == list(SOLVERS)
+
+
+def test_run_batch_records_numerical_failures_and_raises_on_bugs():
+    class Failing:
+        label = "failing"
+
+        def __init__(self, exc):
+            self.exc = exc
+
+        def run(self, phi, y, k):
+            raise self.exc
+
+    batch = run_batch(Failing(ArithmeticError("overflow")), 30, 15, 3, "gaussian", 2, 1)
+    assert [(r.failed, r.reason, r.rel_err) for r in batch.records] == [
+        (True, "ArithmeticError: overflow", 1.0)
+    ] * 2
+    with pytest.raises(TypeError, match="bug"):
+        run_batch(Failing(TypeError("bug")), 30, 15, 3, "gaussian", 2, 1)
 
 
 def test_batches_pair_instances_across_solvers():
@@ -92,7 +158,11 @@ def test_record_files_round_trip(tmp_path):
     write_records_csv(batch.records, csv_path)
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["solver", "seed", "N", "M", "K", "ensemble", "exact", "rel_err", "time_ms"]
+    assert rows[0] == [
+        "solver", "seed", "N", "M", "K", "ensemble", "exact", "rel_err", "time_ms",
+        "failed", "reason",
+    ]
+    assert rows[1][9:] == ["0", batch.records[0].reason]
     assert len(rows) == 5
     # rel_err survives the trip at full precision
     assert float(rows[1][7]) == batch.records[0].rel_err

@@ -72,13 +72,24 @@ def test_recover_image_survives_solver_failure():
         label = "broken"
 
         def run(self, phi, y, k):
-            raise RuntimeError("boom")
+            raise np.linalg.LinAlgError("boom")
 
     image = synthetic_image(size=16, seed=4)
     out = recover_image(image, 4, 24, Broken(), seed=4)
     assert out.failed_blocks == 4
-    assert set(out.block_reasons) == {"error"}
+    assert set(out.block_reasons) == {"LinAlgError: boom"}
     assert np.all(out.reconstruction == 0.0)
+
+
+def test_recover_image_lets_a_solver_bug_through():
+    class Buggy:
+        label = "buggy"
+
+        def run(self, phi, y, k):
+            raise TypeError("not a numerical failure")
+
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        recover_image(synthetic_image(size=16, seed=4), 4, 24, Buggy(), seed=4)
 
 
 def test_pgm_round_trip(tmp_path):
