@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .astar import TERM_SPARSITY, AompConfig
+from .astar import AompConfig
 from .experiments import (
     SOLVERS,
     make_solver,
@@ -143,12 +143,26 @@ def _settings(args):
     settings = {}
     if args.config:
         with open(args.config) as fh:
-            settings.update(json.load(fh))
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ValueError("%s must hold a JSON object" % args.config)
+        for key, value in settings.items():
+            _check_setting(key, value)
     for key in AompConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
+
+
+def _check_setting(key, value):
+    """A config file key must name an AompConfig field and hold a value of its type."""
+    if key not in AompConfig.__dataclass_fields__:
+        raise ValueError("unknown config key %r" % key)
+    kind = type(AompConfig.__dataclass_fields__[key].default)
+    kinds = (float, int) if kind is float else (kind,)
+    if (key, value) != ("kmax", "auto") and type(value) not in kinds:
+        raise ValueError("config key %r must be of type %s, not %r" % (key, kind.__name__, value))
 
 
 def _make_run_dir(args):
@@ -163,8 +177,15 @@ def _make_run_dir(args):
     return run_dir
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(run_dir, args, resolved, outputs, started, finished):
-    manifest = {
+    """Write the run's manifest and report its run dir."""
+    _write_json(run_dir / "manifest.json", {
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
@@ -173,12 +194,8 @@ def _write_manifest(run_dir, args, resolved, outputs, started, finished):
         "outputs": sorted(outputs),
         "started_utc": started,
         "finished_utc": finished,
-    }
-    path = run_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
+    print("run dir: %s" % run_dir)
 
 
 def _now():
@@ -201,7 +218,6 @@ def _cmd_recover(args):
         "ensemble": args.ensemble, "search": solver.params,
     }
     _write_manifest(run_dir, args, resolved, [result_path.name], _now(), _now())
-    print("run dir: %s" % run_dir)
     return EXIT_OK if out.reason == REASON_RESIDUE else EXIT_NO_CONVERGENCE
 
 
@@ -230,7 +246,6 @@ def _cmd_sweep(args):
         run_dir, args, resolved,
         ["trials.csv", "trials.jsonl", "summary.csv"], started, _now(),
     )
-    print("run dir: %s" % run_dir)
     return EXIT_NO_CONVERGENCE
 
 
@@ -257,17 +272,13 @@ def _cmd_phase(args):
         run_dir, args, resolved,
         ["phase_points.csv", "phase_grid.csv"], started, _now(),
     )
-    print("run dir: %s" % run_dir)
     return EXIT_NO_CONVERGENCE
 
 
 def _cmd_image(args):
     started = _now()
     solver = make_solver(args.solver, **_settings(args))
-    accepts = SOLVERS[solver.name].accepts
-    defaults = {key: v for key, v in IMAGE_DEFAULTS.items() if key in accepts}
-    if solver.params.get("termination") == TERM_SPARSITY:
-        defaults.pop("kmax", None)  # paths stop at K
+    defaults = {key: v for key, v in IMAGE_DEFAULTS.items() if key in solver.accepts}
     solver = make_solver(solver.name, **{**defaults, **solver.params})
     if args.input:
         image = read_pgm(args.input)
@@ -288,7 +299,6 @@ def _cmd_image(args):
         run_dir, args, resolved,
         ["input.pgm", "sparsified.pgm", "reconstruction.pgm"], started, _now(),
     )
-    print("run dir: %s" % run_dir)
     return EXIT_OK if result.failed_blocks == 0 else EXIT_NO_CONVERGENCE
 
 
@@ -305,16 +315,13 @@ def _cmd_rip(args):
         "report": report,
     }
     path = run_dir / "rip_report.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     resolved = {
         "n": args.n, "m": args.m, "k": args.k, "branch": args.branch,
         "kmax": args.kmax, "levels": args.levels,
     }
     _write_manifest(run_dir, args, resolved, [path.name], started, _now())
-    print("run dir: %s" % run_dir)
     return EXIT_NO_CONVERGENCE
 
 
@@ -350,22 +357,15 @@ def _cmd_bench(args):
     print("identical supports: %d/%d" % (same_support, args.trials))
     run_dir = _make_run_dir(args)
     path = run_dir / "bench.json"
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "rows": rows, "mean_plain_ms": mean_plain,
-                "mean_staged_ms": mean_staged,
-                "identical_supports": same_support, "trials": args.trials,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(path, {
+        "rows": rows, "mean_plain_ms": mean_plain, "mean_staged_ms": mean_staged,
+        "identical_supports": same_support, "trials": args.trials,
+    })
     resolved = {
         "n": args.n, "m": args.m, "k": args.k, "trials": args.trials,
         "ensemble": args.ensemble, "search": settings,
     }
     _write_manifest(run_dir, args, resolved, [path.name], started, _now())
-    print("run dir: %s" % run_dir)
     return EXIT_NO_CONVERGENCE
 
 

@@ -104,13 +104,19 @@ class Solver(NamedTuple):
 _CONFIG_KEYS = tuple(AompConfig.__dataclass_fields__)
 
 
+def _search_keys(cost_model, termination):
+    """The AompConfig keys a search with this cost model and termination reads."""
+    unused = {"alpha_amul" if cost_model == COST_MUL else "alpha_mul"}
+    if termination == TERM_SPARSITY:
+        unused.add("kmax")  # paths stop at K
+    return tuple(f for f in _CONFIG_KEYS if f not in unused)
+
+
 def _variant(cost_model, termination):
     """A tree-search label: its cost model and termination are fixed."""
     fixed = {"cost_model": cost_model, "termination": termination}
-    unused = {"alpha_amul" if cost_model == COST_MUL else "alpha_mul"}
-    if termination == TERM_SPARSITY:
-        unused.add("kmax")
-    return Solver(_search, fixed, tuple(f for f in _CONFIG_KEYS if f not in fixed.keys() | unused))
+    keys = _search_keys(cost_model, termination)
+    return Solver(_search, fixed, tuple(f for f in keys if f not in fixed))
 
 
 # Every solver by label.  The calls look their solver function up when
@@ -155,10 +161,10 @@ class SolverSpec:
 
     name is a label of SOLVERS, or "aomp" for the tree search whose
     cost_model and termination params (default amul, residue) pick the
-    label.  Params are checked against what the solver takes when the
-    spec is built.  Plain data, so specs travel across process boundaries
-    for parallel batches; the sparsity k of the instance is always passed
-    to `run` because several solvers need it.
+    label.  Params are checked when the spec is built, search settings
+    through AompConfig; only kmax "auto" waits for the instance.  Plain
+    data, so specs travel across process boundaries for parallel batches;
+    the sparsity k of the instance is always passed to `run`.
     """
 
     name: str
@@ -177,12 +183,26 @@ class SolverSpec:
         for key, value in params.items():
             if key in solver.fixed and value != solver.fixed[key]:
                 raise ValueError("%s fixes %s=%r" % (self.name, key, solver.fixed[key]))
-            if key not in solver.fixed and key not in solver.accepts:
-                raise ValueError(
-                    "%s takes no %r (it takes: %s)" % (self.name, key, ", ".join(solver.accepts))
-                )
         self.params = {**solver.fixed, **params}
+        for key in params.keys() - solver.fixed.keys():
+            if key not in self.accepts:
+                raise ValueError(
+                    "%s takes no %r (it takes: %s)" % (self.name, key, ", ".join(self.accepts))
+                )
+        if solver.call in (_search, _hybrid):
+            settings = {key: v for key, v in self.params.items() if (key, v) != ("kmax", "auto")}
+            AompConfig.from_dict(settings)
         self.label = self.label or self.name
+
+    @property
+    def accepts(self):
+        """The param names the solver takes besides its fixed ones."""
+        if SOLVERS[self.name].call is _hybrid:
+            return _search_keys(
+                self.params.get("cost_model", COST_AMUL),
+                self.params.get("termination", TERM_RESIDUE),
+            )
+        return SOLVERS[self.name].accepts
 
     def run(self, phi, y, k):
         return SOLVERS[self.name].call(phi, y, k, **self.params)
@@ -287,21 +307,10 @@ def write_records_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            writer.writerow(
-                [
-                    r.solver,
-                    r.seed,
-                    r.n,
-                    r.m,
-                    r.k,
-                    r.ensemble,
-                    int(r.exact),
-                    repr(r.rel_err),
-                    repr(r.time_ms),
-                    int(r.failed),
-                    r.reason,
-                ]
-            )
+            writer.writerow([
+                r.solver, r.seed, r.n, r.m, r.k, r.ensemble, int(r.exact),
+                repr(r.rel_err), repr(r.time_ms), int(r.failed), r.reason,
+            ])
 
 
 def write_records_jsonl(records, path):

@@ -217,7 +217,40 @@ def test_flags_a_subcommand_would_ignore_are_errors(tmp_path):
     assert main(["recover", "--solver", "omp", "--config", str(cfg)] + out) == EXIT_ERROR
     assert main(["recover", "--termination", "sparsity", "--kmax", "30"] + out) == EXIT_ERROR
     assert main(["image", "--cost-model", "mul", "--alpha-amul", "0.9"] + out) == EXIT_ERROR
+    hybrid_mul = ["image", "--solver", "hybrid", "--cost-model", "mul"]
+    assert main(hybrid_mul + ["--alpha-amul", "0.9"] + out) == EXIT_ERROR
     assert not (tmp_path / "runs").exists()
+
+
+def test_bad_search_settings_exit_before_any_run(tmp_path):
+    out = ["--out", str(tmp_path / "runs")]
+    for flags in [
+        ["--alpha-amul", "2.0"],
+        ["--branch", "0"],
+        ["--epsilon", "-1"],
+        ["--solver", "hybrid", "--termination", "sparsity", "--kmax", "30"],
+        ["--solver", "hybrid", "--max-paths", "1", "--initial-paths", "3"],
+    ]:
+        assert main(["image"] + flags + out) == EXIT_ERROR, flags
+    assert main(["bench", "--termination", "sparsity", "--kmax", "30"] + out) == EXIT_ERROR
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_file_holds_only_aomp_config_keys_of_their_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = ["--out", str(tmp_path / "runs")]
+    for content in [{"max_iter": 3}, {"label": "x"}, {"kmax": "20"}, {"kmax": 20.0},
+                    {"audit": 1}, {"epsilon": "small"}, [["kmax", 9]], "kmax"]:
+        cfg.write_text(json.dumps(content))
+        args = ["recover", "--solver", "omp", "--n", "64", "--m", "32", "--k", "4"]
+        assert main(args + ["--config", str(cfg)] + out) == EXIT_ERROR, content
+    assert not (tmp_path / "runs").exists()
+    cfg.write_text(json.dumps({"kmax": "auto", "alpha_amul": 1}))  # an int where a float goes
+    code = main(["recover", "--n", "64", "--m", "32", "--k", "4", "--config", str(cfg)] + out)
+    assert code == EXIT_OK
+    (run_dir,) = run_dirs(tmp_path / "runs")
+    search = read_manifest(run_dir)["resolved"]["search"]
+    assert (search["kmax"], search["alpha_amul"]) == ("auto", 1)
 
 
 def read_result(out_root):
@@ -284,6 +317,20 @@ def test_image_hybrid_takes_the_search_flags(tmp_path):
     assert resolved["solver"] == "hybrid"
     # the flag beats the image default kmax, which beats nothing else
     assert resolved["search"] == {"kmax": 9, "alpha_amul": 0.85}
+
+
+def test_image_defaults_skip_what_the_hybrid_does_not_read(tmp_path):
+    out = tmp_path / "runs"
+    for flags, search in [
+        (["--cost-model", "mul"], {"cost_model": "mul", "kmax": 20}),
+        (["--termination", "sparsity"], {"termination": "sparsity", "alpha_amul": 0.85}),
+    ]:
+        code = main([
+            "image", "--k", "6", "--m", "28", "--seed", "2", "--solver", "hybrid",
+            "--out", str(out),
+        ] + flags)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        assert read_manifest(run_dirs(out)[-1])["resolved"]["search"] == search
 
 
 def test_usage_errors_do_not_crash():

@@ -63,6 +63,12 @@ def test_make_solver_rejects_what_the_solver_does_not_take():
         ("mul-aompe", {"alpha_amul": 0.9}),
         ("mul-aompk", {"kmax": 8}),
         ("sp", {"epsilon": 0.5}),
+        ("aomp", {"alpha_amul": 2.0}),
+        ("aomp", {"branch": 0}),
+        ("mul-aompk", {"alpha_mul": 1.0}),
+        ("hybrid", {"termination": "sparsity", "kmax": 30}),
+        ("hybrid", {"cost_model": "mul", "alpha_amul": 0.9}),
+        ("hybrid", {"epsilon": -1.0}),
     ]:
         with pytest.raises(ValueError):
             make_solver(name, **params)
