@@ -2,10 +2,11 @@
 """When is the two-stage solver worth it?
 
 The two-stage solver runs plain greedy pursuit first and falls back to
-the tree search only when the greedy answer misses the residue target,
-reusing the greedy selection order as tree priorities.  On easy sparsity
-levels almost every instance stops at stage one, so the mean cost drops
-toward greedy cost while the answers stay those of the full search.
+the tree search only when the greedy answer misses the residue target.
+Its second stage is the plain tree search, so a fallback instance gets
+exactly the answer of the full search.  On easy sparsity levels almost
+every instance stops at stage one, so the mean cost drops toward greedy
+cost.
 """
 
 import time

@@ -5,182 +5,28 @@ most promising one by its best-correlated atoms, and scores partial
 supports with cost models that anticipate the residue decay still to come.
 Classic greedy baselines, restricted-isometry diagnostics, seeded problem
 generation, batch experiment drivers, and a block-sparse image pipeline
-round out the toolkit.
+round out the toolkit.  The top level re-exports the entry points of the
+quick start; everything else is imported from its module.
 """
 
 __version__ = "0.1.0"
 
-from .astar import (
-    AompConfig,
-    aomp_recover,
-    cost_amul,
-    cost_mul,
-    default_config,
-    hybrid_recover,
-    load_config,
-    write_default_config,
-)
-from .baselines import (
-    fbp_recover,
-    iht_recover,
-    mmp_df_recover,
-    omp_recover,
-    sp_recover,
-)
-from .experiments import (
-    EXACT_RTOL,
-    PhaseTransitionCurve,
-    SolverSpec,
-    TrialBatchResult,
-    TrialRecord,
-    anmse,
-    fit_rho_star,
-    make_solver,
-    phase_transition,
-    relative_error,
-    run_batch,
-    sweep_k,
-    write_records_csv,
-    write_records_jsonl,
-)
-from .haar import haar_basis, haar_matrix, haar2d, haar2d_inverse, sparsify_blocks
-from .imaging import (
-    ImageRecovery,
-    psnr,
-    read_pgm,
-    recover_image,
-    synthetic_image,
-    write_pgm,
-)
-from .linalg import (
-    IncrementalFactorization,
-    SingularSupportError,
-    correlations,
-    project,
-    top_indices,
-)
-from .results import (
-    REASON_ALL_COMPLETE,
-    REASON_BUDGET,
-    REASON_DIVERGED,
-    REASON_MAX_ITER,
-    REASON_RESIDUE,
-    REASON_STALLED,
-    RecoveryOutput,
-)
-from .rip import (
-    CombinatorialBudgetError,
-    ConditionCheck,
-    ConditionWindow,
-    RicTable,
-    condition_report,
-    lemma2_sandwich,
-    lemma3_cross,
-    lemma4_audit,
-    nc_lower_bound,
-    ric_bruteforce,
-    ric_table,
-    theorem1_bound,
-    theorem2_bound,
-    theorem2_check,
-    theorem3_check,
-    theorem4_check,
-    theorem5_window,
-)
-from .siggen import (
-    MeasurementEnsemble,
-    SparseInstance,
-    derive_seed,
-    gen_instance,
-    gen_matrix,
-    gen_problem,
-    instance_record,
-    load_instance,
-    load_problem,
-    save_instance,
-    substream,
-)
-from .trie import SearchTrie
+from .astar import AompConfig, aomp_recover
+from .experiments import EXACT_RTOL, make_solver, relative_error, run_batch
+from .haar import haar_basis
+from .imaging import recover_image, synthetic_image
+from .siggen import gen_problem
 
 __all__ = [
     "__version__",
     "AompConfig",
     "aomp_recover",
-    "hybrid_recover",
-    "cost_mul",
-    "cost_amul",
-    "default_config",
-    "load_config",
-    "write_default_config",
-    "omp_recover",
-    "sp_recover",
-    "iht_recover",
-    "fbp_recover",
-    "mmp_df_recover",
     "EXACT_RTOL",
-    "relative_error",
-    "anmse",
-    "SolverSpec",
-    "make_solver",
-    "TrialRecord",
-    "TrialBatchResult",
-    "run_batch",
-    "sweep_k",
-    "fit_rho_star",
-    "phase_transition",
-    "PhaseTransitionCurve",
-    "write_records_csv",
-    "write_records_jsonl",
-    "haar_matrix",
-    "haar_basis",
-    "haar2d",
-    "haar2d_inverse",
-    "sparsify_blocks",
-    "psnr",
-    "synthetic_image",
-    "recover_image",
-    "ImageRecovery",
-    "read_pgm",
-    "write_pgm",
-    "correlations",
-    "top_indices",
-    "project",
-    "IncrementalFactorization",
-    "SingularSupportError",
-    "RecoveryOutput",
-    "REASON_RESIDUE",
-    "REASON_ALL_COMPLETE",
-    "REASON_MAX_ITER",
-    "REASON_STALLED",
-    "REASON_DIVERGED",
-    "REASON_BUDGET",
-    "CombinatorialBudgetError",
-    "RicTable",
-    "ric_bruteforce",
-    "ric_table",
-    "ConditionCheck",
-    "ConditionWindow",
-    "theorem1_bound",
-    "theorem2_bound",
-    "theorem2_check",
-    "theorem3_check",
-    "theorem4_check",
-    "theorem5_window",
-    "nc_lower_bound",
-    "lemma4_audit",
-    "lemma2_sandwich",
-    "lemma3_cross",
-    "condition_report",
-    "substream",
-    "derive_seed",
-    "MeasurementEnsemble",
-    "SparseInstance",
-    "gen_matrix",
-    "gen_instance",
     "gen_problem",
-    "instance_record",
-    "load_problem",
-    "save_instance",
-    "load_instance",
-    "SearchTrie",
+    "haar_basis",
+    "make_solver",
+    "recover_image",
+    "relative_error",
+    "run_batch",
+    "synthetic_image",
 ]

@@ -1,6 +1,7 @@
 """Best-first tree-search recovery (the A*OMP family).
 
-The search keeps up to P candidate support paths in a priority trie.  Each
+The search keeps up to P candidate support paths in a registry keyed by
+their sorted support sets, which also remembers every set ever opened.  Each
 round the cheapest incomplete path is expanded with its B best-correlated
 atoms.  A candidate that meets the residue criterion ends the search at
 once; otherwise it is inserted unless an equal support set has been opened
@@ -12,9 +13,8 @@ complete path returned) or residue-based (terminate once some candidate's
 residue drops below epsilon * ||y||).
 """
 
-import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -49,9 +49,6 @@ __all__ = [
     "ExpansionReport",
     "aomp_recover",
     "hybrid_recover",
-    "default_config",
-    "load_config",
-    "write_default_config",
 ]
 
 COST_MUL = "mul"
@@ -197,29 +194,14 @@ class AompConfig:
         return cfg
 
 
-def default_config():
-    return AompConfig()
-
-
-def load_config(path):
-    """Read an AompConfig from a JSON file; unknown keys are rejected."""
-    with open(path) as fh:
-        return AompConfig.from_dict(json.load(fh))
-
-
-def write_default_config(path):
-    with open(path, "w") as fh:
-        json.dump(default_config().to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass(eq=False)
 class PathState:
     """One search path: ordered support, residue-norm history, cost.
 
     norms[0] is ||y||; norms[i] is the residue norm after the first i
-    atoms.  canonical and node are attached by the trie on insertion.
-    Paths compare by identity: the trie registers live paths by object.
+    atoms.  canonical, the support in ascending atom order, is attached
+    by the trie on insertion.  Paths compare by identity, so the trie
+    can tell a live path from an equal-valued copy.
     exhausted marks a path whose expansion produced no new child; it is
     treated as complete so the search cannot revisit it.
     """
@@ -229,7 +211,6 @@ class PathState:
     cost: float
     fact: IncrementalFactorization
     canonical: tuple = ()
-    node: object = None
     exhausted: bool = False
 
     @property
@@ -253,23 +234,20 @@ class ExpansionReport:
     cost_rejected: int = 0
 
 
-def init_search(phi, y, config, priorities=None):
+def init_search(phi, y, config):
     """Seed the trie with the best single-atom paths.
 
     The initial_paths atoms maximizing |<phi_j, y>| become length-1 paths
-    with projected residues.  Trie priorities default to descending
-    |<phi_j, y>| (ties by ascending index) and stay fixed for the whole
-    search.  Returns (trie, done) where done is a path that already meets
-    the residue criterion (the empty path for y = 0) or None.
+    with projected residues.  Returns (trie, done) where done is a path
+    that already meets the residue criterion (the empty path for y = 0)
+    or None.
     """
     config.validate()
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
-    m, n = phi.shape
+    n = phi.shape[1]
     corr = correlations(phi, y)
-    if priorities is None:
-        priorities = top_indices(corr, n)
-    trie = SearchTrie(priorities)
+    trie = SearchTrie()
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         return trie, PathState((), (0.0,), 0.0, IncrementalFactorization.empty(y))
@@ -293,7 +271,7 @@ def select_best_incomplete(trie, config):
     """Minimum-cost live path shorter than kmax; None when all complete.
 
     Ties break toward the shorter path, then the lexicographically smaller
-    canonical support, so selection is deterministic.
+    sorted support, so selection is deterministic.
     """
     best = None
     best_key = None
@@ -439,10 +417,10 @@ def _finalize(phi, y, chosen, config, counters, t0, converged=True, solver="aomp
     )
 
 
-def aomp_recover(phi, y, config=None, priorities=None):
+def aomp_recover(phi, y, config=None):
     """Recover a sparse coefficient vector by best-first tree search.
 
-    Deterministic: identical (phi, y, config, priorities) give identical
+    Deterministic: identical (phi, y, config) give identical
     output apart from wall_time_ms.  The returned reason is residue_met
     exactly when ||y - phi @ xhat|| <= epsilon * ||y|| for the effective
     epsilon, all_complete when the search fell back to the best complete
@@ -450,9 +428,9 @@ def aomp_recover(phi, y, config=None, priorities=None):
     """
     t0 = time.perf_counter()
     if config is None:
-        config = default_config()
+        config = AompConfig()
     phi, y = check_problem(phi, y)
-    trie, done = init_search(phi, y, config, priorities=priorities)
+    trie, done = init_search(phi, y, config)
     counters = {
         "iterations": 0,
         "paths_opened": trie.inserted_total,
@@ -491,28 +469,24 @@ def hybrid_recover(phi, y, config, k):
 
     Runs plain orthogonal matching pursuit up to k atoms; when that
     already meets the residue criterion its result is returned unchanged
-    (stage "omp").  Otherwise the tree search runs with trie priorities
-    seeded by OMP's selection order, remaining atoms by descending
-    |<phi_j, y>| (stage "astar").
+    (stage "omp").  Otherwise the tree search runs from scratch with the
+    same config (stage "astar").
     """
     from .baselines import omp_recover
 
     t0 = time.perf_counter()
     phi, y = check_problem(phi, y)
-    m, n = phi.shape
-    if not 1 <= k <= m:
+    if not 1 <= k <= phi.shape[0]:
         raise ValueError("k must satisfy 1 <= k <= M")
     eps = config.effective_epsilon()
-    first = omp_recover(phi, y, epsilon=eps, max_iter=min(k, m))
+    first = omp_recover(phi, y, epsilon=eps, max_iter=k)
     ynorm = float(np.linalg.norm(y))
     if first.residual_norm <= eps * ynorm:
         first.solver = "hybrid"
         first.hybrid_stage = "omp"
         first.wall_time_ms = (time.perf_counter() - t0) * 1e3
         return first
-    taken = set(first.support)
-    rest = [j for j in top_indices(correlations(phi, y), n) if j not in taken]
-    out = aomp_recover(phi, y, config, priorities=list(first.support) + rest)
+    out = aomp_recover(phi, y, config)
     out.solver = "hybrid"
     out.hybrid_stage = "astar"
     out.wall_time_ms = (time.perf_counter() - t0) * 1e3

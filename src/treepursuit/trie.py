@@ -1,60 +1,33 @@
-"""Priority-ordered prefix tree over atom indices.
+"""Registry of search paths keyed by their support set.
 
-Every stored path keeps its atoms sorted by a fixed per-atom priority, so
-two paths with equal support sets map to the same node chain and set
-equality reduces to a prefix walk.  Node priorities are assigned once, at
-construction, and hold for the whole search; atoms likely to be shared by
-many paths sit near the root, which keeps the tree compact.
-
-Nodes that ever carried a path keep a marker after the path moves on, so
-the trie doubles as the memory of which support sets have been opened
-before.  Nodes persist for the lifetime of one search.
-
-Live paths are also registered by object identity in an insertion-ordered
-dict, so removing a path costs O(1) and never compares path contents.
+A support set's canonical form is its atoms in ascending index order, so
+two paths with equal support sets share one key whatever order their atoms
+were selected in.  Every key ever inserted stays in the opened set for the
+lifetime of one search, so the registry doubles as the memory of which
+support sets have been opened before.  Live paths sit in an
+insertion-ordered dict under their key, so insert, remove and the
+equivalence test each cost one hash lookup.
 """
 
 __all__ = ["SearchTrie"]
 
 
-class _Node:
-    __slots__ = ("atom", "parent", "children", "payload", "was_path")
-
-    def __init__(self, atom, parent):
-        self.atom = atom
-        self.parent = parent
-        self.children = {}
-        self.payload = None
-        self.was_path = False
-
-
 class SearchTrie:
-    """Prefix tree of live search paths under a fixed atom priority order.
+    """Live search paths and the memory of every support set opened.
 
-    priority_order lists atom indices from highest to lowest priority and
-    must be a permutation of range(N).  Live paths are keyed by identity
-    (id(path)), so paths need no equality of their own; paths() lists them
-    in insertion order.
+    At most one live path holds a given support set; paths() lists the
+    live paths in insertion order.
     """
 
-    def __init__(self, priority_order):
-        self.order = [int(a) for a in priority_order]
-        n = len(self.order)
-        rank = [0] * n
-        seen = [False] * n
-        for pos, atom in enumerate(self.order):
-            if not 0 <= atom < n or seen[atom]:
-                raise ValueError("priority_order must be a permutation of range(n)")
-            seen[atom] = True
-            rank[atom] = pos
-        self._rank = rank
-        self._root = _Node(None, None)
-        self._live = {}  # id(path) -> path, insertion-ordered
+    def __init__(self):
+        self._opened = set()
+        self._live = {}  # canonical support -> live path, insertion-ordered
         self.inserted_total = 0
 
-    def canonical(self, support):
-        """Support set sorted by descending priority (ascending rank)."""
-        return tuple(sorted((int(j) for j in support), key=self._rank.__getitem__))
+    @staticmethod
+    def canonical(support):
+        """Support set as a tuple of ascending atom indices."""
+        return tuple(sorted(int(j) for j in support))
 
     @property
     def live_count(self):
@@ -64,43 +37,22 @@ class SearchTrie:
         """Snapshot list of live paths (insertion order, no aliasing)."""
         return list(self._live.values())
 
-    def _walk(self, canonical):
-        node = self._root
-        for atom in canonical:
-            node = node.children.get(atom)
-            if node is None:
-                return None
-        return node
-
     def has_equivalent(self, support):
         """True when an equal support set was ever opened as a path."""
-        node = self._walk(self.canonical(support))
-        return node is not None and node.was_path
+        return self.canonical(support) in self._opened
 
     def insert(self, path):
         """Store a live path; its canonical key is attached to the path."""
         canonical = self.canonical(path.support)
-        node = self._root
-        for atom in canonical:
-            child = node.children.get(atom)
-            if child is None:
-                child = _Node(atom, node)
-                node.children[atom] = child
-            node = child
-        if node.payload is not None:
+        if canonical in self._live:
             raise ValueError("a live path with this support already exists")
-        node.payload = path
-        node.was_path = True
         path.canonical = canonical
-        path.node = node
-        self._live[id(path)] = path
+        self._opened.add(canonical)
+        self._live[canonical] = path
         self.inserted_total += 1
 
     def remove(self, path):
-        """Drop a live path; the node keeps its explored marker."""
-        node = path.node
-        if node is None or node.payload is not path:
+        """Drop a live path; its support set stays in the opened memory."""
+        if self._live.get(path.canonical) is not path:
             raise ValueError("path is not live in this trie")
-        node.payload = None
-        path.node = None
-        del self._live[id(path)]
+        del self._live[path.canonical]

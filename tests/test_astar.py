@@ -9,13 +9,10 @@ from treepursuit.astar import (
     aomp_recover,
     cost_amul,
     cost_mul,
-    default_config,
     expand,
     hybrid_recover,
     init_search,
-    load_config,
     select_best_incomplete,
-    write_default_config,
 )
 from treepursuit.baselines import omp_recover
 from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, REASON_RESIDUE
@@ -68,15 +65,12 @@ def test_config_validation():
     AompConfig().validate()
 
 
-def test_config_round_trip_and_unknown_keys(tmp_path):
+def test_config_round_trip_and_unknown_keys():
     cfg = AompConfig(branch=3, kmax=17, cost_model="mul")
     again = AompConfig.from_dict(cfg.to_dict())
     assert again == cfg
     with pytest.raises(ValueError):
         AompConfig.from_dict({"brnch": 3})
-    path = tmp_path / "cfg.json"
-    write_default_config(path)
-    assert load_config(path) == default_config()
 
 
 def test_for_problem_kmax_and_sparsity_rules():
@@ -189,15 +183,6 @@ def test_audit_mode_accepts_seeded_batch():
         aomp_recover(ens.phi, inst.y, cfg)  # raises AuditError on violation
 
 
-def test_custom_priorities_still_recover():
-    ens, inst = gen_problem(30, 60, 6, "gaussian", 17)
-    reversed_priorities = list(range(59, -1, -1))
-    out = aomp_recover(ens.phi, inst.y, AompConfig(kmax=12), priorities=reversed_priorities)
-    assert out.reason == REASON_RESIDUE
-    rel = np.linalg.norm(inst.x - out.xhat) / np.linalg.norm(inst.x)
-    assert rel < 1e-8
-
-
 def test_zero_measurement_short_circuits():
     phi = np.random.default_rng(0).normal(size=(10, 20))
     out = aomp_recover(phi, np.zeros(10), AompConfig(kmax=5))
@@ -230,7 +215,7 @@ def test_expansion_round_post_conditions():
             if report.terminated is not None:
                 break
             if report.consumed:
-                assert best.node is None  # replaced by its first child
+                assert best not in trie.paths()  # replaced by its first child
                 assert trie.live_count >= before
             else:
                 assert best.exhausted and best.complete(cfg.kmax)

@@ -1,4 +1,4 @@
-"""Prefix-tree semantics: canonical ordering, equivalence memory, liveness."""
+"""Path registry semantics: canonical form, equivalence memory, liveness."""
 
 import numpy as np
 import pytest
@@ -14,26 +14,10 @@ class FakePath:
     def __init__(self, support):
         self.support = tuple(support)
         self.canonical = ()
-        self.node = None
-
-
-def test_canonical_sorts_by_priority_not_index():
-    # priority order: atom 3 highest, then 1, 4, 0, 2
-    trie = SearchTrie([3, 1, 4, 0, 2])
-    assert trie.canonical((0, 1, 2)) == (1, 0, 2)
-    assert trie.canonical((2, 3)) == (3, 2)
-    assert trie.canonical(()) == ()
-
-
-def test_priority_order_must_be_permutation():
-    with pytest.raises(ValueError):
-        SearchTrie([0, 0, 1])
-    with pytest.raises(ValueError):
-        SearchTrie([0, 1, 5])
 
 
 def test_equal_sets_in_any_order_collide():
-    trie = SearchTrie(list(range(6)))
+    trie = SearchTrie()
     trie.insert(FakePath((2, 4, 1)))
     assert trie.has_equivalent((1, 2, 4))
     assert trie.has_equivalent((4, 1, 2))
@@ -42,14 +26,14 @@ def test_equal_sets_in_any_order_collide():
 
 
 def test_duplicate_live_support_rejected():
-    trie = SearchTrie(list(range(5)))
+    trie = SearchTrie()
     trie.insert(FakePath((0, 3)))
     with pytest.raises(ValueError):
         trie.insert(FakePath((3, 0)))
 
 
 def test_removed_path_still_counts_as_explored():
-    trie = SearchTrie(list(range(5)))
+    trie = SearchTrie()
     p = FakePath((1, 2))
     trie.insert(p)
     trie.remove(p)
@@ -61,14 +45,14 @@ def test_removed_path_still_counts_as_explored():
 
 
 def test_prefix_of_explored_path_is_not_equivalent():
-    # (0, 1) lies on the node chain of (0, 1, 2) but was never itself a path
-    trie = SearchTrie(list(range(4)))
+    # (0, 1) is a prefix of the opened (0, 1, 2) but was never itself a path
+    trie = SearchTrie()
     trie.insert(FakePath((0, 1, 2)))
     assert not trie.has_equivalent((0, 1))
 
 
 def test_remove_requires_live_path():
-    trie = SearchTrie(list(range(3)))
+    trie = SearchTrie()
     p = FakePath((0,))
     with pytest.raises(ValueError):
         trie.remove(p)
@@ -79,7 +63,7 @@ def test_remove_requires_live_path():
 
 
 def test_paths_snapshot_does_not_alias():
-    trie = SearchTrie(list(range(4)))
+    trie = SearchTrie()
     a, b = FakePath((0,)), FakePath((1,))
     trie.insert(a)
     trie.insert(b)
@@ -98,7 +82,7 @@ def test_remove_drops_exactly_the_given_object():
     b = PathState((1,), (1.0, 0.5), 0.5, fact)
     twin = PathState((0,), (1.0, 0.5), 0.5, fact)
     assert a != twin
-    trie = SearchTrie(list(range(4)))
+    trie = SearchTrie()
     trie.insert(a)
     trie.insert(b)
     with pytest.raises(ValueError):
@@ -111,24 +95,44 @@ def test_remove_drops_exactly_the_given_object():
 
 
 @settings(max_examples=100, deadline=None)
-@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=60))
-def test_registry_keeps_insertion_order_under_removals(ops):
-    supports = [(a,) for a in range(6)] + [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    trie = SearchTrie(list(range(6)))
-    live = []  # reference registry, insertion order
-    for insert, pick in ops:
-        if insert:
-            taken = {p.canonical for p in live}
-            free = [s for s in supports if trie.canonical(s) not in taken]
-            if not free:
-                continue
-            path = FakePath(free[pick % len(free)])
-            trie.insert(path)
-            live.append(path)
-        elif live:
-            path = live.pop(pick % len(live))
+@given(data=st.data())
+def test_registry_keeps_insertion_order_under_removals(data):
+    # model-based: the live paths in insertion order, the removed paths and
+    # every support ever opened (as frozensets) against the registry, with
+    # each support drawn in a random atom order
+    trie = SearchTrie()
+    live, dead, opened = [], [], set()
+    inserts = 0
+    for _ in range(data.draw(st.integers(0, 60), label="steps")):
+        op = data.draw(st.sampled_from(["insert", "remove", "remove-dead"]), label="op")
+        atoms = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+        support = tuple(data.draw(st.permutations(atoms), label="support"))
+        if op == "insert":
+            path = FakePath(support)
+            if frozenset(support) in {frozenset(p.support) for p in live}:
+                with pytest.raises(ValueError):
+                    trie.insert(path)
+            else:
+                trie.insert(path)
+                assert path.canonical == tuple(sorted(support))
+                live.append(path)
+                opened.add(frozenset(support))
+                inserts += 1
+        elif op == "remove" and live:
+            path = live.pop(data.draw(st.integers(0, len(live) - 1), label="pick"))
             trie.remove(path)
-            assert path.node is None
+            assert path not in trie.paths()
+            dead.append(path)
+        else:
+            # a removed path, maybe sharing its support with a live one, or
+            # a path never inserted
+            path = data.draw(st.sampled_from(dead)) if dead else FakePath(support)
+            with pytest.raises(ValueError):
+                trie.remove(path)
+        shuffled = tuple(data.draw(st.permutations(support), label="query"))
+        for query in (support, shuffled, tuple(sorted(support))):
+            assert trie.has_equivalent(query) == (frozenset(support) in opened)
         got = trie.paths()
         assert len(got) == len(live) == trie.live_count
         assert all(g is want for g, want in zip(got, live))
+        assert trie.inserted_total == inserts
