@@ -14,7 +14,7 @@ residue drops below epsilon * ||y||).
 """
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -123,6 +123,10 @@ class AompConfig:
     max_iterations: int = 1_000_000
 
     def validate(self):
+        for key, kinds in _FIELD_KINDS.items():
+            value = getattr(self, key)
+            if type(value) not in kinds:  # a listed type skips isinstance; this runs per search
+                _check_type(key, value)
         if self.initial_paths < 1:
             raise ValueError("initial_paths must be >= 1")
         if self.branch < 1:
@@ -143,6 +147,15 @@ class AompConfig:
             raise ValueError("alpha_mul must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+
+    @staticmethod
+    def check_setting(key, value):
+        """Raise ValueError unless `for_problem` takes `value` for `key`:
+        a value of the field's type, or kmax "auto"."""
+        if key not in _FIELD_KINDS:
+            raise ValueError("unknown config key %r" % key)
+        if (key, value) != ("kmax", "auto"):
+            _check_type(key, value)
 
     def effective_epsilon(self):
         if self.termination == TERM_SPARSITY:
@@ -171,13 +184,13 @@ class AompConfig:
 
         Sparsity termination is `sparsity_based(k)`.  Under residue
         termination kmax "auto" (the default) is the widest useful path
-        length for the undersampling ratio M/N.  Unknown keys raise
-        ValueError.
+        length for the undersampling ratio M/N, capped at M.  Unknown keys
+        raise ValueError.
         """
         if settings.get("termination") == TERM_SPARSITY:
             return cls.sparsity_based(k, **settings)
         if settings.get("kmax", "auto") == "auto":
-            settings["kmax"] = max(k + 1, round((0.5 + 0.5 * (m / n)) * m))
+            settings["kmax"] = min(m, max(k + 1, round((0.5 + 0.5 * (m / n)) * m)))
         return cls.from_dict(settings)
 
     def to_dict(self):
@@ -192,6 +205,25 @@ class AompConfig:
         cfg = cls(**d)
         cfg.validate()
         return cfg
+
+
+# the values a field of each declared type takes, that type first; a
+# bool, though an int, only where the field is a bool
+_KINDS = {
+    int: (int, np.integer),
+    float: (float, int, np.floating, np.integer),
+    str: (str,),
+    bool: (bool, np.bool_),
+}
+_FIELD_KINDS = {f.name: _KINDS[f.type] for f in fields(AompConfig)}
+
+
+def _check_type(key, value):
+    kinds = _FIELD_KINDS[key]
+    if not isinstance(value, kinds) or (type(value) is bool and kinds[0] is not bool):
+        raise ValueError(
+            "config key %r must be of type %s, not %r" % (key, kinds[0].__name__, value)
+        )
 
 
 @dataclass(eq=False)
@@ -242,9 +274,9 @@ def init_search(phi, y, config):
     that already meets the residue criterion (the empty path for y = 0)
     or None.
     """
-    config.validate()
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
+    _check_fits(config, phi.shape[0])
     n = phi.shape[1]
     corr = correlations(phi, y)
     trie = SearchTrie()
@@ -265,6 +297,13 @@ def init_search(phi, y, config):
         if done is None and fact.residue_norm <= threshold:
             done = path
     return trie, done
+
+
+def _check_fits(config, m):
+    """A valid config whose paths fit M measurements: kmax <= M."""
+    config.validate()
+    if config.kmax > m:
+        raise ValueError("kmax = %d exceeds the number of measurements M = %d" % (config.kmax, m))
 
 
 def select_best_incomplete(trie, config):
@@ -478,6 +517,7 @@ def hybrid_recover(phi, y, config, k):
     phi, y = check_problem(phi, y)
     if not 1 <= k <= phi.shape[0]:
         raise ValueError("k must satisfy 1 <= k <= M")
+    _check_fits(config, phi.shape[0])
     eps = config.effective_epsilon()
     first = omp_recover(phi, y, epsilon=eps, max_iter=k)
     ynorm = float(np.linalg.norm(y))

@@ -2,10 +2,9 @@
 
 Subcommands map onto the library layers: `recover` runs one instance,
 `sweep` and `phase` drive the batch harness, `image` the block-sparse
-image pipeline, `rip` the restricted-isometry reports, and `bench` the
-two-stage-vs-plain timing comparison.  Every run writes a manifest
-(resolved configuration, seed, outputs, timestamps) into its own run
-directory so it can be replayed exactly.
+image pipeline and `rip` the restricted-isometry reports.  Every run
+writes a manifest (resolved configuration, seed, outputs, timestamps)
+into its own run directory so it can be replayed exactly.
 
 Exit codes: 0 when recovery met the residue target, 2 for runs that
 finished without meeting it (or commands with no notion of success),
@@ -16,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,12 +28,11 @@ from .experiments import (
     sweep_k,
     phase_transition,
     write_records_csv,
-    write_records_jsonl,
 )
 from .imaging import read_pgm, recover_image, synthetic_image, write_pgm
 from .results import REASON_RESIDUE
 from .rip import condition_report, ric_table
-from .siggen import ENSEMBLES, derive_seed, gen_matrix, gen_problem
+from .siggen import ENSEMBLES, gen_matrix, gen_problem
 
 __all__ = ["main", "build_parser"]
 
@@ -112,14 +109,6 @@ def build_parser():
     p.add_argument("--levels", type=int, default=4,
                    help="largest support size whose constant is computed")
 
-    p = sub.add_parser("bench", help="compare two-stage startup against plain search")
-    common(p)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--k", type=int, default=25)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
-    _search_flags(p)
     return parser
 
 
@@ -147,22 +136,12 @@ def _settings(args):
         if not isinstance(settings, dict):
             raise ValueError("%s must hold a JSON object" % args.config)
         for key, value in settings.items():
-            _check_setting(key, value)
+            AompConfig.check_setting(key, value)
     for key in AompConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
-
-
-def _check_setting(key, value):
-    """A config file key must name an AompConfig field and hold a value of its type."""
-    if key not in AompConfig.__dataclass_fields__:
-        raise ValueError("unknown config key %r" % key)
-    kind = type(AompConfig.__dataclass_fields__[key].default)
-    kinds = (float, int) if kind is float else (kind,)
-    if (key, value) != ("kmax", "auto") and type(value) not in kinds:
-        raise ValueError("config key %r must be of type %s, not %r" % (key, kind.__name__, value))
 
 
 def _make_run_dir(args):
@@ -208,7 +187,7 @@ def _cmd_recover(args):
     out = solver.run(ens.phi, inst.y, args.k)
     run_dir = _make_run_dir(args)
     result_path = run_dir / "result.json"
-    out.write_json(result_path)
+    _write_json(result_path, out.to_dict())
     rel = float(np.linalg.norm(inst.x - out.xhat) / np.linalg.norm(inst.x))
     payload = out.to_dict(include_times=False)
     payload["relative_error"] = rel
@@ -231,7 +210,6 @@ def _cmd_sweep(args):
     )
     run_dir = _make_run_dir(args)
     write_records_csv(result.records(), run_dir / "trials.csv")
-    write_records_jsonl(result.records(), run_dir / "trials.jsonl")
     result.write_summary_csv(run_dir / "summary.csv")
     for row in result.summary_rows():
         print(
@@ -242,10 +220,7 @@ def _cmd_sweep(args):
         "solvers": [s.label for s in solvers], "n": args.n, "m": args.m,
         "k_values": k_values, "ensemble": args.ensemble, "trials": args.trials,
     }
-    _write_manifest(
-        run_dir, args, resolved,
-        ["trials.csv", "trials.jsonl", "summary.csv"], started, _now(),
-    )
+    _write_manifest(run_dir, args, resolved, ["trials.csv", "summary.csv"], started, _now())
     return EXIT_NO_CONVERGENCE
 
 
@@ -278,7 +253,9 @@ def _cmd_phase(args):
 def _cmd_image(args):
     started = _now()
     solver = make_solver(args.solver, **_settings(args))
-    defaults = {key: v for key, v in IMAGE_DEFAULTS.items() if key in solver.accepts}
+    # a path holds at most M atoms, so the default kmax is capped there
+    defaults = {**IMAGE_DEFAULTS, "kmax": min(IMAGE_DEFAULTS["kmax"], args.m)}
+    defaults = {key: v for key, v in defaults.items() if key in solver.accepts}
     solver = make_solver(solver.name, **{**defaults, **solver.params})
     if args.input:
         image = read_pgm(args.input)
@@ -325,57 +302,12 @@ def _cmd_rip(args):
     return EXIT_NO_CONVERGENCE
 
 
-def _cmd_bench(args):
-    started = _now()
-    settings = _settings(args)
-    plain_solver = make_solver("aomp", **settings)
-    staged_solver = make_solver("hybrid", **settings)
-    rows = []
-    same_support = 0
-    for t in range(args.trials):
-        seed = derive_seed(args.seed, "trial", t)
-        ens, inst = gen_problem(args.m, args.n, args.k, args.ensemble, seed)
-        t0 = time.perf_counter()
-        plain = plain_solver.run(ens.phi, inst.y, args.k)
-        t_plain = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        staged = staged_solver.run(ens.phi, inst.y, args.k)
-        t_staged = (time.perf_counter() - t0) * 1e3
-        same = sorted(plain.support) == sorted(staged.support)
-        same_support += int(same)
-        rows.append(
-            {
-                "seed": seed, "plain_ms": t_plain, "staged_ms": t_staged,
-                "same_support": bool(same), "staged_stage": staged.hybrid_stage,
-                "plain_atoms": len(plain.support), "staged_atoms": len(staged.support),
-            }
-        )
-    mean_plain = float(np.mean([r["plain_ms"] for r in rows]))
-    mean_staged = float(np.mean([r["staged_ms"] for r in rows]))
-    print("plain search:  %.2f ms mean" % mean_plain)
-    print("two-stage:     %.2f ms mean" % mean_staged)
-    print("identical supports: %d/%d" % (same_support, args.trials))
-    run_dir = _make_run_dir(args)
-    path = run_dir / "bench.json"
-    _write_json(path, {
-        "rows": rows, "mean_plain_ms": mean_plain, "mean_staged_ms": mean_staged,
-        "identical_supports": same_support, "trials": args.trials,
-    })
-    resolved = {
-        "n": args.n, "m": args.m, "k": args.k, "trials": args.trials,
-        "ensemble": args.ensemble, "search": settings,
-    }
-    _write_manifest(run_dir, args, resolved, [path.name], started, _now())
-    return EXIT_NO_CONVERGENCE
-
-
 _COMMANDS = {
     "recover": _cmd_recover,
     "sweep": _cmd_sweep,
     "phase": _cmd_phase,
     "image": _cmd_image,
     "rip": _cmd_rip,
-    "bench": _cmd_bench,
 }
 
 

@@ -8,11 +8,10 @@ emitted per-trial records.
 """
 
 import csv
-import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "phase_transition",
     "PhaseTransitionCurve",
     "write_records_csv",
-    "write_records_jsonl",
 ]
 
 # an instance counts as exactly recovered when ||x - xhat|| <= 0.01 ||x||
@@ -162,9 +160,10 @@ class SolverSpec:
     name is a label of SOLVERS, or "aomp" for the tree search whose
     cost_model and termination params (default amul, residue) pick the
     label.  Params are checked when the spec is built, search settings
-    through AompConfig; only kmax "auto" waits for the instance.  Plain
-    data, so specs travel across process boundaries for parallel batches;
-    the sparsity k of the instance is always passed to `run`.
+    through AompConfig; only kmax "auto" and kmax <= M wait for the
+    instance.  Plain data, so specs travel across process boundaries for
+    parallel batches; the sparsity k of the instance is always passed to
+    `run`.
     """
 
     name: str
@@ -311,13 +310,6 @@ def write_records_csv(records, path):
                 r.solver, r.seed, r.n, r.m, r.k, r.ensemble, int(r.exact),
                 repr(r.rel_err), repr(r.time_ms), int(r.failed), r.reason,
             ])
-
-
-def write_records_jsonl(records, path):
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(asdict(r), sort_keys=True))
-            fh.write("\n")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Block-sparse image recovery pipeline and 8-bit PGM input/output.
 
 Images are processed in 8x8 blocks: each block is measured through one
-Gaussian matrix (shared across blocks by default) and its transform
+Gaussian matrix shared by all blocks and its transform
 coefficients recovered against the composed dictionary
 measurement_matrix @ haar_basis().T.
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 from .haar import BLOCK, haar_basis, sparsify_blocks
 from .results import NUMERICAL_ERRORS
-from .siggen import derive_seed, gen_matrix, substream
+from .siggen import gen_matrix, substream
 
 __all__ = [
     "psnr",
@@ -91,16 +91,15 @@ class ImageRecovery:
         return d
 
 
-def recover_image(image, k, m, solver, seed, shared_matrix=True):
+def recover_image(image, k, m, solver, seed):
     """Measure and recover a block-sparse image; returns an ImageRecovery.
 
     The image is first truncated to its k largest-magnitude transform
     coefficients per 8x8 block; that sparsified image is the signal being
     recovered and the PSNR reference.  Each block is measured as
     y = phi @ block.ravel() with an M x 64 Gaussian matrix (entry standard
-    deviation 1/64); one matrix is shared by all blocks unless
-    shared_matrix is False, in which case each block draws its own.  The
-    solver sees the composed dictionary phi @ haar_basis().T; the assembled
+    deviation 1/64) drawn from seed and shared by all blocks.  The solver
+    sees the composed dictionary phi @ haar_basis().T; the assembled
     reconstruction is clamped to [0, 255], the reference is not.
     """
     t0 = time.perf_counter()
@@ -122,9 +121,6 @@ def recover_image(image, k, m, solver, seed, shared_matrix=True):
     for i in range(0, image.shape[0], BLOCK):
         for j in range(0, image.shape[1], BLOCK):
             blocks += 1
-            if not shared_matrix:
-                ens = gen_matrix(m, dim, derive_seed(seed, "block", i, j))
-                dictionary = ens.phi @ psi.T
             x = target[i : i + BLOCK, j : j + BLOCK].ravel()
             y = ens.phi @ x
             try:

@@ -1,6 +1,5 @@
 """Recovery result container shared by every solver."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,31 +74,3 @@ class RecoveryOutput:
         if include_times:
             d["wall_time_ms"] = float(self.wall_time_ms)
         return d
-
-    def write_json(self, path, include_times=True):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(include_times=include_times), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, d):
-        xhat = np.zeros(d["n"])
-        for j, v in zip(d["support"], d["coefficients"]):
-            xhat[j] = v
-        return cls(
-            n=d["n"],
-            support=tuple(d["support"]),
-            xhat=xhat,
-            reason=d["reason"],
-            solver=d.get("solver", ""),
-            residual_norm=d.get("residual_norm", 0.0),
-            iterations=d.get("iterations", 0),
-            paths_opened=d.get("paths_opened", 0),
-            nodes_expanded=d.get("nodes_expanded", 0),
-            equivalent_hits=d.get("equivalent_hits", 0),
-            singular_skips=d.get("singular_skips", 0),
-            wall_time_ms=d.get("wall_time_ms", 0.0),
-            converged=d.get("converged", True),
-            hybrid_stage=d.get("hybrid_stage", ""),
-            extra=d.get("extra", {}),
-        )

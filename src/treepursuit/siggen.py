@@ -2,10 +2,10 @@
 
 All randomness flows through one seeded 64-bit PRNG family with an
 independent stream per (seed, purpose) pair, so an instance is fully
-determined by its integer seed and its shape parameters.
+determined by its integer seed and its shape parameters: `gen_problem`
+rebuilds it from them bit for bit.
 """
 
-import json
 import zlib
 from dataclasses import dataclass
 
@@ -20,10 +20,6 @@ __all__ = [
     "gen_matrix",
     "gen_instance",
     "gen_problem",
-    "instance_record",
-    "load_problem",
-    "save_instance",
-    "load_instance",
 ]
 
 ENSEMBLES = ("gaussian", "uniform", "cars")
@@ -151,52 +147,3 @@ def gen_problem(m, n, k, ensemble, seed, entry_std=None):
     ens = gen_matrix(m, n, seed, entry_std=entry_std)
     inst = gen_instance(n, k, ensemble, seed, ens.phi)
     return ens, inst
-
-
-def instance_record(ens, inst):
-    """JSON-ready record; everything is recomputable from it."""
-    return {
-        "seed": inst.seed,
-        "M": ens.m,
-        "N": ens.n,
-        "K": inst.k,
-        "ensemble": inst.ensemble,
-        "support": list(inst.support),
-        "values": [float(v) for v in inst.values],
-    }
-
-
-def load_problem(record, entry_std=None):
-    """Rebuild (ensemble, instance) from a record written by instance_record.
-
-    The matrix is regenerated from the recorded seed; the signal is taken
-    from the stored support/values and y recomputed.
-    """
-    ens = gen_matrix(record["M"], record["N"], record["seed"], entry_std=entry_std)
-    support = tuple(int(j) for j in record["support"])
-    values = np.asarray(record["values"], dtype=float)
-    if len(support) != record["K"] or len(values) != record["K"]:
-        raise ValueError("record support/values inconsistent with K")
-    x = np.zeros(record["N"])
-    x[list(support)] = values
-    inst = SparseInstance(
-        x=x,
-        y=ens.phi @ x,
-        support=support,
-        values=values,
-        k=int(record["K"]),
-        ensemble=record["ensemble"],
-        seed=int(record["seed"]),
-    )
-    return ens, inst
-
-
-def save_instance(path, ens, inst):
-    with open(path, "w") as fh:
-        json.dump(instance_record(ens, inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_instance(path):
-    with open(path) as fh:
-        return load_problem(json.load(fh))

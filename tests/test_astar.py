@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from treepursuit import astar
 from treepursuit.astar import (
     AompConfig,
     AuditError,
+    PathState,
     aomp_recover,
     cost_amul,
     cost_mul,
@@ -15,6 +17,7 @@ from treepursuit.astar import (
     select_best_incomplete,
 )
 from treepursuit.baselines import omp_recover
+from treepursuit.linalg import IncrementalFactorization
 from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, REASON_RESIDUE
 from treepursuit.siggen import derive_seed, gen_problem
 
@@ -79,6 +82,7 @@ def test_for_problem_kmax_and_sparsity_rules():
     assert AompConfig.for_problem(100, 256, 25, kmax="auto").kmax == 70
     assert AompConfig.for_problem(40, 64, 12).kmax == 32  # round(32.5), half to even
     assert AompConfig.for_problem(32, 64, 30).kmax == 31
+    assert AompConfig.for_problem(20, 40, 20).kmax == 20  # capped at M
     assert AompConfig.for_problem(100, 256, 25, kmax=40).kmax == 40
     # sparsity termination: paths stop at K and the decay defaults to 0.8
     cfg = AompConfig.for_problem(100, 256, 25, termination="sparsity", cost_model="mul")
@@ -181,6 +185,71 @@ def test_audit_mode_accepts_seeded_batch():
         ens, inst = gen_problem(20, 60, k, ["gaussian", "cars"][seed % 2], seed)
         cfg = AompConfig(kmax=16, max_paths=20, audit=True)
         aomp_recover(ens.phi, inst.y, cfg)  # raises AuditError on violation
+
+
+def _stale_cost(trie, y, config):
+    trie.paths()[0].cost += 1.0
+
+
+def _rising_residue(trie, y, config):
+    path = trie.paths()[0]
+    path.norms = path.norms[:-1] + (2.0 * path.norms[-2],)
+    path.cost = config.path_cost(path.norms)  # fresh, so only the history is wrong
+
+
+def _shared_support(trie, y, config):
+    first, second = trie.paths()[:2]
+    second.canonical = first.canonical
+
+
+def _over_the_cap(trie, y, config):
+    first = trie.paths()[0]
+    norms = first.norms[:2]
+    j = 0
+    while trie.live_count <= config.max_paths:
+        if not trie.has_equivalent((j,)):
+            trie.insert(PathState((j,), norms, config.path_cost(norms), first.fact))
+        j += 1
+
+
+def _overlapping_candidates(trie, y, config):
+    # the empty support's factorization leaves y, which every atom of the
+    # path still correlates with, as the residue
+    for path in trie.paths():
+        path.fact = IncrementalFactorization.empty(y)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_stale_cost, "stored cost is stale"),
+    (_rising_residue, "residue history increased"),
+    (_shared_support, "share a support set"),
+    (_over_the_cap, "exceed max_paths"),
+    (_overlapping_candidates, "overlap the path support"),
+])
+def test_audit_catches_a_corrupted_search(monkeypatch, corrupt, message):
+    real_expand = astar.expand
+
+    def expand_then_corrupt(trie, best, phi, y, config):
+        report = real_expand(trie, best, phi, y, config)
+        corrupt(trie, y, config)
+        return report
+
+    monkeypatch.setattr(astar, "expand", expand_then_corrupt)
+    ens, inst = gen_problem(20, 40, 6, "gaussian", 3)
+    cfg = AompConfig(kmax=12, initial_paths=3, max_paths=5, audit=True)
+    with pytest.raises(AuditError, match=message):
+        aomp_recover(ens.phi, inst.y, cfg)
+
+
+def test_kmax_beyond_m_is_rejected():
+    # a path holds at most M atoms, so a longer kmax can never be reached
+    ens, inst = gen_problem(12, 24, 3, "gaussian", 4)
+    cfg = AompConfig(kmax=13)
+    with pytest.raises(ValueError, match="exceeds"):
+        aomp_recover(ens.phi, inst.y, cfg)
+    with pytest.raises(ValueError, match="exceeds"):
+        hybrid_recover(ens.phi, inst.y, cfg, 3)
+    assert aomp_recover(ens.phi, inst.y, AompConfig(kmax=12)).reason == REASON_RESIDUE
 
 
 def test_zero_measurement_short_circuits():

@@ -1,5 +1,6 @@
 """The README's imports and the quick demos keep working."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from treepursuit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,6 +19,26 @@ def test_readme_top_level_imports_resolve():
     assert lines
     for line in lines:
         exec(line, {})
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (ROOT / "README.md").read_text()
+    search = re.search(r"The search\s+flags are (.*?)\.", readme, re.S).group(1)
+    search_flags = set(re.findall(r"--[\w-]+", search))
+    table = readme.split("Flags by subcommand")[1].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        name, flags = row.split("|")[1:3]
+        documented[name.strip(" `")] = set(re.findall(r"--[\w-]+", flags)) | (
+            search_flags if "search flags" in flags else set()
+        )
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {}
+    for name, sub in commands.choices.items():
+        flags = {f for a in sub._actions for f in a.option_strings if f.startswith("--")}
+        assert {"--help", "--seed", "--out"} <= flags, name
+        defined[name] = flags - {"--help", "--seed", "--out"}
+    assert documented == defined
 
 
 @pytest.mark.parametrize("demo", ["search_anatomy", "two_stage_timing", "rip_conditions"])

@@ -1,13 +1,13 @@
 """Batch harness: pairing, aggregation, persistence, phase fits."""
 
 import csv
-import json
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treepursuit.astar import AompConfig
 from treepursuit.experiments import (
     EXACT_RTOL,
     SOLVERS,
@@ -19,7 +19,6 @@ from treepursuit.experiments import (
     run_batch,
     sweep_k,
     write_records_csv,
-    write_records_jsonl,
 )
 from treepursuit.siggen import derive_seed, gen_problem
 
@@ -69,9 +68,15 @@ def test_make_solver_rejects_what_the_solver_does_not_take():
         ("hybrid", {"termination": "sparsity", "kmax": 30}),
         ("hybrid", {"cost_model": "mul", "alpha_amul": 0.9}),
         ("hybrid", {"epsilon": -1.0}),
+        ("aomp", {"branch": 2.5}),
+        ("aomp", {"initial_paths": 2.0}),
+        ("aomp", {"audit": "no"}),
+        ("aomp", {"kmax": "20"}),
+        ("hybrid", {"max_paths": True}),
     ]:
         with pytest.raises(ValueError):
             make_solver(name, **params)
+    AompConfig(kmax=np.int64(5)).validate()
 
 
 def test_make_solver_passes_every_setting_through():
@@ -172,13 +177,6 @@ def test_record_files_round_trip(tmp_path):
     assert len(rows) == 5
     # rel_err survives the trip at full precision
     assert float(rows[1][7]) == batch.records[0].rel_err
-
-    jsonl_path = tmp_path / "trials.jsonl"
-    write_records_jsonl(batch.records, jsonl_path)
-    lines = [json.loads(line) for line in open(jsonl_path)]
-    assert len(lines) == 4
-    assert lines[2]["seed"] == batch.records[2].seed
-    assert lines[2]["rel_err"] == batch.records[2].rel_err
 
 
 def test_sweep_runs_each_solver_on_shared_instances(tmp_path):

@@ -51,15 +51,6 @@ def test_recover_image_exact_when_search_succeeds():
     assert out.reconstruction.min() >= 0.0 and out.reconstruction.max() <= 255.0
 
 
-def test_recover_image_per_block_matrices():
-    image = synthetic_image(size=16, seed=3)
-    shared = recover_image(image, 4, 24, make_solver("omp"), seed=3)
-    split = recover_image(image, 4, 24, make_solver("omp"), seed=3, shared_matrix=False)
-    assert shared.blocks == split.blocks == 4
-    # different measurement draws, same target
-    assert np.array_equal(shared.sparsified, split.sparsified)
-
-
 def test_recover_image_validates_arguments():
     with pytest.raises(ValueError):
         recover_image(np.zeros((10, 16)), 4, 24, make_solver("omp"), seed=0)

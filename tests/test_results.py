@@ -1,6 +1,4 @@
-"""Recovery output records: sparse serialization and reload."""
-
-import json
+"""Recovery output records: sparse serialization."""
 
 import numpy as np
 
@@ -34,32 +32,13 @@ def test_to_dict_stores_support_aligned_coefficients():
     assert d["wall_time_ms"] == 3.5
     lean = make_output().to_dict(include_times=False)
     assert "wall_time_ms" not in lean
-
-
-def test_round_trip_rebuilds_dense_estimate(tmp_path):
-    out = make_output()
-    again = RecoveryOutput.from_dict(out.to_dict())
-    assert np.array_equal(again.xhat, out.xhat)
-    assert again.support == out.support
-    assert again.reason == out.reason
-
-    path = tmp_path / "out.json"
-    out.write_json(path)
-    with open(path) as fh:
-        loaded = RecoveryOutput.from_dict(json.load(fh))
-    assert np.array_equal(loaded.xhat, out.xhat)
-    assert loaded.solver == "omp"
-
-
-def test_empty_support_round_trip():
-    out = RecoveryOutput(
+    empty = RecoveryOutput(
         n=5,
         support=(),
         xhat=np.zeros(5),
         reason=REASON_ALL_COMPLETE,
         solver="aomp",
         residual_norm=2.0,
-    )
-    again = RecoveryOutput.from_dict(out.to_dict())
-    assert again.support == ()
-    assert np.array_equal(again.xhat, np.zeros(5))
+    ).to_dict()
+    assert (empty["support"], empty["coefficients"]) == ([], [])
+    assert empty["reason"] == REASON_ALL_COMPLETE

@@ -1,6 +1,4 @@
-"""Seeded problem generation: reproducibility, ensembles, persistence."""
-
-import json
+"""Seeded problem generation: reproducibility and ensembles."""
 
 import numpy as np
 import pytest
@@ -10,10 +8,6 @@ from treepursuit.siggen import (
     gen_instance,
     gen_matrix,
     gen_problem,
-    instance_record,
-    load_instance,
-    load_problem,
-    save_instance,
     substream,
 )
 
@@ -96,23 +90,6 @@ def test_bad_dimensions_rejected():
         gen_problem(10, 20, 21, "gaussian", 0)
     with pytest.raises(ValueError):
         gen_matrix(0, 5, 1)
-
-
-def test_record_and_reload_round_trip(tmp_path):
-    ens, inst = gen_problem(14, 28, 4, "uniform", 2024)
-    rec = instance_record(ens, inst)
-    assert rec["M"] == 14 and rec["N"] == 28 and rec["K"] == 4
-    ens2, inst2 = load_problem(rec)
-    assert np.array_equal(ens.phi, ens2.phi)
-    assert np.array_equal(inst.x, inst2.x)
-
-    path = tmp_path / "inst.json"
-    save_instance(path, ens, inst)
-    with open(path) as fh:
-        on_disk = json.load(fh)
-    assert set(on_disk) >= {"seed", "M", "N", "K", "ensemble", "support", "values"}
-    ens3, inst3 = load_instance(path)
-    assert np.array_equal(inst.y, inst3.y)
 
 
 def test_gen_instance_with_explicit_matrix():
