@@ -18,6 +18,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
+from .baselines import omp_recover
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
@@ -26,10 +27,11 @@ from .linalg import (
     top_indices,
 )
 from .results import (
-    RecoveryOutput,
-    REASON_RESIDUE,
     REASON_ALL_COMPLETE,
     REASON_BUDGET,
+    REASON_RESIDUE,
+    SettingsError,
+    finish,
 )
 from .trie import SearchTrie
 
@@ -303,7 +305,9 @@ def _check_fits(config, m):
     """A valid config whose paths fit M measurements: kmax <= M."""
     config.validate()
     if config.kmax > m:
-        raise ValueError("kmax = %d exceeds the number of measurements M = %d" % (config.kmax, m))
+        raise SettingsError(
+            "kmax = %d exceeds the number of measurements M = %d" % (config.kmax, m)
+        )
 
 
 def select_best_incomplete(trie, config):
@@ -421,71 +425,33 @@ def _audit_trie(trie, config):
                 raise AuditError("residue history increased along a path")
 
 
-def _finalize(phi, y, chosen, config, counters, t0, converged=True, solver="aomp"):
-    n = phi.shape[1]
-    xhat = np.zeros(n)
-    if chosen is not None and chosen.support:
-        z = chosen.fact.coefficients()
-        xhat[list(chosen.support)] = z
-        support = chosen.support
-        residual = chosen.fact.residue_norm
-    else:
-        support = ()
-        residual = float(np.linalg.norm(y))
-    ynorm = float(np.linalg.norm(y))
-    if residual <= config.effective_epsilon() * ynorm:
-        reason = REASON_RESIDUE
-    elif not converged:
-        reason = REASON_BUDGET
-    else:
-        reason = REASON_ALL_COMPLETE
-    return RecoveryOutput(
-        n=n,
-        support=tuple(support),
-        xhat=xhat,
-        reason=reason,
-        solver=solver,
-        residual_norm=residual,
-        iterations=counters["iterations"],
-        paths_opened=counters["paths_opened"],
-        nodes_expanded=counters["nodes_expanded"],
-        equivalent_hits=counters["equivalent_hits"],
-        singular_skips=counters["singular_skips"],
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        converged=converged,
-    )
-
-
 def aomp_recover(phi, y, config=None):
     """Recover a sparse coefficient vector by best-first tree search.
 
     Deterministic: identical (phi, y, config) give identical
     output apart from wall_time_ms.  The returned reason is residue_met
     exactly when ||y - phi @ xhat|| <= epsilon * ||y|| for the effective
-    epsilon, all_complete when the search fell back to the best complete
-    path (a recovery failure under residue-based termination).
+    epsilon; otherwise budget_exhausted when max_iterations ran out, else
+    all_complete (the search fell back to the best path it holds, a
+    recovery failure under residue-based termination).
     """
     t0 = time.perf_counter()
     if config is None:
         config = AompConfig()
     phi, y = check_problem(phi, y)
     trie, done = init_search(phi, y, config)
-    counters = {
-        "iterations": 0,
-        "paths_opened": trie.inserted_total,
-        "nodes_expanded": 0,
-        "equivalent_hits": 0,
-        "singular_skips": 0,
-    }
+    counters = dict.fromkeys(
+        ("iterations", "nodes_expanded", "equivalent_hits", "singular_skips"), 0
+    )
     chosen = done
-    converged = True
+    reason = REASON_ALL_COMPLETE
     if chosen is None:
         while True:
             best = select_best_incomplete(trie, config)
             if best is None:
                 break
             if counters["iterations"] >= config.max_iterations:
-                converged = False
+                reason = REASON_BUDGET
                 break
             counters["iterations"] += 1
             report = expand(trie, best, phi, y, config)
@@ -499,8 +465,13 @@ def aomp_recover(phi, y, config=None):
                 break
         if chosen is None:
             chosen = _best_any(trie)
-    counters["paths_opened"] = trie.inserted_total
-    return _finalize(phi, y, chosen, config, counters, t0, converged=converged)
+    support, values = (), ()
+    if chosen is not None:
+        support, values = chosen.support, chosen.fact.coefficients()
+    return finish(
+        phi, y, support, values, config.effective_epsilon(), reason, "aomp", t0,
+        paths_opened=trie.inserted_total, **counters,
+    )
 
 
 def hybrid_recover(phi, y, config, k):
@@ -511,23 +482,16 @@ def hybrid_recover(phi, y, config, k):
     (stage "omp").  Otherwise the tree search runs from scratch with the
     same config (stage "astar").
     """
-    from .baselines import omp_recover
-
     t0 = time.perf_counter()
     phi, y = check_problem(phi, y)
     if not 1 <= k <= phi.shape[0]:
         raise ValueError("k must satisfy 1 <= k <= M")
     _check_fits(config, phi.shape[0])
-    eps = config.effective_epsilon()
-    first = omp_recover(phi, y, epsilon=eps, max_iter=k)
-    ynorm = float(np.linalg.norm(y))
-    if first.residual_norm <= eps * ynorm:
-        first.solver = "hybrid"
-        first.hybrid_stage = "omp"
-        first.wall_time_ms = (time.perf_counter() - t0) * 1e3
-        return first
-    out = aomp_recover(phi, y, config)
+    out = omp_recover(phi, y, epsilon=config.effective_epsilon(), max_iter=k)
+    out.hybrid_stage = "omp"
+    if out.reason != REASON_RESIDUE:
+        out = aomp_recover(phi, y, config)
+        out.hybrid_stage = "astar"
     out.solver = "hybrid"
-    out.hybrid_stage = "astar"
     out.wall_time_ms = (time.perf_counter() - t0) * 1e3
     return out

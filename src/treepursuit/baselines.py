@@ -1,8 +1,8 @@
 """Greedy and thresholding baselines: OMP, SP, IHT, FBP, MMP-DF.
 
-Every solver returns a RecoveryOutput and reports the residual of its own
-estimate.  Variants are documented per function; all tie-breaking is by
-ascending atom index so results are deterministic.
+Every solver returns through `results.finish`.  Variants are documented
+per function; all tie-breaking is by ascending atom index so results are
+deterministic.
 """
 
 import time
@@ -18,11 +18,11 @@ from .linalg import (
     top_indices,
 )
 from .results import (
-    RecoveryOutput,
     REASON_RESIDUE,
     REASON_MAX_ITER,
     REASON_STALLED,
     REASON_DIVERGED,
+    finish,
 )
 
 __all__ = [
@@ -41,27 +41,6 @@ def _prep(phi, y):
     return phi, y, float(np.linalg.norm(y))
 
 
-def _finish(phi, y, support, values, reason, solver, t0, **counters):
-    n = phi.shape[1]
-    xhat = np.zeros(n)
-    support = tuple(int(j) for j in support)
-    if support:
-        xhat[list(support)] = values
-    residual = float(np.linalg.norm(y - phi @ xhat))
-    out = RecoveryOutput(
-        n=n,
-        support=support,
-        xhat=xhat,
-        reason=reason,
-        solver=solver,
-        residual_norm=residual,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    for key, val in counters.items():
-        setattr(out, key, val)
-    return out
-
-
 def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     """Orthogonal matching pursuit.
 
@@ -78,27 +57,19 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
         max_iter = min(m, n)
     if not 1 <= max_iter <= m:
         raise ValueError("max_iter must satisfy 1 <= max_iter <= M")
-    if ynorm == 0.0:
-        return _finish(phi, y, (), (), REASON_RESIDUE, "omp", t0)
     threshold = epsilon * ynorm
     fact = IncrementalFactorization.empty(y)
     reason = REASON_MAX_ITER
-    if fact.residue_norm <= threshold:
-        reason = REASON_RESIDUE
-    else:
-        while fact.length < max_iter:
-            corr = correlations(phi, fact.residue)
-            j = top_indices(corr, 1, exclude=set(fact.support))[0]
-            try:
-                fact = fact.appended(j, phi[:, j])
-            except SingularSupportError:
-                reason = REASON_STALLED
-                break
-            if fact.residue_norm <= threshold:
-                reason = REASON_RESIDUE
-                break
-    return _finish(
-        phi, y, fact.support, fact.coefficients(), reason, "omp", t0,
+    while fact.residue_norm > threshold and fact.length < max_iter:
+        corr = correlations(phi, fact.residue)
+        j = top_indices(corr, 1, exclude=set(fact.support))[0]
+        try:
+            fact = fact.appended(j, phi[:, j])
+        except SingularSupportError:
+            reason = REASON_STALLED
+            break
+    return finish(
+        phi, y, fact.support, fact.coefficients(), epsilon, reason, "omp", t0,
         iterations=fact.length,
     )
 
@@ -110,26 +81,31 @@ def sp_recover(phi, y, k, max_iter=100):
     best correlated with the residue, solves least squares on the union,
     prunes back to the k largest-magnitude coefficients (ties by ascending
     index), and reprojects.  Terminates when the residue norm stops
-    decreasing, returning the previous iterate.
+    decreasing, returning the previous iterate, or when no atom is left
+    outside the support (2k > N).
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
-    if not 1 <= k <= m // 2:
-        raise ValueError("sp_recover needs 1 <= k <= M/2")
+    if not 1 <= k <= min(m // 2, n):
+        raise ValueError("sp_recover needs 1 <= k <= min(M/2, N)")
     if ynorm == 0.0:
-        return _finish(phi, y, (), (), REASON_RESIDUE, "sp", t0)
+        return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
     support = sorted(top_indices(correlations(phi, y), k))
     try:
         z, r = project(y, phi, support)
     except SingularSupportError:
-        return _finish(phi, y, (), (), REASON_STALLED, "sp", t0)
+        return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_STALLED, "sp", t0)
     best_res = float(np.linalg.norm(r))
     reason = REASON_MAX_ITER
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        cand = top_indices(correlations(phi, r), k, exclude=set(support))
+        width = min(k, n - len(support))
+        if width < 1:
+            reason = REASON_STALLED
+            break
+        cand = top_indices(correlations(phi, r), width, exclude=set(support))
         union = sorted(set(support) | set(cand))
         try:
             z_union, _ = project(y, phi, union)
@@ -145,9 +121,7 @@ def sp_recover(phi, y, k, max_iter=100):
             reason = REASON_STALLED
             break
         support, z, r, best_res = new_support, z_new, r_new, res_new
-    if best_res <= DEFAULT_EPSILON * ynorm:
-        reason = REASON_RESIDUE
-    return _finish(phi, y, support, z, reason, "sp", t0, iterations=iterations)
+    return finish(phi, y, support, z, DEFAULT_EPSILON, reason, "sp", t0, iterations=iterations)
 
 
 def _hard_threshold(v, k):
@@ -171,11 +145,10 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= N")
     if ynorm == 0.0:
-        return _finish(phi, y, (), (), REASON_RESIDUE, "iht", t0)
+        return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
     x = np.zeros(n)
     r = y.copy()
     reason = REASON_MAX_ITER
-    converged = True
     prev = np.inf
     iterations = 0
     for _ in range(max_iter):
@@ -185,19 +158,16 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
         rn = float(np.linalg.norm(r))
         if rn > 10.0 * ynorm:
             reason = REASON_DIVERGED
-            converged = False
             break
         if rn <= DEFAULT_EPSILON * ynorm:
-            reason = REASON_RESIDUE
             break
         if abs(prev - rn) <= 1e-12 * max(1.0, ynorm):
             reason = REASON_STALLED
             break
         prev = rn
-    support = tuple(int(j) for j in np.flatnonzero(x))
-    return _finish(
-        phi, y, support, x[list(support)], reason, "iht", t0,
-        iterations=iterations, converged=converged,
+    support = np.flatnonzero(x)
+    return finish(
+        phi, y, support, x[support], DEFAULT_EPSILON, reason, "iht", t0, iterations=iterations
     )
 
 
@@ -224,7 +194,7 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     if max_iter is None:
         max_iter = m
     if ynorm == 0.0:
-        return _finish(phi, y, (), (), REASON_RESIDUE, "fbp", t0)
+        return finish(phi, y, (), (), epsilon, REASON_RESIDUE, "fbp", t0)
     threshold = epsilon * ynorm
     support = []
     z = np.empty(0)
@@ -249,9 +219,8 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         support = [j for j in expanded if j not in dropped]
         z, r = project(y, phi, support)
         if float(np.linalg.norm(r)) <= threshold:
-            reason = REASON_RESIDUE
             break
-    return _finish(phi, y, support, z, reason, "fbp", t0, iterations=iterations)
+    return finish(phi, y, support, z, epsilon, reason, "fbp", t0, iterations=iterations)
 
 
 def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILON):
@@ -271,8 +240,6 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
         raise ValueError("k must satisfy 1 <= k <= M")
     if branching < 1 or max_paths < 1:
         raise ValueError("branching and max_paths must be >= 1")
-    if ynorm == 0.0:
-        return _finish(phi, y, (), (), REASON_RESIDUE, "mmp-df", t0)
     threshold = epsilon * ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 
@@ -306,14 +273,11 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     if hit is None:
         hit = state["best"]
     if hit is None:
-        return _finish(
-            phi, y, (), (), REASON_STALLED, "mmp-df", t0,
-            paths_opened=state["complete"], nodes_expanded=state["nodes"],
-            singular_skips=state["singular"],
-        )
-    reason = REASON_RESIDUE if hit.residue_norm <= threshold else REASON_MAX_ITER
-    return _finish(
-        phi, y, hit.support, hit.coefficients(), reason, "mmp-df", t0,
+        support, values, reason = (), (), REASON_STALLED
+    else:
+        support, values, reason = hit.support, hit.coefficients(), REASON_MAX_ITER
+    return finish(
+        phi, y, support, values, epsilon, reason, "mmp-df", t0,
         paths_opened=state["complete"], nodes_expanded=state["nodes"],
         singular_skips=state["singular"],
     )

@@ -25,6 +25,7 @@ from .astar import AompConfig
 from .experiments import (
     SOLVERS,
     make_solver,
+    relative_error,
     sweep_k,
     phase_transition,
     write_records_csv,
@@ -188,9 +189,8 @@ def _cmd_recover(args):
     run_dir = _make_run_dir(args)
     result_path = run_dir / "result.json"
     _write_json(result_path, out.to_dict())
-    rel = float(np.linalg.norm(inst.x - out.xhat) / np.linalg.norm(inst.x))
     payload = out.to_dict(include_times=False)
-    payload["relative_error"] = rel
+    payload["relative_error"] = relative_error(inst.x, out.xhat)
     print(json.dumps(payload, indent=2, sort_keys=True))
     resolved = {
         "solver": solver.label, "n": args.n, "m": args.m, "k": args.k,

@@ -32,7 +32,7 @@ from .baselines import (
     fbp_recover,
     mmp_df_recover,
 )
-from .results import NUMERICAL_ERRORS
+from .results import attempt
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
@@ -251,15 +251,9 @@ class TrialBatchResult:
 def _run_trial(solver, n, m, k, ensemble, seed):
     ens, inst = gen_problem(m, n, k, ensemble, seed)
     t0 = time.perf_counter()
-    failed = False
-    try:
-        out = solver.run(ens.phi, inst.y, k)
-        reason = out.reason
-    except NUMERICAL_ERRORS as exc:
-        out = None
-        failed = True
-        reason = "%s: %s" % (type(exc).__name__, exc)
+    out, reason = attempt(solver, ens.phi, inst.y, k)
     elapsed = (time.perf_counter() - t0) * 1e3
+    failed = out is None
     rel = 1.0 if failed else relative_error(inst.x, out.xhat)
     return TrialRecord(
         solver=solver.label,
@@ -286,6 +280,7 @@ def run_batch(solver, n, m, k, ensemble, trials, base_seed, jobs=1):
     Instance seeds derive from (base_seed, trial index) only, so a second
     call with another solver sees the same instances.  With jobs > 1 the
     trials run in a process pool; results are identical either way.
+    Trials run through `results.attempt`, so a SettingsError propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .haar import BLOCK, haar_basis, sparsify_blocks
-from .results import NUMERICAL_ERRORS
+from .results import REASON_RESIDUE, attempt
 from .siggen import gen_matrix, substream
 
 __all__ = [
@@ -77,19 +77,6 @@ class ImageRecovery:
     wall_time_ms: float
     block_reasons: list = field(default_factory=list)
 
-    def to_dict(self, include_times=True):
-        d = {
-            "psnr_db": float(self.psnr_db),
-            "blocks": self.blocks,
-            "failed_blocks": self.failed_blocks,
-            "residue_met_blocks": self.residue_met_blocks,
-            "solver": self.solver,
-            "block_reasons": list(self.block_reasons),
-        }
-        if include_times:
-            d["wall_time_ms"] = float(self.wall_time_ms)
-        return d
-
 
 def recover_image(image, k, m, solver, seed):
     """Measure and recover a block-sparse image; returns an ImageRecovery.
@@ -100,7 +87,8 @@ def recover_image(image, k, m, solver, seed):
     y = phi @ block.ravel() with an M x 64 Gaussian matrix (entry standard
     deviation 1/64) drawn from seed and shared by all blocks.  The solver
     sees the composed dictionary phi @ haar_basis().T; the assembled
-    reconstruction is clamped to [0, 255], the reference is not.
+    reconstruction is clamped to [0, 255], the reference is not.  Blocks
+    run through `results.attempt`, so a SettingsError propagates.
     """
     t0 = time.perf_counter()
     image = np.asarray(image, dtype=float)
@@ -115,33 +103,26 @@ def recover_image(image, k, m, solver, seed):
     dictionary = ens.phi @ psi.T
     recon = np.empty_like(image)
     failed = 0
-    met = 0
     reasons = []
-    blocks = 0
     for i in range(0, image.shape[0], BLOCK):
         for j in range(0, image.shape[1], BLOCK):
-            blocks += 1
             x = target[i : i + BLOCK, j : j + BLOCK].ravel()
-            y = ens.phi @ x
-            try:
-                out = solver.run(dictionary, y, k)
-                z = out.xhat
-                reasons.append(out.reason)
-                if out.reason == "residue_met":
-                    met += 1
-            except NUMERICAL_ERRORS as exc:
-                z = np.zeros(dim)
+            out, reason = attempt(solver, dictionary, ens.phi @ x, k)
+            reasons.append(reason)
+            if out is None:
                 failed += 1
-                reasons.append("%s: %s" % (type(exc).__name__, exc))
+                z = np.zeros(dim)
+            else:
+                z = out.xhat
             recon[i : i + BLOCK, j : j + BLOCK] = (psi.T @ z).reshape(BLOCK, BLOCK)
     clamped = np.clip(recon, 0.0, 255.0)
     return ImageRecovery(
         reconstruction=clamped,
         sparsified=target,
         psnr_db=psnr(target, clamped),
-        blocks=blocks,
+        blocks=len(reasons),
         failed_blocks=failed,
-        residue_met_blocks=met,
+        residue_met_blocks=reasons.count(REASON_RESIDUE),
         solver=getattr(solver, "label", str(solver)),
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         block_reasons=reasons,

@@ -1,11 +1,13 @@
-"""Recovery result container shared by every solver."""
+"""Recovery result container shared by every solver, and its one builder."""
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "RecoveryOutput",
+    "finish",
     "REASON_RESIDUE",
     "REASON_ALL_COMPLETE",
     "REASON_MAX_ITER",
@@ -13,6 +15,8 @@ __all__ = [
     "REASON_DIVERGED",
     "REASON_BUDGET",
     "NUMERICAL_ERRORS",
+    "SettingsError",
+    "attempt",
 ]
 
 REASON_RESIDUE = "residue_met"
@@ -22,9 +26,28 @@ REASON_STALLED = "stalled"
 REASON_DIVERGED = "diverged"
 REASON_BUDGET = "budget_exhausted"
 
-# what a solver may raise on a numerically bad instance; batch drivers
-# record these as failed recoveries and let anything else propagate
+# what a solver may raise on a numerically bad instance; `attempt` records
+# these as failed recoveries and lets anything else, SettingsError too, out
 NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
+class SettingsError(ValueError):
+    """Solver settings that fit no instance of this shape, such as kmax > M."""
+
+
+def attempt(solver, phi, y, k):
+    """(output, reason) of `solver.run(phi, y, k)` for a batch driver.
+
+    A NUMERICAL_ERRORS exception gives (None, "<ExcType>: <message>");
+    a SettingsError, or any other exception, propagates.
+    """
+    try:
+        out = solver.run(phi, y, k)
+    except SettingsError:
+        raise
+    except NUMERICAL_ERRORS as exc:
+        return None, "%s: %s" % (type(exc).__name__, exc)
+    return out, out.reason
 
 
 @dataclass
@@ -33,7 +56,7 @@ class RecoveryOutput:
 
     xhat is the dense length-N coefficient estimate, zero off support.
     support is kept in selection order.  residual_norm is ||y - phi @ xhat||
-    for the returned estimate.
+    for the returned estimate.  Solvers build it through `finish`.
     """
 
     n: int
@@ -48,9 +71,13 @@ class RecoveryOutput:
     equivalent_hits: int = 0
     singular_skips: int = 0
     wall_time_ms: float = 0.0
-    converged: bool = True
     hybrid_stage: str = ""
     extra: dict = field(default_factory=dict)
+
+    @property
+    def converged(self):
+        """False when the solver ran out of budget or diverged."""
+        return self.reason not in (REASON_BUDGET, REASON_DIVERGED)
 
     def to_dict(self, include_times=True):
         d = {
@@ -74,3 +101,30 @@ class RecoveryOutput:
         if include_times:
             d["wall_time_ms"] = float(self.wall_time_ms)
         return d
+
+
+def finish(phi, y, support, values, epsilon, reason, solver, t0, **counters):
+    """The RecoveryOutput of every solver: one rule for residual and reason.
+
+    `values` are the coefficients of `support`, in its order.  The residual
+    is recomputed as ||y - phi @ xhat||; the reason is residue_met exactly
+    when it is at most epsilon * ||y||, and otherwise the `reason` the
+    solver passed for stopping short.  `counters` are RecoveryOutput fields
+    (iterations, paths_opened, ...); t0 is the solver's perf_counter start.
+    """
+    xhat = np.zeros(phi.shape[1])
+    support = tuple(int(j) for j in support)
+    xhat[list(support)] = values
+    residual = float(np.linalg.norm(y - phi @ xhat))
+    if residual <= epsilon * float(np.linalg.norm(y)):
+        reason = REASON_RESIDUE
+    return RecoveryOutput(
+        n=xhat.size,
+        support=support,
+        xhat=xhat,
+        reason=reason,
+        solver=solver,
+        residual_norm=residual,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        **counters,
+    )

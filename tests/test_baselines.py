@@ -125,6 +125,17 @@ def test_sp_exact_recovery_and_preconditions():
         sp_recover(ens.phi, inst.y, 0)
 
 
+def test_sp_stops_when_no_atom_is_left_outside_the_support():
+    # 2k > N: the first support leaves too few atoms for a full candidate set
+    ens, inst = gen_problem(4, 2, 2, "gaussian", 0)
+    out = sp_recover(ens.phi, inst.y, 2)
+    assert out.reason in (REASON_RESIDUE, REASON_STALLED)
+    assert sorted(out.support) == [0, 1]
+    ens, inst = gen_problem(24, 3, 2, "gaussian", 0)
+    with pytest.raises(ValueError, match="min"):
+        sp_recover(ens.phi, inst.y, 4)  # k must stay within N
+
+
 def test_iht_recovers_with_well_scaled_matrix():
     # orthonormal rows keep the spectral norm at one, the classic setting
     # where the fixed unit step is contractive

@@ -220,6 +220,12 @@ def test_bad_search_settings_exit_before_any_run(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def test_image_kmax_beyond_m_exits_before_any_run(tmp_path):
+    out = ["--out", str(tmp_path / "runs")]
+    assert main(["image", "--m", "16", "--kmax", "30"] + out) == EXIT_ERROR
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_file_holds_only_aomp_config_keys_of_their_type(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = ["--out", str(tmp_path / "runs")]

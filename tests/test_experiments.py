@@ -127,6 +127,16 @@ def test_run_batch_records_numerical_failures_and_raises_on_bugs():
         run_batch(Failing(TypeError("bug")), 30, 15, 3, "gaussian", 2, 1)
 
 
+def test_settings_that_fit_no_instance_abort_the_batch():
+    # kmax > M fails every trial alike, so it is an error, not a failed recovery
+    with pytest.raises(ValueError, match="exceeds"):
+        run_batch(make_solver("aomp", kmax=120), 256, 100, 20, "gaussian", 2, 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        run_batch(make_solver("hybrid", kmax=120), 256, 100, 20, "gaussian", 2, 1, jobs=2)
+    with pytest.raises(ValueError, match="exceeds"):
+        phase_transition(make_solver("aomp", kmax=30), 64, [0.2], [0.2], 2, 0)
+
+
 def test_batches_pair_instances_across_solvers():
     a = run_batch(make_solver("omp"), 40, 20, 4, "gaussian", 6, 99)
     b = run_batch(make_solver("sp"), 40, 20, 4, "gaussian", 6, 99)

@@ -83,6 +83,11 @@ def test_recover_image_lets_a_solver_bug_through():
         recover_image(synthetic_image(size=16, seed=4), 4, 24, Buggy(), seed=4)
 
 
+def test_recover_image_aborts_on_settings_that_fit_no_block():
+    with pytest.raises(ValueError, match="exceeds"):
+        recover_image(synthetic_image(size=16, seed=4), 4, 16, make_solver("aomp", kmax=30), seed=4)
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     image = rng.integers(0, 256, size=(16, 24)).astype(float)
