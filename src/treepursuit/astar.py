@@ -31,6 +31,7 @@ from .results import (
     REASON_BUDGET,
     REASON_RESIDUE,
     SettingsError,
+    check_epsilon,
     finish,
 )
 from .trie import SearchTrie
@@ -137,8 +138,7 @@ class AompConfig:
             raise ValueError("max_paths must be >= initial_paths")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        check_epsilon(self.epsilon)
         if self.cost_model not in (COST_MUL, COST_AMUL):
             raise ValueError("unknown cost model %r" % (self.cost_model,))
         if self.termination not in (TERM_SPARSITY, TERM_RESIDUE):

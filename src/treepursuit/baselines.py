@@ -22,6 +22,7 @@ from .results import (
     REASON_MAX_ITER,
     REASON_STALLED,
     REASON_DIVERGED,
+    check_epsilon,
     finish,
 )
 
@@ -47,10 +48,11 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     Repeatedly selects the atom with the largest absolute correlation to
     the current residue (ties by ascending index) and reprojects on the
     augmented support.  Stops when ||r|| <= epsilon * ||y||, after
-    max_iter atoms (default min(M, N)), or when the augmented support
-    turns rank deficient.
+    max_iter atoms (default min(M, N)), or as stalled when the augmented
+    support turns rank deficient or no atom is left outside it.
     """
     t0 = time.perf_counter()
+    check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
     if max_iter is None:
@@ -61,6 +63,9 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     fact = IncrementalFactorization.empty(y)
     reason = REASON_MAX_ITER
     while fact.residue_norm > threshold and fact.length < max_iter:
+        if fact.length == n:
+            reason = REASON_STALLED  # no atom left outside the support
+            break
         corr = correlations(phi, fact.residue)
         j = top_indices(corr, 1, exclude=set(fact.support))[0]
         try:
@@ -182,6 +187,7 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     after max_iter rounds (default M).
     """
     t0 = time.perf_counter()
+    check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
     if alpha is None:
@@ -234,6 +240,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     the minimum-residue complete path seen.
     """
     t0 = time.perf_counter()
+    check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
     if not 1 <= k <= m:

@@ -3,8 +3,9 @@
 Subcommands map onto the library layers: `recover` runs one instance,
 `sweep` and `phase` drive the batch harness, `image` the block-sparse
 image pipeline and `rip` the restricted-isometry reports.  Every run
-writes a manifest (resolved configuration, seed, outputs, timestamps)
-into its own run directory so it can be replayed exactly.
+writes a manifest (resolved configuration, seed, argv, library
+versions, CPU count and BLAS thread settings, outputs, timestamps) into
+its own run directory so it can be replayed exactly.
 
 Exit codes: 0 when recovery met the residue target, 2 for runs that
 finished without meeting it (or commands with no notion of success),
@@ -14,11 +15,14 @@ finished without meeting it (or commands with no notion of success),
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .astar import AompConfig
@@ -40,6 +44,8 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_CONVERGENCE = 2
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # "aomp" is the tree search whose label --cost-model and --termination pick
 SOLVER_NAMES = ["aomp", *SOLVERS]
@@ -163,6 +169,18 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _env():
+    """Library versions, CPU count and BLAS thread settings: timings and
+    the last bits of a LAPACK solve depend on them."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(run_dir, args, resolved, outputs, started, finished):
     """Write the run's manifest and report its run dir."""
     _write_json(run_dir / "manifest.json", {
@@ -170,6 +188,7 @@ def _write_manifest(run_dir, args, resolved, outputs, started, finished):
         "version": __version__,
         "seed": args.seed,
         "argv": args.argv,
+        "env": _env(),
         "resolved": resolved,
         "outputs": sorted(outputs),
         "started_utc": started,

@@ -32,7 +32,7 @@ from .baselines import (
     fbp_recover,
     mmp_df_recover,
 )
-from .results import attempt
+from .results import attempt, check_epsilon
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
@@ -191,6 +191,8 @@ class SolverSpec:
         if solver.call in (_search, _hybrid):
             settings = {key: v for key, v in self.params.items() if (key, v) != ("kmax", "auto")}
             AompConfig.from_dict(settings)
+        elif "epsilon" in self.params:
+            check_epsilon(self.params["epsilon"])
         self.label = self.label or self.name
 
     @property

@@ -1,14 +1,16 @@
 """Dense linear-algebra kernel shared by every solver.
 
 Input validation, correlation scores, deterministic top-k selection, and
-least-squares projection onto a growing atom set.  Projections are
-maintained through an incremental QR factorization (modified Gram-Schmidt
-with one reorthogonalization pass), so search paths that share a prefix
-can branch cheaply: appending one atom costs O(M*l) and copies nothing of
-the parent's factorization.  A child keeps a reference to its parent plus
-its own new column and assembles its full Q, R and Q^T y only when they
-are first read, so children that are never extended or returned never pay
-for that copy.
+least-squares projection.  `project` solves least squares on a whole
+support with one Householder QR (LAPACK); SP and FBP, which rebuild their
+support every round, use it.  The solvers that extend a support one atom
+at a time (OMP, MMP-DF and the tree search) keep an incremental QR
+factorization instead (modified Gram-Schmidt with one reorthogonalization
+pass), so search paths that share a prefix can branch cheaply: appending
+one atom costs O(M*l) and copies nothing of the parent's factorization.
+A child keeps a reference to its parent plus its own new column and
+assembles its full Q, R and Q^T y only when they are first read, so
+children that are never extended or returned never pay for that copy.
 """
 
 import math
@@ -25,8 +27,9 @@ __all__ = [
     "IncrementalFactorization",
 ]
 
-# A column whose orthogonalized norm falls below this fraction of its
-# original norm is treated as linearly dependent on the current support.
+# A column whose orthogonalized norm (|R_ii| in a QR) falls below this
+# fraction of its original norm is treated as linearly dependent on the
+# columns before it.
 DEPENDENCY_TOL = 1e-12
 
 
@@ -233,8 +236,11 @@ def project(y, phi, support):
     """Least-squares projection of y onto the given columns of phi.
 
     Returns (z, r) with z the coefficients in support order and
-    r = y - phi[:, support] @ z.  Raises SingularSupportError when the
-    columns are rank deficient, ValueError on dimension mismatch.
+    r = y - phi[:, support] @ z.  One Householder QR of phi[:, support]
+    (LAPACK) solves it; the incremental factorization serves only the
+    solvers that extend a support one atom at a time.  Raises
+    SingularSupportError when a column is zero or lies numerically in the
+    span of the columns before it, ValueError on dimension mismatch.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -243,9 +249,20 @@ def project(y, phi, support):
     support = [int(j) for j in support]
     if len(support) > phi.shape[0]:
         raise ValueError("support larger than the measurement size")
-    fact = IncrementalFactorization.empty(y)
     for j in support:
         if not 0 <= j < phi.shape[1]:
             raise ValueError("support index %d out of range" % j)
-        fact = fact.appended(j, phi[:, j])
-    return fact.coefficients(), fact.residue
+    if not support:
+        return np.empty(0), y.copy()
+    sub = phi[:, support]
+    q, rmat = np.linalg.qr(sub)
+    # |R_ii| is the distance of column i from the span of columns 0..i-1
+    colnorms = np.linalg.norm(sub, axis=0)
+    dependent = (colnorms == 0.0) | (np.abs(np.diag(rmat)) < DEPENDENCY_TOL * colnorms)
+    if dependent.any():
+        i = int(np.argmax(dependent))
+        raise SingularSupportError(
+            "atom %d is linearly dependent on the current support" % support[i]
+        )
+    z = solve_triangular(rmat, q.T @ y)
+    return z, y - sub @ z

@@ -16,6 +16,7 @@ __all__ = [
     "REASON_BUDGET",
     "NUMERICAL_ERRORS",
     "SettingsError",
+    "check_epsilon",
     "attempt",
 ]
 
@@ -33,6 +34,13 @@ NUMERICAL_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError)
 
 class SettingsError(ValueError):
     """Solver settings that fit no instance of this shape, such as kmax > M."""
+
+
+def check_epsilon(epsilon):
+    """Raise ValueError unless epsilon, the residue target relative to
+    ||y||, is >= 0; a negative or NaN target can never be met."""
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0, got %r" % (epsilon,))
 
 
 def attempt(solver, phi, y, k):

@@ -65,6 +65,9 @@ def test_config_validation():
         AompConfig(termination="never").validate()
     with pytest.raises(ValueError):
         AompConfig(cost_model="mul", alpha_mul=1.0).validate()
+    for epsilon in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            AompConfig(epsilon=epsilon).validate()
     AompConfig().validate()
 
 

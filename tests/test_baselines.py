@@ -5,6 +5,8 @@ dense numpy least squares only, so agreement is meaningful: the library
 code paths (incremental QR, shared selection helpers) never appear here.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,26 @@ def test_omp_default_cap_is_measurement_count():
         omp_recover(ens.phi, inst.y, max_iter=13)
     with pytest.raises(ValueError):
         omp_recover(ens.phi, inst.y, max_iter=0)
+
+
+def test_omp_stalls_when_every_atom_is_taken():
+    # a tall matrix: max_iter may exceed N, but only N atoms exist
+    rng = np.random.default_rng(0)
+    phi = rng.normal(size=(10, 3))
+    y = rng.normal(size=10)
+    out = omp_recover(phi, y, max_iter=10)
+    assert out.reason == REASON_STALLED
+    assert sorted(out.support) == [0, 1, 2]
+    assert out.iterations == 3
+
+
+def test_epsilon_that_can_never_be_met_is_rejected():
+    ens, inst = gen_problem(20, 40, 4, "gaussian", 1)
+    for epsilon in (-1.0, float("nan")):
+        for solve in (omp_recover, fbp_recover, lambda phi, y, **kw: mmp_df_recover(phi, y, 4, **kw)):
+            with pytest.raises(ValueError, match="epsilon"):
+                solve(ens.phi, inst.y, epsilon=epsilon)
+    omp_recover(ens.phi, inst.y, epsilon=0.0)  # a zero target is allowed
 
 
 def test_omp_zero_signal():
@@ -227,6 +249,63 @@ def test_fbp_rejects_bad_steps():
     out = fbp_recover(ens.phi, inst.y, alpha=21)
     assert out.reason == REASON_STALLED
     assert out.support == ()
+
+
+# SP and FBP on desk-size instances (M=100, N=256), recorded when `project`
+# still rebuilt each support through the incremental factorization.  Keys
+# are (ensemble, K, seed); SP pins (reason, iterations, support digest),
+# FBP (reason, iterations, effective-support digest).  FBP's raw support
+# may carry extra near-zero atoms that depend on rounding in the last
+# bits, so only atoms above 1e-9 max|xhat| are pinned for it.
+GOLDEN_SP_FBP = {
+    ("gaussian", 30, 1): (("residue_met", 5, "1cebd48e5eb3"), ("residue_met", 30, "1cebd48e5eb3")),
+    ("gaussian", 30, 2): (("residue_met", 6, "8e01d5bd2bc5"), ("residue_met", 30, "8e01d5bd2bc5")),
+    ("gaussian", 30, 3): (("residue_met", 8, "ee131722ced8"), ("residue_met", 30, "ee131722ced8")),
+    ("gaussian", 30, 6): (("residue_met", 5, "c5e54a485907"), ("residue_met", 30, "c5e54a485907")),
+    ("gaussian", 30, 20): (("residue_met", 4, "1d8eb7c6fa59"), ("residue_met", 30, "1d8eb7c6fa59")),
+    ("gaussian", 40, 1): (("stalled", 5, "20f5765c6529"), ("residue_met", 40, "5c4f1957dfa3")),
+    ("gaussian", 40, 2): (("stalled", 3, "aea644579da2"), ("stalled", 82, "5be6debda992")),
+    ("gaussian", 40, 3): (("stalled", 5, "6f0a5b5b5224"), ("residue_met", 40, "f81e0151cea9")),
+    ("gaussian", 40, 6): (("stalled", 4, "6711e2198045"), ("residue_met", 46, "08605815340d")),
+    ("gaussian", 40, 20): (("stalled", 3, "464ef172ef4d"), ("residue_met", 40, "af119eda31ec")),
+    ("uniform", 30, 1): (("residue_met", 5, "1cebd48e5eb3"), ("residue_met", 30, "1cebd48e5eb3")),
+    ("uniform", 30, 2): (("residue_met", 5, "8e01d5bd2bc5"), ("residue_met", 30, "8e01d5bd2bc5")),
+    ("uniform", 30, 3): (("residue_met", 5, "ee131722ced8"), ("residue_met", 30, "ee131722ced8")),
+    ("uniform", 30, 6): (("residue_met", 6, "c5e54a485907"), ("residue_met", 30, "c5e54a485907")),
+    ("uniform", 30, 20): (("residue_met", 5, "1d8eb7c6fa59"), ("residue_met", 57, "1d8eb7c6fa59")),
+    ("uniform", 40, 1): (("residue_met", 7, "5c4f1957dfa3"), ("residue_met", 40, "5c4f1957dfa3")),
+    ("uniform", 40, 2): (("stalled", 7, "89412993c63a"), ("residue_met", 40, "a869590a62b6")),
+    ("uniform", 40, 3): (("stalled", 3, "60bc84f84db3"), ("stalled", 82, "ccfc13f60519")),
+    ("uniform", 40, 6): (("stalled", 4, "b4b20b51ee14"), ("residue_met", 40, "08605815340d")),
+    ("uniform", 40, 20): (("residue_met", 12, "af119eda31ec"), ("residue_met", 40, "af119eda31ec")),
+    ("cars", 30, 1): (("stalled", 4, "147b966d413d"), ("stalled", 82, "1ece75f7630c")),
+    ("cars", 30, 2): (("stalled", 6, "3a9c1ea06d82"), ("stalled", 82, "f073583d3f76")),
+    ("cars", 30, 3): (("stalled", 3, "cffa43774714"), ("residue_met", 30, "ee131722ced8")),
+    ("cars", 30, 6): (("residue_met", 3, "c5e54a485907"), ("stalled", 82, "5f71c29acd36")),
+    ("cars", 30, 20): (("residue_met", 4, "1d8eb7c6fa59"), ("residue_met", 32, "1d8eb7c6fa59")),
+    ("cars", 40, 1): (("stalled", 6, "87f7d4dff49c"), ("stalled", 82, "0869a50e6c4a")),
+    ("cars", 40, 2): (("stalled", 4, "078022361ffa"), ("stalled", 82, "e00f00ba8a98")),
+    ("cars", 40, 3): (("stalled", 5, "47023f6028c6"), ("stalled", 82, "2aa03b598592")),
+    ("cars", 40, 6): (("stalled", 2, "b430a0f492ae"), ("stalled", 82, "1a15093c85dc")),
+    ("cars", 40, 20): (("stalled", 5, "808a86439e91"), ("stalled", 82, "28dbdc429c76")),
+}
+
+
+def support_digest(support):
+    return hashlib.sha1(",".join(str(int(j)) for j in support).encode()).hexdigest()[:12]
+
+
+def test_golden_sp_fbp():
+    for (ensemble, k, seed), (sp_pin, fbp_pin) in GOLDEN_SP_FBP.items():
+        ens, inst = gen_problem(100, 256, k, ensemble, seed)
+        sp = sp_recover(ens.phi, inst.y, k)
+        got = (sp.reason, sp.iterations, support_digest(sp.support))
+        assert got == sp_pin, ("sp", ensemble, k, seed, sp.support)
+        fbp = fbp_recover(ens.phi, inst.y)
+        big = np.abs(fbp.xhat).max()
+        effective = np.flatnonzero(np.abs(fbp.xhat) > 1e-9 * big)
+        got = (fbp.reason, fbp.iterations, support_digest(effective))
+        assert got == fbp_pin, ("fbp", ensemble, k, seed, effective.tolist())
 
 
 def test_mmp_beats_single_path_when_first_choice_is_wrong():

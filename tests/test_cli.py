@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from treepursuit.astar import AompConfig, aomp_recover
@@ -50,6 +51,12 @@ def test_recover_success_exit_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "recover"
     assert manifest["seed"] == 5
     assert manifest["outputs"] == ["result.json"]
+    env = manifest["env"]
+    assert set(env) == {
+        "python", "numpy", "scipy", "cpu_count",
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    }
+    assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
     with open(run_dir / "result.json") as fh:
         assert json.load(fh)["reason"] == "residue_met"
 
@@ -217,6 +224,9 @@ def test_bad_search_settings_exit_before_any_run(tmp_path):
         ["--solver", "hybrid", "--max-paths", "1", "--initial-paths", "3"],
     ]:
         assert main(["image"] + flags + out) == EXIT_ERROR, flags
+    recover = ["recover", "--n", "32", "--m", "16", "--k", "3", "--epsilon", "nan"]
+    for solver in ["aomp", "hybrid", "omp", "fbp", "mmp-df"]:
+        assert main(recover + ["--solver", solver] + out) == EXIT_ERROR, solver
     assert not (tmp_path / "runs").exists()
 
 

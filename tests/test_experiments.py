@@ -73,6 +73,11 @@ def test_make_solver_rejects_what_the_solver_does_not_take():
         ("aomp", {"audit": "no"}),
         ("aomp", {"kmax": "20"}),
         ("hybrid", {"max_paths": True}),
+        ("aomp", {"epsilon": float("nan")}),
+        ("omp", {"epsilon": -1.0}),
+        ("omp", {"epsilon": float("nan")}),
+        ("fbp", {"epsilon": float("nan")}),
+        ("mmp-df", {"epsilon": -1e-9}),
     ]:
         with pytest.raises(ValueError):
             make_solver(name, **params)

@@ -135,6 +135,9 @@ def test_project_matches_lstsq_and_validates():
         project(y, phi, [99])
     with pytest.raises(ValueError):
         project(y, phi, list(range(10)))
+    z, r = project(y, phi, [])
+    assert z.size == 0
+    assert np.array_equal(r, y) and r is not y
 
 
 def test_empty_factorization_residue_is_y():
@@ -289,6 +292,36 @@ def test_dependent_and_zero_columns_raise_on_lazy_children(seed, m, data):
     weights = rng.normal(size=len(support))
     with pytest.raises(SingularSupportError):
         fact.appended(m + 3, phi[:, support] @ weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12), data=st.data())
+def test_project_agrees_with_lstsq_and_the_incremental_factorization(seed, m, data):
+    rng = np.random.default_rng(seed)
+    n = m + 4
+    phi = rng.normal(size=(m, n))
+    y = rng.normal(size=m)
+    support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=m - 1, unique=True))
+    z, r = project(y, phi, support)
+    sub = phi[:, support]
+    z_ref, *_ = np.linalg.lstsq(sub, y, rcond=None)
+    tol = 1e-9 * np.linalg.cond(sub) * max(1.0, float(np.linalg.norm(z_ref)))
+    fact = _chain(y, phi, support)
+    assert np.linalg.norm(z - z_ref) <= tol
+    assert np.linalg.norm(z - fact.coefficients()) <= tol
+    assert np.allclose(r, y - sub @ z_ref, atol=1e-9)
+    assert np.allclose(r, fact.residue, atol=1e-9)
+
+    # a repeated atom, a zero column anywhere, a combination of earlier columns
+    with pytest.raises(SingularSupportError):
+        project(y, phi, support + [data.draw(st.sampled_from(support))])
+    zeroed = np.column_stack([phi, np.zeros(m)])
+    at = data.draw(st.integers(0, len(support)))
+    with pytest.raises(SingularSupportError, match="atom %d" % n):
+        project(y, zeroed, support[:at] + [n] + support[at:])
+    combined = np.column_stack([phi, sub @ rng.normal(size=len(support))])
+    with pytest.raises(SingularSupportError, match="atom %d" % n):
+        project(y, combined, support + [n])
 
 
 def test_check_problem_rejects_bad_input():
