@@ -22,6 +22,7 @@ from .results import (
     REASON_MAX_ITER,
     REASON_STALLED,
     REASON_DIVERGED,
+    SettingsError,
     check_epsilon,
     finish,
 )
@@ -58,7 +59,7 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     if max_iter is None:
         max_iter = min(m, n)
     if not 1 <= max_iter <= m:
-        raise ValueError("max_iter must satisfy 1 <= max_iter <= M")
+        raise SettingsError("max_iter must satisfy 1 <= max_iter <= M")
     threshold = epsilon * ynorm
     fact = IncrementalFactorization.empty(y)
     reason = REASON_MAX_ITER
@@ -196,7 +197,7 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         beta = alpha - 1
     alpha, beta = int(alpha), int(beta)
     if not alpha > beta >= 1:
-        raise ValueError("fbp_recover needs alpha > beta >= 1")
+        raise SettingsError("fbp_recover needs alpha > beta >= 1")
     if max_iter is None:
         max_iter = m
     if ynorm == 0.0:
@@ -243,10 +244,10 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
+    if branching < 1 or max_paths < 1:
+        raise SettingsError("branching and max_paths must be >= 1")
     if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= M")
-    if branching < 1 or max_paths < 1:
-        raise ValueError("branching and max_paths must be >= 1")
     threshold = epsilon * ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 

@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .astar import AompConfig
@@ -170,12 +169,11 @@ def _write_json(path, payload):
 
 
 def _env():
-    """Library versions, CPU count and BLAS thread settings: timings and
-    the last bits of a LAPACK solve depend on them."""
+    """Python and numpy versions, CPU count and BLAS thread settings:
+    timings and the last bits of a LAPACK solve depend on them."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
@@ -202,6 +200,7 @@ def _now():
 
 
 def _cmd_recover(args):
+    started = _now()
     solver = make_solver(args.solver, **_settings(args))
     ens, inst = gen_problem(args.m, args.n, args.k, args.ensemble, args.seed)
     out = solver.run(ens.phi, inst.y, args.k)
@@ -215,7 +214,7 @@ def _cmd_recover(args):
         "solver": solver.label, "n": args.n, "m": args.m, "k": args.k,
         "ensemble": args.ensemble, "search": solver.params,
     }
-    _write_manifest(run_dir, args, resolved, [result_path.name], _now(), _now())
+    _write_manifest(run_dir, args, resolved, [result_path.name], started, _now())
     return EXIT_OK if out.reason == REASON_RESIDUE else EXIT_NO_CONVERGENCE
 
 

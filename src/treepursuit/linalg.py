@@ -1,22 +1,25 @@
 """Dense linear-algebra kernel shared by every solver.
 
 Input validation, correlation scores, deterministic top-k selection, and
-least-squares projection.  `project` solves least squares on a whole
-support with one Householder QR (LAPACK); SP and FBP, which rebuild their
-support every round, use it.  The solvers that extend a support one atom
-at a time (OMP, MMP-DF and the tree search) keep an incremental QR
-factorization instead (modified Gram-Schmidt with one reorthogonalization
-pass), so search paths that share a prefix can branch cheaply: appending
-one atom costs O(M*l) and copies nothing of the parent's factorization.
-A child keeps a reference to its parent plus its own new column and
-assembles its full Q, R and Q^T y only when they are first read, so
-children that are never extended or returned never pay for that copy.
+least-squares projection, on numpy alone.  `project` solves least squares
+on a whole support with one Householder QR (`np.linalg.qr`); SP and FBP,
+which rebuild their support every round, use it.  The solvers that
+extend a support one atom at a time (OMP, MMP-DF and the tree search)
+keep an incremental QR factorization instead (modified Gram-Schmidt with
+one reorthogonalization pass), so search paths that share a prefix can
+branch cheaply: appending one atom costs O(M*l) and copies nothing of the
+parent's factorization.  A child keeps a reference to its parent plus its
+own new column and assembles its full Q, R and Q^T y only when they are
+first read, so children that are never extended or returned never pay
+for that copy.  Both solve the square upper-triangular system
+R z = Q^T y with `np.linalg.solve`: every diagonal entry of R has passed
+the DEPENDENCY_TOL test and everything below it is zero, so partial
+pivoting swaps no rows and the LU solve is the back-substitution.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "SingularSupportError",
@@ -226,10 +229,11 @@ class IncrementalFactorization:
         return child
 
     def coefficients(self):
-        """Least-squares coefficients of y over the support, support order."""
+        """Least-squares coefficients of y over the support, support order:
+        R z = Q^T y of this factorization, solved by `np.linalg.solve`."""
         if self.length == 0:
             return np.empty(0)
-        return solve_triangular(self.rmat, self.qty)
+        return np.linalg.solve(self.rmat, self.qty)
 
 
 def project(y, phi, support):
@@ -237,10 +241,11 @@ def project(y, phi, support):
 
     Returns (z, r) with z the coefficients in support order and
     r = y - phi[:, support] @ z.  One Householder QR of phi[:, support]
-    (LAPACK) solves it; the incremental factorization serves only the
-    solvers that extend a support one atom at a time.  Raises
-    SingularSupportError when a column is zero or lies numerically in the
-    span of the columns before it, ValueError on dimension mismatch.
+    (`np.linalg.qr`) and `np.linalg.solve` on R z = Q^T y solve it; the
+    incremental factorization serves only the solvers that extend a
+    support one atom at a time.  Raises SingularSupportError when a
+    column is zero or lies numerically in the span of the columns before
+    it, ValueError on dimension mismatch.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,5 +269,5 @@ def project(y, phi, support):
         raise SingularSupportError(
             "atom %d is linearly dependent on the current support" % support[i]
         )
-    z = solve_triangular(rmat, q.T @ y)
+    z = np.linalg.solve(rmat, q.T @ y)
     return z, y - sub @ z

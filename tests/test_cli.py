@@ -2,6 +2,7 @@
 
 import json
 import re
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_recover_success_exit_and_manifest(tmp_path, capsys):
     assert manifest["outputs"] == ["result.json"]
     env = manifest["env"]
     assert set(env) == {
-        "python", "numpy", "scipy", "cpu_count",
+        "python", "numpy", "cpu_count",
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     }
     assert env["numpy"] == np.__version__ and env["cpu_count"] >= 1
@@ -103,6 +104,22 @@ def test_manifest_records_argv(tmp_path, monkeypatch):
     first, second = run_dirs(out)
     assert read_manifest(first)["argv"] == args
     assert read_manifest(second)["argv"] == args
+
+
+def test_recover_manifest_starts_before_the_instance_is_drawn(tmp_path, monkeypatch):
+    drawn = []
+
+    def timed_gen_problem(*args, **kwargs):
+        drawn.append(datetime.now(timezone.utc))
+        return gen_problem(*args, **kwargs)
+
+    monkeypatch.setattr("treepursuit.cli.gen_problem", timed_gen_problem)
+    out = tmp_path / "runs"
+    assert main(["recover", "--n", "32", "--m", "16", "--k", "3", "--out", str(out)]) == EXIT_OK
+    (run_dir,) = run_dirs(out)
+    manifest = read_manifest(run_dir)
+    started = datetime.fromisoformat(manifest["started_utc"])
+    assert started <= drawn[0] <= datetime.fromisoformat(manifest["finished_utc"])
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -50,3 +50,23 @@ def test_demo_runs(demo):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_imports_no_scipy():
+    # numpy is the only runtime dependency: importing every module of the
+    # package in a fresh interpreter must leave scipy unloaded
+    modules = sorted(p.stem for p in (ROOT / "src" / "treepursuit").glob("*.py"))
+    code = (
+        "import importlib, sys\n"
+        "for name in %r:\n"
+        "    importlib.import_module('treepursuit' if name == '__init__' else 'treepursuit.' + name)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    ) % (modules,)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cli" in modules and "rip" in modules
+    assert proc.stdout.strip() == "[]"

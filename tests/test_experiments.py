@@ -20,6 +20,7 @@ from treepursuit.experiments import (
     sweep_k,
     write_records_csv,
 )
+from treepursuit.results import SettingsError
 from treepursuit.siggen import derive_seed, gen_problem
 
 
@@ -140,6 +141,16 @@ def test_settings_that_fit_no_instance_abort_the_batch():
         run_batch(make_solver("hybrid", kmax=120), 256, 100, 20, "gaussian", 2, 1, jobs=2)
     with pytest.raises(ValueError, match="exceeds"):
         phase_transition(make_solver("aomp", kmax=30), 64, [0.2], [0.2], 2, 0)
+    # so do baseline settings outside their range, serial and in workers
+    for spec, message in [
+        (make_solver("omp", max_iter=0), "max_iter"),
+        (make_solver("fbp", alpha=1), "alpha > beta"),
+        (make_solver("mmp-df", branching=0), "branching"),
+        (make_solver("mmp-df", max_paths=0), "max_paths"),
+    ]:
+        for jobs in (1, 2):
+            with pytest.raises(SettingsError, match=message):
+                run_batch(spec, 64, 32, 4, "gaussian", 3, 1, jobs=jobs)
 
 
 def test_batches_pair_instances_across_solvers():
