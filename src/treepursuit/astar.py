@@ -1,16 +1,16 @@
 """Best-first tree-search recovery (the A*OMP family).
 
-The search keeps up to P candidate support paths in a registry keyed by
-their sorted support sets, which also remembers every set ever opened.  Each
-round the cheapest incomplete path is expanded with its B best-correlated
-atoms.  A candidate that meets the residue criterion ends the search at
-once; otherwise it is inserted unless an equal support set has been opened
-before, replacing the expanded path first, filling spare capacity next,
-and finally displacing the worst-cost live path when it is cheaper.  Two
-multiplicative cost models make paths of different lengths comparable, and
-termination is either sparsity-based (paths capped at K atoms, best
-complete path returned) or residue-based (terminate once some candidate's
-residue drops below epsilon * ||y||).
+The search keeps up to P candidate support paths in cost order in a
+registry keyed by their sorted support sets, which also remembers every set
+ever opened.  Each round the cheapest incomplete path is expanded with its
+B best-correlated atoms.  A candidate that meets the residue criterion ends
+the search at once; otherwise it is inserted unless an equal support set
+has been opened before, replacing the expanded path first, filling spare
+capacity next, and finally displacing the costliest live path when it is
+cheaper.  Two multiplicative cost models make paths of different lengths
+comparable, and termination is either sparsity-based (paths capped at K
+atoms, best complete path returned) or residue-based (terminate once some
+candidate's residue drops below epsilon * ||y||).
 """
 
 import time
@@ -311,40 +311,9 @@ def _check_fits(config, m):
 
 
 def select_best_incomplete(trie, config):
-    """Minimum-cost live path shorter than kmax; None when all complete.
-
-    Ties break toward the shorter path, then the lexicographically smaller
-    sorted support, so selection is deterministic.
-    """
-    best = None
-    best_key = None
-    for p in trie.paths():
-        if p.complete(config.kmax):
-            continue
-        key = (p.cost, p.length, p.canonical)
-        if best is None or key < best_key:
-            best, best_key = p, key
-    return best
-
-
-def _best_any(trie):
-    best = None
-    best_key = None
-    for p in trie.paths():
-        key = (p.cost, p.length, p.canonical)
-        if best is None or key < best_key:
-            best, best_key = p, key
-    return best
-
-
-def _worst_live(trie):
-    worst = None
-    worst_key = None
-    for p in trie.paths():
-        key = (p.cost, p.canonical)
-        if worst is None or key > worst_key:
-            worst, worst_key = p, key
-    return worst
+    """Minimum-cost live path shorter than kmax, ties broken by the trie's
+    cost order; None when all complete."""
+    return trie.cheapest(lambda p: not p.complete(config.kmax))
 
 
 def expand(trie, best, phi, y, config):
@@ -396,7 +365,7 @@ def expand(trie, best, phi, y, config):
             trie.insert(child)
             report.accepted += 1
         else:
-            worst = _worst_live(trie)
+            worst = trie.costliest()
             if child.cost < worst.cost:
                 trie.remove(worst)
                 trie.insert(child)
@@ -464,7 +433,7 @@ def aomp_recover(phi, y, config=None):
                 chosen = report.terminated
                 break
         if chosen is None:
-            chosen = _best_any(trie)
+            chosen = trie.cheapest()
     support, values = (), ()
     if chosen is not None:
         support, values = chosen.support, chosen.fact.coefficients()

@@ -185,7 +185,8 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     index), and projects again, so the support grows by alpha - beta per
     round.  Defaults: alpha = round(0.2 M), beta = alpha - 1.  Terminates
     on the residue criterion, when the expanded support would exceed M, or
-    after max_iter rounds (default M).
+    after max_iter rounds (default M).  Atoms with |z_j| <= 1e-10 max|z|
+    are rounding noise and are left out of the returned support.
     """
     t0 = time.perf_counter()
     check_epsilon(epsilon)
@@ -227,6 +228,8 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         z, r = project(y, phi, support)
         if float(np.linalg.norm(r)) <= threshold:
             break
+    keep = np.abs(z) > 1e-10 * np.abs(z).max(initial=0.0)
+    support, z = [j for j, kept in zip(support, keep) if kept], z[keep]
     return finish(phi, y, support, z, epsilon, reason, "fbp", t0, iterations=iterations)
 
 

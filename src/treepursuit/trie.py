@@ -4,25 +4,32 @@ A support set's canonical form is its atoms in ascending index order, so
 two paths with equal support sets share one key whatever order their atoms
 were selected in.  Every key ever inserted stays in the opened set for the
 lifetime of one search, so the registry doubles as the memory of which
-support sets have been opened before.  Live paths sit in an
-insertion-ordered dict under their key, so insert, remove and the
-equivalence test each cost one hash lookup.
+support sets have been opened before.  Live paths sit in a dict under
+their key, so the equivalence test costs one hash lookup, and in a list
+kept in cost order by bisection, so the search reads its cheapest and its
+costliest path off the ends of that list.
 """
+
+from bisect import bisect_left, insort
 
 __all__ = ["SearchTrie"]
 
 
 class SearchTrie:
-    """Live search paths and the memory of every support set opened.
-
-    At most one live path holds a given support set; paths() lists the
-    live paths in insertion order.
-    """
+    """Live paths in cost order, at most one per support set, and every set opened."""
 
     def __init__(self):
         self._opened = set()
-        self._live = {}  # canonical support -> live path, insertion-ordered
+        self._live = {}  # canonical support -> live path
+        self._order = []  # _key(path) + (path,), ascending
         self.inserted_total = 0
+
+    @staticmethod
+    def _key(path):
+        """The cost order: (cost at insertion, length, canonical support).
+        Equal costs break toward the shorter path, then the smaller support,
+        which is unique among live paths, so the order is deterministic."""
+        return (path.cost, len(path.canonical), path.canonical)
 
     @staticmethod
     def canonical(support):
@@ -34,8 +41,20 @@ class SearchTrie:
         return len(self._live)
 
     def paths(self):
-        """Snapshot list of live paths (insertion order, no aliasing)."""
-        return list(self._live.values())
+        """Snapshot list of live paths in cost order (no aliasing)."""
+        return [entry[-1] for entry in self._order]
+
+    def cheapest(self, accept=None):
+        """First live path in cost order that accept(path) takes, or any
+        path when accept is None; None when there is none."""
+        for entry in self._order:
+            if accept is None or accept(entry[-1]):
+                return entry[-1]
+        return None
+
+    def costliest(self):
+        """Last live path in cost order; None when none is live."""
+        return self._order[-1][-1] if self._order else None
 
     def has_equivalent(self, support):
         """True when an equal support set was ever opened as a path."""
@@ -49,10 +68,17 @@ class SearchTrie:
         path.canonical = canonical
         self._opened.add(canonical)
         self._live[canonical] = path
+        insort(self._order, self._key(path) + (path,))
         self.inserted_total += 1
 
     def remove(self, path):
-        """Drop a live path; its support set stays in the opened memory."""
+        """Drop a live path that still has the cost it was inserted with;
+        its support set stays in the opened memory."""
         if self._live.get(path.canonical) is not path:
             raise ValueError("path is not live in this trie")
+        key = self._key(path)
+        i = bisect_left(self._order, key)
+        if i == len(self._order) or self._order[i][:-1] != key:
+            raise ValueError("path's cost changed while it was live")
+        del self._order[i]
         del self._live[path.canonical]

@@ -380,6 +380,10 @@ def test_rejects_non_finite_and_complex_input():
 # search unchanged must reproduce them exactly on every machine.
 DESK = dict(m=100, n=256, k=30, config=dict(kmax=70))
 IMAGE_BLOCK = dict(m=40, n=64, k=12, config=dict(kmax=20, alpha_amul=0.85))
+# with P = 10 the searches fill the registry and displace its costliest
+# path (67 displacement tests on DESK seed 3, 7 on IMAGE_BLOCK seed 17)
+DESK_CAPPED = dict(DESK, config=dict(DESK["config"], max_paths=10))
+IMAGE_BLOCK_CAPPED = dict(IMAGE_BLOCK, config=dict(IMAGE_BLOCK["config"], max_paths=10))
 GOLDEN = [
     (DESK, 3, {
         "aomp": (128, 255, 213, 44),
@@ -416,6 +420,24 @@ GOLDEN = [
     }, {
         "aomp": (29, 11, 19, 46, 9, 34, 59, 4, 60, 15, 35, 55),
         "hybrid": (11, 19, 29, 46, 34, 59, 60, 4, 9, 15, 55, 35),
+    }),
+    (DESK_CAPPED, 3, {
+        "aomp": (109, 217, 157, 37),
+        "hybrid": (109, 217, 157, 37),
+    }, {
+        "aomp": (104, 245, 225, 241, 195, 44, 182, 228, 126, 13, 103, 59, 209,
+                 127, 71, 57, 99, 118, 234, 101, 208, 206, 116, 35, 80, 102, 149,
+                 173, 140, 61, 186, 43, 18, 51),
+        "hybrid": (104, 245, 225, 241, 195, 44, 182, 228, 126, 13, 103, 59, 209,
+                   127, 71, 57, 99, 118, 234, 101, 208, 206, 116, 35, 80, 102, 149,
+                   173, 140, 61, 186, 43, 18, 51),
+    }),
+    (IMAGE_BLOCK_CAPPED, 17, {
+        "aomp": (19, 37, 33, 4),
+        "hybrid": (19, 37, 33, 4),
+    }, {
+        "aomp": (30, 48, 6, 45, 43, 33, 4, 63, 60, 56, 34, 12),
+        "hybrid": (30, 48, 6, 45, 43, 33, 4, 63, 60, 56, 34, 12),
     }),
 ]
 

@@ -251,6 +251,16 @@ def test_fbp_rejects_bad_steps():
     assert out.support == ()
 
 
+def test_fbp_leaves_rounding_noise_out_of_the_support():
+    # the last rounds of this instance pad the 30 true atoms with 8 whose
+    # coefficients are at most 1e-12 max|z|
+    ens, inst = gen_problem(100, 256, 30, "gaussian", 1011)
+    out = fbp_recover(ens.phi, inst.y)
+    assert out.reason == REASON_RESIDUE
+    assert sorted(out.support) == sorted(inst.support)
+    assert np.count_nonzero(out.xhat) == 30
+
+
 # SP and FBP on desk-size instances (M=100, N=256), recorded when `project`
 # still rebuilt each support through the incremental factorization.  Keys
 # are (ensemble, K, seed); SP pins (reason, iterations, support digest),

@@ -1,4 +1,5 @@
-"""Path registry semantics: canonical form, equivalence memory, liveness."""
+"""Path registry semantics: canonical form, equivalence memory, liveness,
+cost order."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from treepursuit.trie import SearchTrie
 
 
 class FakePath:
-    def __init__(self, support):
+    def __init__(self, support, cost=0.0):
         self.support = tuple(support)
+        self.cost = cost
         self.canonical = ()
 
 
@@ -90,16 +92,37 @@ def test_remove_drops_exactly_the_given_object():
     trie.remove(a)
     assert trie.paths() == [b]
     trie.insert(twin)
-    assert trie.paths() == [b, twin]
-    assert trie.paths()[1] is twin
+    # equal costs and lengths: the smaller support (0,) comes first
+    assert trie.paths() == [twin, b]
+    assert trie.paths()[0] is twin
+
+
+def test_remove_after_a_cost_change_raises_and_keeps_the_registry():
+    # the order holds the cost a path was inserted with; a path whose cost
+    # changed while live is not found there, and no neighbour is dropped
+    trie = SearchTrie()
+    a, b, c = FakePath((0,), 1.0), FakePath((1,), 2.0), FakePath((2,), 3.0)
+    for p in (a, b, c):
+        trie.insert(p)
+    for changed in (1.0, 2.5, 3.0, 9.0, 0.0):
+        b.cost = changed
+        with pytest.raises(ValueError, match="cost changed"):
+            trie.remove(b)
+        assert trie.paths() == [a, b, c]
+        assert trie.live_count == 3
+        assert trie.cheapest() is a and trie.costliest() is c
+    b.cost = 2.0
+    trie.remove(b)
+    assert trie.paths() == [a, c]
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_registry_keeps_insertion_order_under_removals(data):
-    # model-based: the live paths in insertion order, the removed paths and
-    # every support ever opened (as frozensets) against the registry, with
-    # each support drawn in a random atom order
+def test_registry_keeps_cost_order_under_removals(data):
+    # model-based: the live paths, the removed paths and every support ever
+    # opened (as frozensets) against the registry, with each support drawn
+    # in a random atom order and each cost from a small set, so ties occur;
+    # the order, the cheapest and the costliest path against a brute-force sort
     trie = SearchTrie()
     live, dead, opened = [], [], set()
     inserts = 0
@@ -108,7 +131,7 @@ def test_registry_keeps_insertion_order_under_removals(data):
         atoms = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
         support = tuple(data.draw(st.permutations(atoms), label="support"))
         if op == "insert":
-            path = FakePath(support)
+            path = FakePath(support, data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="cost"))
             if frozenset(support) in {frozenset(p.support) for p in live}:
                 with pytest.raises(ValueError):
                     trie.insert(path)
@@ -133,6 +156,14 @@ def test_registry_keeps_insertion_order_under_removals(data):
         for query in (support, shuffled, tuple(sorted(support))):
             assert trie.has_equivalent(query) == (frozenset(support) in opened)
         got = trie.paths()
+        want = sorted(live, key=lambda p: (p.cost, len(p.support), tuple(sorted(p.support))))
         assert len(got) == len(live) == trie.live_count
-        assert all(g is want for g, want in zip(got, live))
+        assert all(g is w for g, w in zip(got, want))
+        assert trie.cheapest() is (want[0] if want else None)
+        assert trie.costliest() is (want[-1] if want else None)
+        size = data.draw(st.integers(1, 4), label="accepted length")
+        accepted = [p for p in want if len(p.support) == size]
+        assert trie.cheapest(lambda p: len(p.support) == size) is (
+            accepted[0] if accepted else None
+        )
         assert trie.inserted_total == inserts
