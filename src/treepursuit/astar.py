@@ -14,7 +14,7 @@ candidate's residue drops below epsilon * ||y||).
 """
 
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -233,9 +233,9 @@ class PathState:
     """One search path: ordered support, residue-norm history, cost.
 
     norms[0] is ||y||; norms[i] is the residue norm after the first i
-    atoms.  canonical, the support in ascending atom order, is attached
-    by the trie on insertion.  Paths compare by identity, so the trie
-    can tell a live path from an equal-valued copy.
+    atoms.  canonical, the support in ascending atom order and the path's
+    registry key, is derived once, when the path is built.  Paths compare
+    by identity, so the trie can tell a live path from an equal-valued copy.
     exhausted marks a path whose expansion produced no new child; it is
     treated as complete so the search cannot revisit it.
     """
@@ -244,8 +244,11 @@ class PathState:
     norms: tuple
     cost: float
     fact: IncrementalFactorization
-    canonical: tuple = ()
+    canonical: tuple = field(init=False)
     exhausted: bool = False
+
+    def __post_init__(self):
+        self.canonical = tuple(sorted(self.support))
 
     @property
     def length(self):
@@ -253,6 +256,13 @@ class PathState:
 
     def complete(self, kmax):
         return self.exhausted or self.length >= kmax
+
+    def extended(self, j, phi, config):
+        """The child path with atom j appended; SingularSupportError when
+        atom j lies numerically in the span of the support."""
+        fact = self.fact.appended(j, phi[:, j])
+        norms = self.norms + (fact.residue_norm,)
+        return PathState(fact.support, norms, config.path_cost(norms), fact)
 
 
 @dataclass
@@ -271,10 +281,10 @@ class ExpansionReport:
 def init_search(phi, y, config):
     """Seed the trie with the best single-atom paths.
 
-    The initial_paths atoms maximizing |<phi_j, y>| become length-1 paths
-    with projected residues.  Returns (trie, done) where done is a path
-    that already meets the residue criterion (the empty path for y = 0)
-    or None.
+    The initial_paths atoms maximizing |<phi_j, y>| extend the root path
+    over the empty support into length-1 paths with projected residues.
+    Returns (trie, done) where done is a path that already meets the
+    residue criterion (the root itself for y = 0) or None.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -283,20 +293,19 @@ def init_search(phi, y, config):
     corr = correlations(phi, y)
     trie = SearchTrie()
     ynorm = float(np.linalg.norm(y))
+    # the root is never ranked, so its cost is a placeholder
+    root = PathState((), (ynorm,), 0.0, IncrementalFactorization.empty(y))
     if ynorm == 0.0:
-        return trie, PathState((), (0.0,), 0.0, IncrementalFactorization.empty(y))
+        return trie, root
     threshold = config.effective_epsilon() * ynorm
-    base = IncrementalFactorization.empty(y)
     done = None
     for j in top_indices(corr, min(config.initial_paths, n)):
         try:
-            fact = base.appended(j, phi[:, j])
+            path = root.extended(j, phi, config)
         except SingularSupportError:
             continue
-        norms = (ynorm, fact.residue_norm)
-        path = PathState((j,), norms, config.path_cost(norms), fact)
         trie.insert(path)
-        if done is None and fact.residue_norm <= threshold:
+        if done is None and path.fact.residue_norm <= threshold:
             done = path
     return trie, done
 
@@ -344,16 +353,14 @@ def expand(trie, best, phi, y, config):
     for j in top_indices(corr, width, exclude=set(best.support)):
         report.children_evaluated += 1
         try:
-            fact = best.fact.appended(j, phi[:, j])
+            child = best.extended(j, phi, config)
         except SingularSupportError:
             report.singular_skips += 1
             continue
-        norms = best.norms + (fact.residue_norm,)
-        child = PathState(best.support + (j,), norms, config.path_cost(norms), fact)
-        if fact.residue_norm <= threshold:
+        if child.fact.residue_norm <= threshold:
             report.terminated = child
             return report
-        if trie.has_equivalent(child.support):
+        if trie.has_equivalent(child.canonical):
             report.equivalent_hits += 1
             continue
         if not report.consumed:

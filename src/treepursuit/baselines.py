@@ -143,11 +143,14 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     Columns are used exactly as given (no normalization) and the default
     step is 1.  Stops on an (essentially) zero residue, when the residue
     norm stalls, or after max_iter sweeps; flags non-convergence when the
-    residue grows past 10x its starting value.
+    residue grows past 10x its starting value.  The step must be a finite
+    number > 0.
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
     n = phi.shape[1]
+    if not 0.0 < step < np.inf:
+        raise SettingsError("iht_recover needs a finite step > 0, got %r" % (step,))
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= N")
     if ynorm == 0.0:

@@ -32,6 +32,7 @@ from .baselines import (
     fbp_recover,
     mmp_df_recover,
 )
+from .linalg import check_problem
 from .results import attempt, check_epsilon
 from .siggen import derive_seed, gen_problem
 
@@ -86,10 +87,12 @@ def anmse(rel_errors):
 
 
 def _search(phi, y, k, **settings):
+    phi, y = check_problem(phi, y)  # before its shape picks kmax "auto"
     return aomp_recover(phi, y, AompConfig.for_problem(*phi.shape, k, **settings))
 
 
 def _hybrid(phi, y, k, **settings):
+    phi, y = check_problem(phi, y)
     return hybrid_recover(phi, y, AompConfig.for_problem(*phi.shape, k, **settings), k)
 
 
@@ -356,11 +359,14 @@ def sweep_k(solvers, n, m, k_values, ensemble, trials, base_seed, jobs=1):
     labels = [s.label for s in solvers]
     if len(set(labels)) != len(labels):
         raise ValueError("solver labels must be unique")
+    k_values = [int(k) for k in k_values]
+    if len(set(k_values)) != len(k_values):
+        raise ValueError("k values must be unique")
     batches = {}
     for k in k_values:
         seed_k = derive_seed(base_seed, "sweep", k)
-        batches[int(k)] = {
-            s.label: run_batch(s, n, m, int(k), ensemble, trials, seed_k, jobs=jobs)
+        batches[k] = {
+            s.label: run_batch(s, n, m, k, ensemble, trials, seed_k, jobs=jobs)
             for s in solvers
         }
     return SweepResult(n=n, m=m, ensemble=ensemble, trials=trials, batches=batches)

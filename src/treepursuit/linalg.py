@@ -52,13 +52,16 @@ def _real_finite(x, name):
 def check_problem(phi, y):
     """Validate a recovery problem; returns (phi, y) as float arrays.
 
-    phi must be a real (M, N) matrix and y a real vector of length M, both
-    free of NaN and infinite entries.  Raises ValueError otherwise.
+    phi must be a real (M, N) matrix with M, N >= 1 and y a real vector
+    of length M, both free of NaN and infinite entries.  Raises ValueError
+    otherwise.
     """
     phi = _real_finite(phi, "phi")
     y = _real_finite(y, "y")
     if phi.ndim != 2 or y.ndim != 1 or phi.shape[0] != y.shape[0]:
         raise ValueError("phi must be (M, N) and y length M")
+    if phi.size == 0:
+        raise ValueError("phi must have at least one row and one column, got %d x %d" % phi.shape)
     return phi, y
 
 

@@ -1,11 +1,12 @@
 """Registry of search paths keyed by their support set.
 
-A support set's canonical form is its atoms in ascending index order, so
-two paths with equal support sets share one key whatever order their atoms
-were selected in.  Every key ever inserted stays in the opened set for the
-lifetime of one search, so the registry doubles as the memory of which
-support sets have been opened before.  Live paths sit in a dict under
-their key, so the equivalence test costs one hash lookup, and in a list
+A path's key is its `canonical` attribute, the support in ascending atom
+order, so two paths with equal support sets share one key whatever order
+their atoms were selected in; the path derives it when it is built, and
+the registry only reads it.  One dict maps every key ever inserted to its
+live path, or to None once that path is removed, so the registry doubles
+as the memory of which support sets have been opened before and the
+equivalence test costs one hash lookup.  Live paths also sit in one list
 kept in cost order by bisection, so the search reads its cheapest and its
 costliest path off the ends of that list.
 """
@@ -19,8 +20,7 @@ class SearchTrie:
     """Live paths in cost order, at most one per support set, and every set opened."""
 
     def __init__(self):
-        self._opened = set()
-        self._live = {}  # canonical support -> live path
+        self._paths = {}  # canonical support -> live path, None once removed
         self._order = []  # _key(path) + (path,), ascending
         self.inserted_total = 0
 
@@ -31,14 +31,9 @@ class SearchTrie:
         which is unique among live paths, so the order is deterministic."""
         return (path.cost, len(path.canonical), path.canonical)
 
-    @staticmethod
-    def canonical(support):
-        """Support set as a tuple of ascending atom indices."""
-        return tuple(sorted(int(j) for j in support))
-
     @property
     def live_count(self):
-        return len(self._live)
+        return len(self._order)
 
     def paths(self):
         """Snapshot list of live paths in cost order (no aliasing)."""
@@ -56,29 +51,26 @@ class SearchTrie:
         """Last live path in cost order; None when none is live."""
         return self._order[-1][-1] if self._order else None
 
-    def has_equivalent(self, support):
-        """True when an equal support set was ever opened as a path."""
-        return self.canonical(support) in self._opened
+    def has_equivalent(self, canonical):
+        """True when the support set with this sorted key was ever opened."""
+        return canonical in self._paths
 
     def insert(self, path):
-        """Store a live path; its canonical key is attached to the path."""
-        canonical = self.canonical(path.support)
-        if canonical in self._live:
+        """Store a live path under its canonical key."""
+        if self._paths.get(path.canonical) is not None:
             raise ValueError("a live path with this support already exists")
-        path.canonical = canonical
-        self._opened.add(canonical)
-        self._live[canonical] = path
+        self._paths[path.canonical] = path
         insort(self._order, self._key(path) + (path,))
         self.inserted_total += 1
 
     def remove(self, path):
         """Drop a live path that still has the cost it was inserted with;
         its support set stays in the opened memory."""
-        if self._live.get(path.canonical) is not path:
+        if self._paths.get(path.canonical) is not path:
             raise ValueError("path is not live in this trie")
         key = self._key(path)
         i = bisect_left(self._order, key)
         if i == len(self._order) or self._order[i][:-1] != key:
             raise ValueError("path's cost changed while it was live")
         del self._order[i]
-        del self._live[path.canonical]
+        self._paths[path.canonical] = None

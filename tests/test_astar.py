@@ -190,6 +190,33 @@ def test_audit_mode_accepts_seeded_batch():
         aomp_recover(ens.phi, inst.y, cfg)  # raises AuditError on violation
 
 
+def test_every_built_path_is_keyed_by_its_sorted_support(monkeypatch):
+    # the live paths after an audited search, and the path that ended it,
+    # carry the key they were built with
+    tries, ends = [], []
+    real_init, real_expand = astar.init_search, astar.expand
+
+    def init_and_keep(phi, y, config):
+        trie, done = real_init(phi, y, config)
+        tries.append(trie)
+        return trie, done
+
+    def expand_and_keep(trie, best, phi, y, config):
+        report = real_expand(trie, best, phi, y, config)
+        ends.append(report.terminated)
+        return report
+
+    monkeypatch.setattr(astar, "init_search", init_and_keep)
+    monkeypatch.setattr(astar, "expand", expand_and_keep)
+    ens, inst = gen_problem(20, 60, 5, "gaussian", 2)
+    out = aomp_recover(ens.phi, inst.y, AompConfig(kmax=16, max_paths=20, audit=True))
+    assert out.reason == REASON_RESIDUE and ends[-1] is not None
+    built = tries[0].paths() + [ends[-1]]
+    assert len(built) > 1 and max(len(p.support) for p in built) > 1
+    for path in built:
+        assert path.canonical == tuple(sorted(path.support))
+
+
 def _stale_cost(trie, y, config):
     trie.paths()[0].cost += 1.0
 

@@ -164,6 +164,15 @@ def test_sweep_writes_records_and_summary(tmp_path):
     assert read_manifest(run_dir)["resolved"]["k_values"] == [3, 5]
 
 
+def test_sweep_rejects_duplicate_k_values(tmp_path):
+    code = main([
+        "sweep", "--k-values", "10,10", "--solvers", "omp", "--trials", "1",
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_ERROR
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rejects_unknown_solver_label(tmp_path):
     code = main([
         "sweep", "--solvers", "omp,nope", "--out", str(tmp_path / "runs"),

@@ -147,6 +147,8 @@ def test_settings_that_fit_no_instance_abort_the_batch():
         (make_solver("fbp", alpha=1), "alpha > beta"),
         (make_solver("mmp-df", branching=0), "branching"),
         (make_solver("mmp-df", max_paths=0), "max_paths"),
+        (make_solver("iht", step=float("nan")), "step"),
+        (make_solver("iht", step=float("inf")), "step"),
     ]:
         for jobs in (1, 2):
             with pytest.raises(SettingsError, match=message):
@@ -223,6 +225,24 @@ def test_sweep_runs_each_solver_on_shared_instances(tmp_path):
         assert len(list(csv.reader(fh))) == 5
     with pytest.raises(ValueError):
         sweep_k([make_solver("omp"), make_solver("omp")], 48, 24, [3], "gaussian", 2, 7)
+    # a repeated K would run its batch twice and keep one
+    for k_values in ([3, 3], [3, 5, 3.0]):
+        with pytest.raises(ValueError, match="k values must be unique"):
+            sweep_k([make_solver("omp")], 40, 20, k_values, "gaussian", 2, 1)
+
+
+@pytest.mark.parametrize("label", sorted(SOLVERS))
+def test_every_solver_checks_the_problem_before_its_settings(label):
+    # an empty phi fails the one input check, not a setting sized from it
+    solver = make_solver(label)
+    for phi, y in [(np.zeros((5, 0)), np.ones(5)), (np.zeros((0, 5)), np.zeros(0))]:
+        with pytest.raises(ValueError, match="at least one row and one column") as caught:
+            solver.run(phi, y, 1)
+        assert not isinstance(caught.value, SettingsError)
+    ens, inst = gen_problem(20, 40, 3, "gaussian", 5)
+    as_arrays = solver.run(ens.phi, inst.y, 3).to_dict(include_times=False)
+    as_lists = solver.run(ens.phi.tolist(), inst.y.tolist(), 3).to_dict(include_times=False)
+    assert as_lists == as_arrays
 
 
 def test_fit_rho_star_step_data_lands_in_bracket():

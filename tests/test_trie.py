@@ -1,5 +1,5 @@
-"""Path registry semantics: canonical form, equivalence memory, liveness,
-cost order."""
+"""Path registry semantics: the sorted-support key, equivalence memory,
+liveness, cost order."""
 
 import numpy as np
 import pytest
@@ -15,16 +15,45 @@ class FakePath:
     def __init__(self, support, cost=0.0):
         self.support = tuple(support)
         self.cost = cost
-        self.canonical = ()
+        self.canonical = tuple(sorted(self.support))
+
+
+class SealedPath(FakePath):
+    """A FakePath that refuses every attribute write once built."""
+
+    def __init__(self, support, cost=0.0):
+        super().__init__(support, cost)
+        self._sealed = True
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_sealed", False):
+            raise AttributeError("sealed path, cannot set %r" % name)
+        super().__setattr__(name, value)
 
 
 def test_equal_sets_in_any_order_collide():
+    # a path's key is its sorted support, derived when the path is built
+    fact = IncrementalFactorization.empty(np.ones(3))
+    a = PathState((2, 4, 1), (1.0,) * 4, 0.5, fact)
+    b = PathState((4, 1, 2), (1.0,) * 4, 0.5, fact)
+    assert a.canonical == b.canonical == (1, 2, 4)
     trie = SearchTrie()
-    trie.insert(FakePath((2, 4, 1)))
+    trie.insert(a)
+    with pytest.raises(ValueError):
+        trie.insert(b)
     assert trie.has_equivalent((1, 2, 4))
-    assert trie.has_equivalent((4, 1, 2))
     assert not trie.has_equivalent((1, 2))
     assert not trie.has_equivalent((1, 2, 4, 5))
+
+
+def test_registry_never_writes_to_a_path():
+    trie = SearchTrie()
+    a, b = SealedPath((3, 1), 1.0), SealedPath((0,), 2.0)
+    trie.insert(a)
+    trie.insert(b)
+    trie.remove(a)
+    assert trie.paths() == [b]
+    assert trie.has_equivalent((1, 3))
 
 
 def test_duplicate_live_support_rejected():
@@ -40,7 +69,7 @@ def test_removed_path_still_counts_as_explored():
     trie.insert(p)
     trie.remove(p)
     assert trie.live_count == 0
-    assert trie.has_equivalent((2, 1))
+    assert trie.has_equivalent((1, 2))
     # a dead support may be re-opened; the structure allows it
     trie.insert(FakePath((1, 2)))
     assert trie.live_count == 1
@@ -137,7 +166,6 @@ def test_registry_keeps_cost_order_under_removals(data):
                     trie.insert(path)
             else:
                 trie.insert(path)
-                assert path.canonical == tuple(sorted(support))
                 live.append(path)
                 opened.add(frozenset(support))
                 inserts += 1
@@ -152,9 +180,7 @@ def test_registry_keeps_cost_order_under_removals(data):
             path = data.draw(st.sampled_from(dead)) if dead else FakePath(support)
             with pytest.raises(ValueError):
                 trie.remove(path)
-        shuffled = tuple(data.draw(st.permutations(support), label="query"))
-        for query in (support, shuffled, tuple(sorted(support))):
-            assert trie.has_equivalent(query) == (frozenset(support) in opened)
+        assert trie.has_equivalent(tuple(sorted(support))) == (frozenset(support) in opened)
         got = trie.paths()
         want = sorted(live, key=lambda p: (p.cost, len(p.support), tuple(sorted(p.support))))
         assert len(got) == len(live) == trie.live_count
