@@ -41,6 +41,8 @@ __all__ = [
     "COST_AMUL",
     "TERM_SPARSITY",
     "TERM_RESIDUE",
+    "COST_MODELS",
+    "TERMINATIONS",
     "AompConfig",
     "PathState",
     "AuditError",
@@ -58,6 +60,8 @@ COST_MUL = "mul"
 COST_AMUL = "amul"
 TERM_SPARSITY = "sparsity"
 TERM_RESIDUE = "residue"
+COST_MODELS = (COST_MUL, COST_AMUL)
+TERMINATIONS = (TERM_RESIDUE, TERM_SPARSITY)
 
 # sparsity-based runs still terminate early on an (essentially) exact hit
 SPARSITY_EPSILON_FLOOR = 1e-6
@@ -102,7 +106,7 @@ def cost_amul(norms, kmax, alpha_amul):
     return (alpha_amul * cur / prev) ** (kmax - length) * cur
 
 
-@dataclass
+@dataclass(frozen=True)
 class AompConfig:
     """Knobs of the tree search.
 
@@ -110,7 +114,8 @@ class AompConfig:
     many single-atom paths seed the tree, how many children each expansion
     evaluates, and how many paths may be live at once.  kmax caps the path
     length; with sparsity termination it must equal the sparsity K of the
-    problem.  epsilon is the residue threshold relative to ||y||.
+    problem.  epsilon is the residue threshold relative to ||y||.  A config
+    is immutable and checks itself when built (ValueError).
     """
 
     initial_paths: int = 3
@@ -125,10 +130,13 @@ class AompConfig:
     audit: bool = False  # per-iteration invariant checks
     max_iterations: int = 1_000_000
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for key, kinds in _FIELD_KINDS.items():
             value = getattr(self, key)
-            if type(value) not in kinds:  # a listed type skips isinstance; this runs per search
+            if type(value) not in kinds:  # a listed type skips isinstance; one config per solve
                 _check_type(key, value)
         if self.initial_paths < 1:
             raise ValueError("initial_paths must be >= 1")
@@ -139,9 +147,9 @@ class AompConfig:
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
         check_epsilon(self.epsilon)
-        if self.cost_model not in (COST_MUL, COST_AMUL):
+        if self.cost_model not in COST_MODELS:
             raise ValueError("unknown cost model %r" % (self.cost_model,))
-        if self.termination not in (TERM_SPARSITY, TERM_RESIDUE):
+        if self.termination not in TERMINATIONS:
             raise ValueError("unknown termination rule %r" % (self.termination,))
         if not 0.0 < self.alpha_amul <= 1.0:
             raise ValueError("alpha_amul must lie in (0, 1]")
@@ -158,6 +166,14 @@ class AompConfig:
             raise ValueError("unknown config key %r" % key)
         if (key, value) != ("kmax", "auto"):
             _check_type(key, value)
+
+    @staticmethod
+    def reads(cost_model, termination):
+        """The keys a search with this cost model and termination reads."""
+        unused = {"alpha_amul" if cost_model == COST_MUL else "alpha_mul"}
+        if termination == TERM_SPARSITY:
+            unused.add("kmax")  # paths stop at K
+        return tuple(key for key in _FIELD_KINDS if key not in unused)
 
     def effective_epsilon(self):
         if self.termination == TERM_SPARSITY:
@@ -204,9 +220,7 @@ class AompConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 # the values a field of each declared type takes, that type first; a
@@ -311,8 +325,7 @@ def init_search(phi, y, config):
 
 
 def _check_fits(config, m):
-    """A valid config whose paths fit M measurements: kmax <= M."""
-    config.validate()
+    """The config's paths fit M measurements: kmax <= M."""
     if config.kmax > m:
         raise SettingsError(
             "kmax = %d exceeds the number of measurements M = %d" % (config.kmax, m)

@@ -28,6 +28,8 @@ from .results import (
 )
 
 __all__ = [
+    "SETTINGS",
+    "check_settings",
     "omp_recover",
     "sp_recover",
     "iht_recover",
@@ -36,6 +38,52 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-6
+
+
+def _count(value):
+    """an int >= 1"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _count_or_default(value):
+    """an int >= 1 or None (the default, sized from M)"""
+    return value is None or _count(value)
+
+
+def _step(value):
+    """a finite number > 0"""
+    return 0.0 < value < np.inf
+
+
+def _epsilon(value):
+    check_epsilon(value)
+    return True
+
+
+# the settings each baseline takes, each with the rule its value meets
+SETTINGS = {
+    "omp": {"epsilon": _epsilon, "max_iter": _count_or_default},
+    "sp": {"max_iter": _count},
+    "iht": {"step": _step, "max_iter": _count},
+    "fbp": {"alpha": _count_or_default, "beta": _count_or_default, "epsilon": _epsilon,
+            "max_iter": _count_or_default},
+    "mmp-df": {"branching": _count, "max_paths": _count, "epsilon": _epsilon},
+}
+
+
+def check_settings(name, **settings):
+    """Raise unless the given settings of baseline `name` fit some instance:
+    each meets its SETTINGS rule and FBP's alpha exceeds beta (alpha - 1
+    when None).  A bad epsilon raises ValueError, any other SettingsError.
+    Solvers run this at entry and SolverSpec when built; limits that need
+    M, such as OMP's max_iter <= M, wait for the instance."""
+    for key, value in settings.items():
+        rule = SETTINGS[name][key]
+        if not rule(value):
+            raise SettingsError("%s: %s must be %s, got %r" % (name, key, rule.__doc__, value))
+    alpha, beta = settings.get("alpha"), settings.get("beta")
+    if alpha is not None and not alpha > (1 if beta is None else beta):
+        raise SettingsError("%s needs alpha > beta >= 1" % name)
 
 
 def _prep(phi, y):
@@ -53,12 +101,12 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     support turns rank deficient or no atom is left outside it.
     """
     t0 = time.perf_counter()
-    check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
     if max_iter is None:
         max_iter = min(m, n)
-    if not 1 <= max_iter <= m:
+    check_settings("omp", epsilon=epsilon, max_iter=max_iter)
+    if max_iter > m:
         raise SettingsError("max_iter must satisfy 1 <= max_iter <= M")
     threshold = epsilon * ynorm
     fact = IncrementalFactorization.empty(y)
@@ -92,6 +140,7 @@ def sp_recover(phi, y, k, max_iter=100):
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
+    check_settings("sp", max_iter=max_iter)
     m, n = phi.shape
     if not 1 <= k <= min(m // 2, n):
         raise ValueError("sp_recover needs 1 <= k <= min(M/2, N)")
@@ -118,9 +167,7 @@ def sp_recover(phi, y, k, max_iter=100):
         except SingularSupportError:
             reason = REASON_STALLED
             break
-        # k largest |coefficients|; lexsort keys: last key dominates
-        order = np.lexsort((np.asarray(union), -np.abs(z_union)))[:k]
-        new_support = sorted(union[i] for i in order)
+        new_support = sorted(union[i] for i in top_indices(np.abs(z_union), k))
         z_new, r_new = project(y, phi, new_support)
         res_new = float(np.linalg.norm(r_new))
         if res_new >= best_res:
@@ -148,9 +195,8 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
+    check_settings("iht", step=step, max_iter=max_iter)
     n = phi.shape[1]
-    if not 0.0 < step < np.inf:
-        raise SettingsError("iht_recover needs a finite step > 0, got %r" % (step,))
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= N")
     if ynorm == 0.0:
@@ -192,18 +238,15 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     are rounding noise and are left out of the returned support.
     """
     t0 = time.perf_counter()
-    check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
     m, n = phi.shape
     if alpha is None:
         alpha = max(2, round(0.2 * m))
-    if beta is None:
-        beta = alpha - 1
-    alpha, beta = int(alpha), int(beta)
-    if not alpha > beta >= 1:
-        raise SettingsError("fbp_recover needs alpha > beta >= 1")
     if max_iter is None:
         max_iter = m
+    check_settings("fbp", alpha=alpha, beta=beta, epsilon=epsilon, max_iter=max_iter)
+    if beta is None:
+        beta = alpha - 1
     if ynorm == 0.0:
         return finish(phi, y, (), (), epsilon, REASON_RESIDUE, "fbp", t0)
     threshold = epsilon * ynorm
@@ -225,7 +268,8 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         except SingularSupportError:
             reason = REASON_STALLED
             break
-        drop = np.lexsort((np.asarray(expanded), np.abs(z_exp)))[:beta]
+        # with fewer than alpha atoms left, fewer than beta may be expanded
+        drop = top_indices(-np.abs(z_exp), min(beta, len(expanded)))
         dropped = {expanded[i] for i in drop}
         support = [j for j in expanded if j not in dropped]
         z, r = project(y, phi, support)
@@ -247,11 +291,9 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     the minimum-residue complete path seen.
     """
     t0 = time.perf_counter()
-    check_epsilon(epsilon)
     phi, y, ynorm = _prep(phi, y)
+    check_settings("mmp-df", branching=branching, max_paths=max_paths, epsilon=epsilon)
     m, n = phi.shape
-    if branching < 1 or max_paths < 1:
-        raise SettingsError("branching and max_paths must be >= 1")
     if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= M")
     threshold = epsilon * ynorm

@@ -18,13 +18,14 @@ import math
 import os
 import platform
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .astar import AompConfig
+from .astar import COST_MODELS, TERMINATIONS, AompConfig
 from .experiments import (
     SOLVERS,
     make_solver,
@@ -119,18 +120,15 @@ def build_parser():
 
 
 def _search_flags(p):
-    """Settings handed to make_solver; each flag is named after its AompConfig field."""
+    """Settings handed to make_solver: one flag per AompConfig field, named after it."""
     p.add_argument("--config", default=None, help="JSON file with search settings")
-    p.add_argument("--cost-model", default=None, choices=["mul", "amul"])
-    p.add_argument("--termination", default=None, choices=["residue", "sparsity"])
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--alpha-mul", type=float, default=None)
-    p.add_argument("--alpha-amul", type=float, default=None)
-    p.add_argument("--initial-paths", type=int, default=None)
-    p.add_argument("--branch", type=int, default=None)
-    p.add_argument("--max-paths", type=int, default=None)
-    p.add_argument("--audit", action="store_true", default=None)
+    choices = {"cost_model": COST_MODELS, "termination": TERMINATIONS}
+    for f in fields(AompConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=f.type, default=None, choices=choices.get(f.name))
 
 
 def _settings(args):
@@ -179,8 +177,8 @@ def _env():
     }
 
 
-def _write_manifest(run_dir, args, resolved, outputs, started, finished):
-    """Write the run's manifest and report its run dir."""
+def _write_manifest(run_dir, args, resolved, outputs):
+    """Write the run's manifest, finished now, and report its run dir."""
     _write_json(run_dir / "manifest.json", {
         "command": args.command,
         "version": __version__,
@@ -189,8 +187,8 @@ def _write_manifest(run_dir, args, resolved, outputs, started, finished):
         "env": _env(),
         "resolved": resolved,
         "outputs": sorted(outputs),
-        "started_utc": started,
-        "finished_utc": finished,
+        "started_utc": args.started,
+        "finished_utc": _now(),
     })
     print("run dir: %s" % run_dir)
 
@@ -200,7 +198,6 @@ def _now():
 
 
 def _cmd_recover(args):
-    started = _now()
     solver = make_solver(args.solver, **_settings(args))
     ens, inst = gen_problem(args.m, args.n, args.k, args.ensemble, args.seed)
     out = solver.run(ens.phi, inst.y, args.k)
@@ -214,12 +211,11 @@ def _cmd_recover(args):
         "solver": solver.label, "n": args.n, "m": args.m, "k": args.k,
         "ensemble": args.ensemble, "search": solver.params,
     }
-    _write_manifest(run_dir, args, resolved, [result_path.name], started, _now())
+    _write_manifest(run_dir, args, resolved, [result_path.name])
     return EXIT_OK if out.reason == REASON_RESIDUE else EXIT_NO_CONVERGENCE
 
 
 def _cmd_sweep(args):
-    started = _now()
     solvers = [make_solver(s.strip()) for s in args.solvers.split(",")]
     k_values = [int(k) for k in args.k_values.split(",")]
     result = sweep_k(
@@ -238,12 +234,11 @@ def _cmd_sweep(args):
         "solvers": [s.label for s in solvers], "n": args.n, "m": args.m,
         "k_values": k_values, "ensemble": args.ensemble, "trials": args.trials,
     }
-    _write_manifest(run_dir, args, resolved, ["trials.csv", "summary.csv"], started, _now())
+    _write_manifest(run_dir, args, resolved, ["trials.csv", "summary.csv"])
     return EXIT_NO_CONVERGENCE
 
 
 def _cmd_phase(args):
-    started = _now()
     solver = make_solver(args.solver)
     lambdas = [float(v) for v in args.lambdas.split(",")]
     rhos = [float(v) for v in args.rhos.split(",")]
@@ -261,15 +256,11 @@ def _cmd_phase(args):
         "solver": solver.label, "n": args.n, "lambdas": lambdas,
         "rhos": rhos, "trials": args.trials, "ensemble": args.ensemble,
     }
-    _write_manifest(
-        run_dir, args, resolved,
-        ["phase_points.csv", "phase_grid.csv"], started, _now(),
-    )
+    _write_manifest(run_dir, args, resolved, ["phase_points.csv", "phase_grid.csv"])
     return EXIT_NO_CONVERGENCE
 
 
 def _cmd_image(args):
-    started = _now()
     solver = make_solver(args.solver, **_settings(args))
     # a path holds at most M atoms, so the default kmax is capped there
     defaults = {**IMAGE_DEFAULTS, "kmax": min(IMAGE_DEFAULTS["kmax"], args.m)}
@@ -291,14 +282,12 @@ def _cmd_image(args):
         "input": args.input or "synthetic", "search": solver.params,
     }
     _write_manifest(
-        run_dir, args, resolved,
-        ["input.pgm", "sparsified.pgm", "reconstruction.pgm"], started, _now(),
+        run_dir, args, resolved, ["input.pgm", "sparsified.pgm", "reconstruction.pgm"]
     )
     return EXIT_OK if result.failed_blocks == 0 else EXIT_NO_CONVERGENCE
 
 
 def _cmd_rip(args):
-    started = _now()
     # unit-norm columns in expectation; the condition bounds assume that scale
     ens = gen_matrix(args.m, args.n, args.seed, entry_std=1.0 / math.sqrt(args.m))
     table = ric_table(ens.phi, args.levels)
@@ -316,7 +305,7 @@ def _cmd_rip(args):
         "n": args.n, "m": args.m, "k": args.k, "branch": args.branch,
         "kmax": args.kmax, "levels": args.levels,
     }
-    _write_manifest(run_dir, args, resolved, [path.name], started, _now())
+    _write_manifest(run_dir, args, resolved, [path.name])
     return EXIT_NO_CONVERGENCE
 
 
@@ -338,6 +327,7 @@ def main(argv=None):
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     args.argv = argv  # recorded verbatim in every manifest
+    args.started = _now()
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -26,6 +26,8 @@ from .astar import (
     hybrid_recover,
 )
 from .baselines import (
+    SETTINGS,
+    check_settings,
     omp_recover,
     sp_recover,
     iht_recover,
@@ -33,7 +35,7 @@ from .baselines import (
     mmp_df_recover,
 )
 from .linalg import check_problem
-from .results import attempt, check_epsilon
+from .results import attempt
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
@@ -60,6 +62,7 @@ EXACT_RTOL = 1e-2
 RECORD_FIELDS = [
     "solver", "seed", "N", "M", "K", "ensemble", "exact", "rel_err", "time_ms", "failed", "reason",
 ]
+SUMMARY_FIELDS = ["solver", "K", "rate", "anmse", "mean_time_ms", "trials"]
 
 
 def relative_error(x, xhat):
@@ -98,58 +101,37 @@ def _hybrid(phi, y, k, **settings):
 
 class Solver(NamedTuple):
     call: Callable  # (phi, y, k, **params) -> RecoveryOutput
-    fixed: dict
-    accepts: tuple
+    fixed: dict  # the settings its label fixes
 
 
-_CONFIG_KEYS = tuple(AompConfig.__dataclass_fields__)
-
-
-def _search_keys(cost_model, termination):
-    """The AompConfig keys a search with this cost model and termination reads."""
-    unused = {"alpha_amul" if cost_model == COST_MUL else "alpha_mul"}
-    if termination == TERM_SPARSITY:
-        unused.add("kmax")  # paths stop at K
-    return tuple(f for f in _CONFIG_KEYS if f not in unused)
-
-
-def _variant(cost_model, termination):
-    """A tree-search label: its cost model and termination are fixed."""
-    fixed = {"cost_model": cost_model, "termination": termination}
-    keys = _search_keys(cost_model, termination)
-    return Solver(_search, fixed, tuple(f for f in keys if f not in fixed))
-
-
-# Every solver by label.  The calls look their solver function up when
-# they run, so a wrapper installed on a module attribute sees every call.
+# Every solver by label; a tree-search label fixes its cost model and
+# termination.  The calls look their solver function up when they run,
+# so a wrapper installed on a module attribute sees every call.
 SOLVERS = {
-    "amul-aompe": _variant(COST_AMUL, TERM_RESIDUE),
-    "mul-aompe": _variant(COST_MUL, TERM_RESIDUE),
-    "mul-aompk": _variant(COST_MUL, TERM_SPARSITY),
-    "amul-aompk": _variant(COST_AMUL, TERM_SPARSITY),
-    "hybrid": Solver(_hybrid, {}, _CONFIG_KEYS),
-    "omp": Solver(lambda phi, y, k, **p: omp_recover(phi, y, **p), {}, ("epsilon", "max_iter")),
-    "sp": Solver(lambda phi, y, k, **p: sp_recover(phi, y, k, **p), {}, ("max_iter",)),
-    "iht": Solver(lambda phi, y, k, **p: iht_recover(phi, y, k, **p), {}, ("step", "max_iter")),
-    "fbp": Solver(
-        lambda phi, y, k, **p: fbp_recover(phi, y, **p),
-        {},
-        ("alpha", "beta", "epsilon", "max_iter"),
-    ),
-    "mmp-df": Solver(
-        lambda phi, y, k, **p: mmp_df_recover(phi, y, k, **p),
-        {},
-        ("branching", "max_paths", "epsilon"),
-    ),
+    "amul-aompe": Solver(_search, {"cost_model": COST_AMUL, "termination": TERM_RESIDUE}),
+    "mul-aompe": Solver(_search, {"cost_model": COST_MUL, "termination": TERM_RESIDUE}),
+    "mul-aompk": Solver(_search, {"cost_model": COST_MUL, "termination": TERM_SPARSITY}),
+    "amul-aompk": Solver(_search, {"cost_model": COST_AMUL, "termination": TERM_SPARSITY}),
+    "hybrid": Solver(_hybrid, {}),
+    "omp": Solver(lambda phi, y, k, **p: omp_recover(phi, y, **p), {}),
+    "sp": Solver(lambda phi, y, k, **p: sp_recover(phi, y, k, **p), {}),
+    "iht": Solver(lambda phi, y, k, **p: iht_recover(phi, y, k, **p), {}),
+    "fbp": Solver(lambda phi, y, k, **p: fbp_recover(phi, y, **p), {}),
+    "mmp-df": Solver(lambda phi, y, k, **p: mmp_df_recover(phi, y, k, **p), {}),
 }
 
 
-def _aomp_label(params):
-    """The tree-search label whose fixed settings match; pops them."""
-    wanted = {
-        "cost_model": params.pop("cost_model", COST_AMUL),
-        "termination": params.pop("termination", TERM_RESIDUE),
+def _search_kind(params):
+    """The cost model and termination of params, AompConfig's defaults
+    standing in for those not given."""
+    return {
+        key: params.get(key, getattr(AompConfig, key)) for key in ("cost_model", "termination")
     }
+
+
+def _aomp_label(params):
+    """The tree-search label whose fixed settings match params."""
+    wanted = _search_kind(params)
     for label, solver in SOLVERS.items():
         if solver.fixed == wanted:
             return label
@@ -194,19 +176,18 @@ class SolverSpec:
         if solver.call in (_search, _hybrid):
             settings = {key: v for key, v in self.params.items() if (key, v) != ("kmax", "auto")}
             AompConfig.from_dict(settings)
-        elif "epsilon" in self.params:
-            check_epsilon(self.params["epsilon"])
+        else:
+            check_settings(self.name, **self.params)
         self.label = self.label or self.name
 
     @property
     def accepts(self):
         """The param names the solver takes besides its fixed ones."""
-        if SOLVERS[self.name].call is _hybrid:
-            return _search_keys(
-                self.params.get("cost_model", COST_AMUL),
-                self.params.get("termination", TERM_RESIDUE),
-            )
-        return SOLVERS[self.name].accepts
+        solver = SOLVERS[self.name]
+        if solver.call in (_search, _hybrid):
+            keys = AompConfig.reads(**_search_kind(self.params))
+            return tuple(key for key in keys if key not in solver.fixed)
+        return tuple(SETTINGS[self.name])
 
     def run(self, phi, y, k):
         return SOLVERS[self.name].call(phi, y, k, **self.params)
@@ -301,15 +282,18 @@ def run_batch(solver, n, m, k, ensemble, trials, base_seed, jobs=1):
     return TrialBatchResult(records)
 
 
-def write_records_csv(records, path):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow([
-                r.solver, r.seed, r.n, r.m, r.k, r.ensemble, int(r.exact),
-                repr(r.rel_err), repr(r.time_ms), int(r.failed), r.reason,
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_records_csv(records, path):
+    _write_csv(path, RECORD_FIELDS, ([
+        r.solver, r.seed, r.n, r.m, r.k, r.ensemble, int(r.exact),
+        repr(r.rel_err), repr(r.time_ms), int(r.failed), r.reason,
+    ] for r in records))
 
 
 @dataclass
@@ -331,27 +315,13 @@ class SweepResult:
         rows = []
         for k in sorted(self.batches):
             for label in sorted(self.batches[k]):
-                batch = self.batches[k][label]
-                rows.append(
-                    {
-                        "solver": label,
-                        "K": k,
-                        "rate": batch.rate,
-                        "anmse": batch.anmse,
-                        "mean_time_ms": batch.mean_time_ms,
-                        "trials": batch.trials,
-                    }
-                )
+                b = self.batches[k][label]
+                values = (label, k, b.rate, b.anmse, b.mean_time_ms, b.trials)
+                rows.append(dict(zip(SUMMARY_FIELDS, values)))
         return rows
 
     def write_summary_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["solver", "K", "rate", "anmse", "mean_time_ms", "trials"]
-            )
-            writer.writeheader()
-            for row in self.summary_rows():
-                writer.writerow(row)
+        _write_csv(path, SUMMARY_FIELDS, (row.values() for row in self.summary_rows()))
 
 
 def sweep_k(solvers, n, m, k_values, ensemble, trials, base_seed, jobs=1):
@@ -487,27 +457,15 @@ class PhaseTransitionCurve:
     points: list
 
     def write_points_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "rho_star", "censored", "trials"])
-            for p in self.points:
-                writer.writerow(
-                    [
-                        repr(p.lam),
-                        "" if p.rho_star is None else repr(p.rho_star),
-                        p.censored or "",
-                        p.trials,
-                    ]
-                )
+        _write_csv(path, ["lambda", "rho_star", "censored", "trials"], ([
+            repr(p.lam), "" if p.rho_star is None else repr(p.rho_star), p.censored or "", p.trials,
+        ] for p in self.points))
 
     def write_grid_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "rho", "M", "K", "successes", "trials", "rate"])
-            for c in self.cells:
-                writer.writerow(
-                    [repr(c.lam), repr(c.rho), c.m, c.k, c.successes, c.trials, repr(c.rate)]
-                )
+        _write_csv(path, ["lambda", "rho", "M", "K", "successes", "trials", "rate"], (
+            [repr(c.lam), repr(c.rho), c.m, c.k, c.successes, c.trials, repr(c.rate)]
+            for c in self.cells
+        ))
 
 
 def phase_transition(solver, n, lambdas, rhos, trials, base_seed, ensemble="gaussian", jobs=1):

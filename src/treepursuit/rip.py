@@ -102,6 +102,12 @@ def ric_table(phi, lmax, guard=SUBSET_GUARD, progress=None):
     return RicTable(m=phi.shape[0], n=phi.shape[1], deltas=deltas)
 
 
+def _path_bound(k, b, n_c=0, factor=1.0):
+    """factor * sqrt(B)/(sqrt(K - n_c) + sqrt(B)): the isometry bound of
+    a path that holds n_c true atoms, factor applied to the numerator."""
+    return factor * math.sqrt(b) / (math.sqrt(k - n_c) + math.sqrt(b))
+
+
 def theorem1_bound(k, b, n_c):
     """Per-expansion success bound min(sqrt(B)/(sqrt(K - n_c) + sqrt(B)), 1/2).
 
@@ -112,17 +118,11 @@ def theorem1_bound(k, b, n_c):
         raise ValueError("b must be >= 1")
     if not 0 <= n_c < k:
         raise ValueError("n_c must satisfy 0 <= n_c < k")
-    ratio = math.sqrt(b) / (math.sqrt(k - n_c) + math.sqrt(b))
-    return min(ratio, 0.5)
-
-
-def _theorem1_branch(k, b, n_c):
-    ratio = math.sqrt(b) / (math.sqrt(k - n_c) + math.sqrt(b))
-    return "sqrt" if ratio < 0.5 else "half"
+    return min(_path_bound(k, b, n_c), 0.5)
 
 
 def theorem2_bound(k, b):
-    return math.sqrt(b) / (math.sqrt(k) + math.sqrt(b))
+    return _path_bound(k, b)
 
 
 @dataclass
@@ -158,7 +158,7 @@ def theorem2_check(ric, k, b):
         passes=delta < bound,
         delta=delta,
         bound=bound,
-        detail={"omp_bound": 1.0 / (math.sqrt(k) + 1.0), "K": k, "B": b},
+        detail={"omp_bound": _path_bound(k, 1), "K": k, "B": b},
     )
 
 
@@ -174,25 +174,18 @@ def theorem3_check(ric, k, b, n_c, n_f, kmax):
         raise ValueError("k and b must be >= 1")
     if not 0 <= n_c <= k or n_f < 0:
         raise ValueError("need 0 <= n_c <= k and n_f >= 0")
-    bound = (
-        math.sqrt(b) / (math.sqrt(k - n_c) + math.sqrt(b)) if n_c < k else 1.0
-    )
+    bound = _path_bound(k, b, n_c) if n_c < k else 1.0
     length_ok = (k + n_f) <= kmax
-    if not length_ok:
-        return ConditionCheck(
-            name="theorem3",
-            passes=False,
-            delta=ric.deltas.get(k + n_f + b) if ric is not None else None,
-            bound=bound,
-            detail={"length_ok": False, "K": k, "B": b, "n_c": n_c, "n_f": n_f, "kmax": kmax},
-        )
-    delta = ric.delta(k + n_f + b)
+    if length_ok:
+        delta = ric.delta(k + n_f + b)
+    else:
+        delta = ric.deltas.get(k + n_f + b) if ric is not None else None
     return ConditionCheck(
         name="theorem3",
-        passes=delta < bound,
+        passes=length_ok and delta < bound,
         delta=delta,
         bound=bound,
-        detail={"length_ok": True, "K": k, "B": b, "n_c": n_c, "n_f": n_f, "kmax": kmax},
+        detail={"length_ok": length_ok, "K": k, "B": b, "n_c": n_c, "n_f": n_f, "kmax": kmax},
     )
 
 
@@ -282,8 +275,8 @@ def theorem5_window(ric, k, b, n_c, n_f):
         return ConditionWindow(True, "n_c must be below K")
     if n_c < bound:
         return ConditionWindow(True, "n_c below the required true-atom count")
-    lo = 3.0 * math.sqrt(b) / (math.sqrt(k) + math.sqrt(b))
-    hi = math.sqrt(b) / (math.sqrt(k - n_c) + math.sqrt(b))
+    lo = _path_bound(k, b, factor=3.0)
+    hi = _path_bound(k, b, n_c)
     if lo > hi:
         return ConditionWindow(True, "window endpoints cross", lo=lo, hi=hi)
     delta = None
@@ -339,6 +332,7 @@ def condition_report(ric, k, b, n_c=0, n_f=0, kmax=None):
     if kmax is None:
         kmax = k
     valid, bound = nc_lower_bound(k, b)
+    bound1 = theorem1_bound(k, b, n_c) if n_c < k else None
     report = {
         "K": k,
         "B": b,
@@ -347,8 +341,8 @@ def condition_report(ric, k, b, n_c=0, n_f=0, kmax=None):
         "kmax": kmax,
         "nc_lower_bound": {"valid": valid, "bound": bound},
         "theorem1": {
-            "bound": theorem1_bound(k, b, n_c) if n_c < k else None,
-            "branch": _theorem1_branch(k, b, n_c) if n_c < k else None,
+            "bound": bound1,
+            "branch": None if bound1 is None else ("sqrt" if bound1 < 0.5 else "half"),
         },
         "theorem5": theorem5_window(ric, k, b, n_c, n_f).to_dict(),
     }

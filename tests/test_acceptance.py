@@ -32,6 +32,8 @@ from treepursuit.rip import (
 )
 from treepursuit.siggen import derive_seed, gen_matrix, gen_problem
 
+pytestmark = pytest.mark.slow
+
 BASE_SEED = 20260815
 DESK_N, DESK_M, TRIALS = 256, 100, 50
 

@@ -22,6 +22,7 @@ from treepursuit.results import (
     REASON_MAX_ITER,
     REASON_RESIDUE,
     REASON_STALLED,
+    SettingsError,
 )
 from treepursuit.siggen import derive_seed, gen_problem
 
@@ -388,3 +389,25 @@ def test_all_baselines_reject_bad_input():
             solve(ens.phi, inst.y.astype(complex))
         with pytest.raises(ValueError, match="length M"):
             solve(ens.phi, inst.y[:-1])
+
+
+@pytest.mark.parametrize("solve, settings, message", [
+    (omp_recover, {"max_iter": 0}, "max_iter"),
+    (omp_recover, {"max_iter": 2.5}, "max_iter"),
+    (lambda phi, y, **kw: sp_recover(phi, y, 4, **kw), {"max_iter": 0}, "max_iter"),
+    (lambda phi, y, **kw: iht_recover(phi, y, 4, **kw), {"max_iter": 0}, "max_iter"),
+    (lambda phi, y, **kw: iht_recover(phi, y, 4, **kw), {"step": float("nan")}, "step"),
+    (lambda phi, y, **kw: iht_recover(phi, y, 4, **kw), {"step": 0.0}, "step"),
+    (fbp_recover, {"max_iter": 0}, "max_iter"),
+    (fbp_recover, {"alpha": 1}, "alpha > beta"),
+    (fbp_recover, {"beta": 4}, "alpha > beta"),  # the default alpha at M = 20 is 4
+    (fbp_recover, {"alpha": 2.7, "beta": 1.2}, "alpha"),
+    (lambda phi, y, **kw: mmp_df_recover(phi, y, 4, **kw), {"branching": 0}, "branching"),
+    (lambda phi, y, **kw: mmp_df_recover(phi, y, 4, **kw), {"max_paths": 0}, "max_paths"),
+])
+def test_settings_that_fit_no_instance_raise_at_solver_entry(solve, settings, message):
+    # zero measurements too: a solver returns early on them, after the check
+    ens, inst = gen_problem(20, 40, 4, "gaussian", 1)
+    for y in (inst.y, np.zeros(20)):
+        with pytest.raises(SettingsError, match=message):
+            solve(ens.phi, y, **settings)

@@ -141,18 +141,31 @@ def test_settings_that_fit_no_instance_abort_the_batch():
         run_batch(make_solver("hybrid", kmax=120), 256, 100, 20, "gaussian", 2, 1, jobs=2)
     with pytest.raises(ValueError, match="exceeds"):
         phase_transition(make_solver("aomp", kmax=30), 64, [0.2], [0.2], 2, 0)
-    # so do baseline settings outside their range, serial and in workers
+    # so do baseline settings that need M to fail, serial and in workers
     for spec, message in [
-        (make_solver("omp", max_iter=0), "max_iter"),
-        (make_solver("fbp", alpha=1), "alpha > beta"),
-        (make_solver("mmp-df", branching=0), "branching"),
-        (make_solver("mmp-df", max_paths=0), "max_paths"),
-        (make_solver("iht", step=float("nan")), "step"),
-        (make_solver("iht", step=float("inf")), "step"),
+        (make_solver("omp", max_iter=33), "max_iter"),
+        (make_solver("fbp", beta=6), "alpha > beta"),
     ]:
         for jobs in (1, 2):
             with pytest.raises(SettingsError, match=message):
                 run_batch(spec, 64, 32, 4, "gaussian", 3, 1, jobs=jobs)
+    # baseline settings that fit no M fail when the spec is built
+    for name, params, message in [
+        ("omp", {"max_iter": 0}, "max_iter"),
+        ("omp", {"max_iter": 2.5}, "max_iter"),
+        ("sp", {"max_iter": 0}, "max_iter"),
+        ("iht", {"max_iter": -1}, "max_iter"),
+        ("fbp", {"max_iter": 0}, "max_iter"),
+        ("fbp", {"alpha": 1}, "alpha > beta"),
+        ("fbp", {"alpha": 3, "beta": 3}, "alpha > beta"),
+        ("fbp", {"alpha": 2.7, "beta": 1.2}, "alpha"),
+        ("mmp-df", {"branching": 0}, "branching"),
+        ("mmp-df", {"max_paths": 0}, "max_paths"),
+        ("iht", {"step": float("nan")}, "step"),
+        ("iht", {"step": float("inf")}, "step"),
+    ]:
+        with pytest.raises(SettingsError, match=message):
+            make_solver(name, **params)
 
 
 def test_batches_pair_instances_across_solvers():

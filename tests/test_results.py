@@ -72,22 +72,42 @@ def shapes(draw):
     return m, n, draw(st.integers(1, min(n, m // 2)))
 
 
-@settings(deadline=None, max_examples=400)
+@settings(deadline=None, max_examples=600)
 @given(
     label=st.sampled_from(list(SOLVERS)),
     shape=shapes(),
     ensemble=st.sampled_from(ENSEMBLES),
     seed=st.integers(0, 2**16),
+    variant=st.sampled_from(
+        ["drawn", "zero y", "every column twice", "every column twice, y off range"]
+    ),
 )
-@example(label="sp", shape=(4, 2, 2), ensemble="gaussian", seed=0)
-def test_every_solver_keeps_the_exit_contract(label, shape, ensemble, seed):
+@example(label="sp", shape=(4, 2, 2), ensemble="gaussian", seed=0, variant="drawn")
+# each reaches a rank-deficient support: sp's union, then omp, mmp-df and a search
+@example(label="sp", shape=(2, 2, 1), ensemble="gaussian", seed=2, variant="every column twice")
+@example(label="omp", shape=(3, 2, 1), ensemble="gaussian", seed=0,
+         variant="every column twice, y off range")
+@example(label="mmp-df", shape=(4, 2, 2), ensemble="gaussian", seed=0,
+         variant="every column twice, y off range")
+@example(label="amul-aompe", shape=(3, 2, 1), ensemble="gaussian", seed=0,
+         variant="every column twice, y off range")
+def test_every_solver_keeps_the_exit_contract(label, shape, ensemble, seed, variant):
     m, n, k = shape
     ens, inst = gen_problem(m, n, k, ensemble, seed)
+    phi, y = ens.phi, inst.y
+    if variant == "zero y":
+        y = np.zeros(m)
+    elif variant.startswith("every column twice"):
+        phi = np.hstack([phi, phi])  # rank-deficient supports
+    if variant.endswith("y off range"):
+        # on a tall phi, only twins of the chosen atoms are left to pick
+        # once the others are taken
+        y = np.random.default_rng(seed).normal(size=m)
     solver = make_solver(label)
-    out = solver.run(ens.phi, inst.y, k)
-    residual = float(np.linalg.norm(inst.y - ens.phi @ out.xhat))
+    out = solver.run(phi, y, k)
+    residual = float(np.linalg.norm(y - phi @ out.xhat))
     assert out.residual_norm == residual
-    assert (out.reason == REASON_RESIDUE) == (residual <= 1e-6 * np.linalg.norm(inst.y))
+    assert (out.reason == REASON_RESIDUE) == (residual <= 1e-6 * np.linalg.norm(y))
     assert out.converged == (out.reason not in (REASON_BUDGET, REASON_DIVERGED))
-    again = solver.run(ens.phi, inst.y, k)
+    again = solver.run(phi, y, k)
     assert again.to_dict(include_times=False) == out.to_dict(include_times=False)
