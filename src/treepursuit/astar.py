@@ -22,6 +22,7 @@ from .baselines import omp_recover
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    _top_few,
     check_problem,
     correlations,
     top_indices,
@@ -71,6 +72,34 @@ class AuditError(AssertionError):
     """A search invariant was violated (only raised with audit enabled)."""
 
 
+# the range each decay factor lies in, as its message prints it and as a test
+_ALPHA_RANGES = {
+    "alpha_mul": ("(0, 1)", lambda alpha: 0.0 < alpha < 1.0),
+    "alpha_amul": ("(0, 1]", lambda alpha: 0.0 < alpha <= 1.0),
+}
+
+
+def _check_alpha(key, alpha):
+    text, holds = _ALPHA_RANGES[key]
+    if not holds(alpha):
+        raise ValueError("%s must lie in %s" % (key, text))
+
+
+# the two cost formulas, unchecked: cost_mul, cost_amul and
+# AompConfig.path_cost all evaluate them
+def _mul_cost(norms, kmax, alpha):
+    length = len(norms) - 1
+    return alpha ** (kmax - length) * norms[-1]
+
+
+def _amul_cost(norms, kmax, alpha):
+    length = len(norms) - 1
+    prev, cur = norms[-2], norms[-1]
+    if prev == 0.0:
+        return 0.0
+    return (alpha * cur / prev) ** (kmax - length) * cur
+
+
 def cost_mul(norms, kmax, alpha_mul):
     """Fixed-decay path cost: alpha^(kmax - l) * ||r_l||.
 
@@ -78,12 +107,10 @@ def cost_mul(norms, kmax, alpha_mul):
     the path length l is len(norms) - 1.  Unexplored positions are assumed
     to shrink the residue by the constant factor alpha_mul per atom.
     """
-    if not 0.0 < alpha_mul < 1.0:
-        raise ValueError("alpha_mul must lie in (0, 1)")
-    length = len(norms) - 1
-    if length > kmax:
+    _check_alpha("alpha_mul", alpha_mul)
+    if len(norms) - 1 > kmax:
         raise ValueError("path longer than kmax")
-    return alpha_mul ** (kmax - length) * norms[-1]
+    return _mul_cost(norms, kmax, alpha_mul)
 
 
 def cost_amul(norms, kmax, alpha_amul):
@@ -93,17 +120,13 @@ def cost_amul(norms, kmax, alpha_amul):
     a path needs at least one selected atom.  A zero previous residue means
     the path already hit the signal exactly; its cost is zero.
     """
-    if not 0.0 < alpha_amul <= 1.0:
-        raise ValueError("alpha_amul must lie in (0, 1]")
+    _check_alpha("alpha_amul", alpha_amul)
     length = len(norms) - 1
     if length < 1:
         raise ValueError("adaptive cost needs at least one selected atom")
     if length > kmax:
         raise ValueError("path longer than kmax")
-    prev, cur = norms[-2], norms[-1]
-    if prev == 0.0:
-        return 0.0
-    return (alpha_amul * cur / prev) ** (kmax - length) * cur
+    return _amul_cost(norms, kmax, alpha_amul)
 
 
 @dataclass(frozen=True)
@@ -151,21 +174,24 @@ class AompConfig:
             raise ValueError("unknown cost model %r" % (self.cost_model,))
         if self.termination not in TERMINATIONS:
             raise ValueError("unknown termination rule %r" % (self.termination,))
-        if not 0.0 < self.alpha_amul <= 1.0:
-            raise ValueError("alpha_amul must lie in (0, 1]")
-        if self.cost_model == COST_MUL and not 0.0 < self.alpha_mul < 1.0:
-            raise ValueError("alpha_mul must lie in (0, 1)")
+        _check_alpha("alpha_amul", self.alpha_amul)
+        if self.cost_model == COST_MUL:
+            _check_alpha("alpha_mul", self.alpha_mul)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
     @staticmethod
     def check_setting(key, value):
         """Raise ValueError unless `for_problem` takes `value` for `key`:
-        a value of the field's type, or kmax "auto"."""
+        a value of the field's type, or kmax "auto".  Returns whether the
+        value is known before the instance: False only for kmax "auto",
+        which `for_problem` sizes from the instance."""
         if key not in _FIELD_KINDS:
             raise ValueError("unknown config key %r" % key)
-        if (key, value) != ("kmax", "auto"):
-            _check_type(key, value)
+        if (key, value) == ("kmax", "auto"):
+            return False
+        _check_type(key, value)
+        return True
 
     @staticmethod
     def reads(cost_model, termination):
@@ -181,9 +207,12 @@ class AompConfig:
         return self.epsilon
 
     def path_cost(self, norms):
+        """`cost_mul` or `cost_amul` of a path of length 1..kmax, without
+        their checks: `validate` checked alpha, and the search builds no
+        path longer than kmax."""
         if self.cost_model == COST_MUL:
-            return cost_mul(norms, self.kmax, self.alpha_mul)
-        return cost_amul(norms, self.kmax, self.alpha_amul)
+            return _mul_cost(norms, self.kmax, self.alpha_mul)
+        return _amul_cost(norms, self.kmax, self.alpha_amul)
 
     @classmethod
     def sparsity_based(cls, k, **settings):
@@ -353,7 +382,8 @@ def expand(trie, best, phi, y, config):
     """
     report = ExpansionReport()
     n = phi.shape[1]
-    corr = correlations(phi, best.fact.residue)
+    # phi and the residue were checked when the search began
+    corr = np.abs(phi.T @ best.fact.residue)
     if config.audit and best.support:
         held = float(np.max(corr[list(best.support)]))
         if held > 1e-10 * best.norms[0]:
@@ -363,7 +393,7 @@ def expand(trie, best, phi, y, config):
         best.exhausted = True
         return report
     threshold = config.effective_epsilon() * best.norms[0]
-    for j in top_indices(corr, width, exclude=set(best.support)):
+    for j in _top_few(corr, width, best.support):
         report.children_evaluated += 1
         try:
             child = best.extended(j, phi, config)

@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    _top_few,
     check_problem,
     correlations,
     project,
@@ -91,6 +92,18 @@ def _prep(phi, y):
     return phi, y, float(np.linalg.norm(y))
 
 
+def _project_independent(y, phi, support):
+    """`project` on `support` less each atom it finds dependent on the atoms
+    before it, dropped one at a time; returns (kept, z, r), kept in support
+    order."""
+    kept = list(support)
+    while True:
+        try:
+            return (kept, *project(y, phi, kept))
+        except SingularSupportError as err:
+            kept.remove(err.atom)
+
+
 def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     """Orthogonal matching pursuit.
 
@@ -115,8 +128,7 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
         if fact.length == n:
             reason = REASON_STALLED  # no atom left outside the support
             break
-        corr = correlations(phi, fact.residue)
-        j = top_indices(corr, 1, exclude=set(fact.support))[0]
+        j = _top_few(np.abs(phi.T @ fact.residue), 1, fact.support)[0]
         try:
             fact = fact.appended(j, phi[:, j])
         except SingularSupportError:
@@ -136,7 +148,8 @@ def sp_recover(phi, y, k, max_iter=100):
     prunes back to the k largest-magnitude coefficients (ties by ascending
     index), and reprojects.  Terminates when the residue norm stops
     decreasing, returning the previous iterate, or when no atom is left
-    outside the support (2k > N).
+    outside the support (2k > N).  An atom that lies in the span of the
+    atoms before it in a support is dropped from that support.
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
@@ -146,11 +159,7 @@ def sp_recover(phi, y, k, max_iter=100):
         raise ValueError("sp_recover needs 1 <= k <= min(M/2, N)")
     if ynorm == 0.0:
         return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
-    support = sorted(top_indices(correlations(phi, y), k))
-    try:
-        z, r = project(y, phi, support)
-    except SingularSupportError:
-        return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_STALLED, "sp", t0)
+    support, z, r = _project_independent(y, phi, sorted(top_indices(correlations(phi, y), k)))
     best_res = float(np.linalg.norm(r))
     reason = REASON_MAX_ITER
     iterations = 0
@@ -161,13 +170,10 @@ def sp_recover(phi, y, k, max_iter=100):
             reason = REASON_STALLED
             break
         cand = top_indices(correlations(phi, r), width, exclude=set(support))
-        union = sorted(set(support) | set(cand))
-        try:
-            z_union, _ = project(y, phi, union)
-        except SingularSupportError:
-            reason = REASON_STALLED
-            break
-        new_support = sorted(union[i] for i in top_indices(np.abs(z_union), k))
+        union, z_union, _ = _project_independent(y, phi, sorted(set(support) | set(cand)))
+        new_support = union
+        if len(union) > k:
+            new_support = sorted(union[i] for i in top_indices(np.abs(z_union), k))
         z_new, r_new = project(y, phi, new_support)
         res_new = float(np.linalg.norm(r_new))
         if res_new >= best_res:
@@ -234,8 +240,10 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     index), and projects again, so the support grows by alpha - beta per
     round.  Defaults: alpha = round(0.2 M), beta = alpha - 1.  Terminates
     on the residue criterion, when the expanded support would exceed M, or
-    after max_iter rounds (default M).  Atoms with |z_j| <= 1e-10 max|z|
-    are rounding noise and are left out of the returned support.
+    after max_iter rounds (default M).  An atom that lies in the span of
+    the atoms before it in the expanded support is dropped and counts
+    toward the beta.  Atoms with |z_j| <= 1e-10 max|z| are rounding noise
+    and are left out of the returned support.
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
@@ -263,15 +271,16 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
             break
         fwd = top_indices(correlations(phi, r), width, exclude=set(support))
         expanded = sorted(set(support) | set(fwd))
-        try:
-            z_exp, _ = project(y, phi, expanded)
-        except SingularSupportError:
-            reason = REASON_STALLED
+        kept, z_exp, _ = _project_independent(y, phi, expanded)
+        if not kept:
+            reason = REASON_STALLED  # every atom offered is a zero column
             break
-        # with fewer than alpha atoms left, fewer than beta may be expanded
-        drop = top_indices(-np.abs(z_exp), min(beta, len(expanded)))
-        dropped = {expanded[i] for i in drop}
-        support = [j for j in expanded if j not in dropped]
+        # with fewer than alpha atoms left, fewer than beta may be expanded;
+        # atoms found dependent count toward the beta dropped
+        count = min(beta, len(expanded)) - (len(expanded) - len(kept))
+        drop = top_indices(-np.abs(z_exp), count) if count > 0 else ()
+        dropped = {kept[i] for i in drop}
+        support = [j for j in kept if j not in dropped]
         z, r = project(y, phi, support)
         if float(np.linalg.norm(r)) <= threshold:
             break
@@ -309,9 +318,9 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
                 state["best"] = fact
                 state["best_res"] = fact.residue_norm
             return None
-        corr = correlations(phi, fact.residue)
+        corr = np.abs(phi.T @ fact.residue)
         width = min(branching, n - fact.length)
-        for j in top_indices(corr, width, exclude=set(fact.support)):
+        for j in _top_few(corr, width, fact.support):
             if state["complete"] >= max_paths:
                 return None
             try:

@@ -174,8 +174,9 @@ class SolverSpec:
                     "%s takes no %r (it takes: %s)" % (self.name, key, ", ".join(self.accepts))
                 )
         if solver.call in (_search, _hybrid):
-            settings = {key: v for key, v in self.params.items() if (key, v) != ("kmax", "auto")}
-            AompConfig.from_dict(settings)
+            AompConfig.from_dict(
+                {key: v for key, v in self.params.items() if AompConfig.check_setting(key, v)}
+            )
         else:
             check_settings(self.name, **self.params)
         self.label = self.label or self.name

@@ -1,14 +1,18 @@
 """Dense linear-algebra kernel shared by every solver.
 
 Input validation, correlation scores, deterministic top-k selection, and
-least-squares projection, on numpy alone.  `project` solves least squares
-on a whole support with one Householder QR (`np.linalg.qr`); SP and FBP,
-which rebuild their support every round, use it.  The solvers that
-extend a support one atom at a time (OMP, MMP-DF and the tree search)
-keep an incremental QR factorization instead (modified Gram-Schmidt with
-one reorthogonalization pass), so search paths that share a prefix can
-branch cheaply: appending one atom costs O(M*l) and copies nothing of the
-parent's factorization.  A child keeps a reference to its parent plus its
+least-squares projection, on numpy alone.  The public kernels check their
+inputs on every call.  A solver checks its problem once, at entry
+(`check_problem`); the inner loops of the tree search, OMP and MMP-DF
+then score correlations as the bare `np.abs(phi.T @ r)` and pick their
+few best atoms with `_top_few`, neither of which checks anything.
+`project` solves least squares on a whole support with one Householder
+QR (`np.linalg.qr`); SP and FBP, which rebuild their support every
+round, use it.  The solvers that extend a support one atom at a time
+(OMP, MMP-DF and the tree search) keep an incremental QR factorization
+instead (modified Gram-Schmidt with one reorthogonalization pass), so
+search paths that share a prefix can branch cheaply: appending one atom
+costs O(M*l) and copies nothing of the parent's factorization.  A child keeps a reference to its parent plus its
 own new column and assembles its full Q, R and Q^T y only when they are
 first read, so children that are never extended or returned never pay
 for that copy.  Both solve the square upper-triangular system
@@ -37,7 +41,15 @@ DEPENDENCY_TOL = 1e-12
 
 
 class SingularSupportError(Exception):
-    """The requested support set is numerically rank deficient."""
+    """The requested support set is numerically rank deficient; `atom` is
+    the first atom that lies in the span of the atoms before it."""
+
+    def __init__(self, atom):
+        super().__init__(atom)
+        self.atom = atom
+
+    def __str__(self):
+        return "atom %d is linearly dependent on the current support" % self.atom
 
 
 def _real_finite(x, name):
@@ -116,6 +128,23 @@ def top_indices(scores, count, exclude=()):
     if excluded:
         order[list(excluded)] = np.inf
     return np.argsort(order, kind="stable")[:count].tolist()
+
+
+def _top_few(scores, count, exclude):
+    """`top_indices` without its checks, for the few children of an inner
+    loop: `count` repeated argmax passes over a masked copy of the scores.
+    argmax takes the first of equal scores, which is the ascending-index
+    rule.  The caller guarantees finite scores and at least `count`
+    indices outside `exclude`; at larger counts the sort is faster."""
+    masked = scores.copy()
+    if exclude:
+        masked[list(exclude)] = -np.inf
+    picked = []
+    for _ in range(count):
+        j = int(masked.argmax())
+        picked.append(j)
+        masked[j] = -np.inf
+    return picked
 
 
 class IncrementalFactorization:
@@ -214,9 +243,7 @@ class IncrementalFactorization:
         coef += extra
         vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
-            raise SingularSupportError(
-                "atom %d is linearly dependent on the current support" % index
-            )
+            raise SingularSupportError(int(index))
         qhat = v / vnorm
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
         proj = float(qhat.dot(self.residue))
@@ -269,8 +296,6 @@ def project(y, phi, support):
     dependent = (colnorms == 0.0) | (np.abs(np.diag(rmat)) < DEPENDENCY_TOL * colnorms)
     if dependent.any():
         i = int(np.argmax(dependent))
-        raise SingularSupportError(
-            "atom %d is linearly dependent on the current support" % support[i]
-        )
+        raise SingularSupportError(support[i])
     z = np.linalg.solve(rmat, q.T @ y)
     return z, y - sub @ z

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treepursuit import astar
+from treepursuit import astar, baselines
 from treepursuit.astar import (
     AompConfig,
     AuditError,
@@ -16,7 +18,7 @@ from treepursuit.astar import (
     init_search,
     select_best_incomplete,
 )
-from treepursuit.baselines import omp_recover
+from treepursuit.baselines import mmp_df_recover, omp_recover
 from treepursuit.linalg import IncrementalFactorization
 from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, REASON_RESIDUE
 from treepursuit.siggen import derive_seed, gen_problem
@@ -45,6 +47,31 @@ def test_cost_model_domains():
         cost_amul((1.0, 0.5), 5, 1.5)
     # a path that already annihilated the residue costs nothing
     assert cost_amul((1.0, 0.0, 0.0), 5, 0.97) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(["mul", "amul"]),
+    kmax=st.integers(1, 70),
+    alpha=st.floats(1e-3, 1.0, exclude_max=True),
+    data=st.data(),
+)
+def test_path_cost_equals_the_checked_cost_bit_for_bit(model, kmax, alpha, data):
+    length = data.draw(st.integers(1, kmax))
+    # a residue history never rises along a path
+    norms = sorted(data.draw(st.lists(
+        st.floats(0.0, 1e3, allow_subnormal=False), min_size=length + 1, max_size=length + 1,
+    )), reverse=True)
+    if data.draw(st.booleans()):
+        norms[-2:] = [0.0, 0.0]  # a path that already met the signal exactly
+    norms = tuple(norms)
+    if model == "mul":
+        config = AompConfig(kmax=kmax, cost_model=model, alpha_mul=alpha)
+        checked = cost_mul(norms, kmax, alpha)
+    else:
+        config = AompConfig(kmax=kmax, cost_model=model, alpha_amul=alpha)
+        checked = cost_amul(norms, kmax, alpha)
+    assert config.path_cost(norms).hex() == float(checked).hex()
 
 
 def test_cost_prefers_shorter_when_equal_norms():
@@ -269,6 +296,31 @@ def test_audit_catches_a_corrupted_search(monkeypatch, corrupt, message):
     cfg = AompConfig(kmax=12, initial_paths=3, max_paths=5, audit=True)
     with pytest.raises(AuditError, match=message):
         aomp_recover(ens.phi, inst.y, cfg)
+
+
+def test_inner_loops_run_no_checked_kernel(monkeypatch):
+    # the problem is checked once at entry; a search reaches the checked
+    # correlations and top_indices only through init_search, and OMP and
+    # MMP-DF not at all
+    calls = {}
+    for module in (astar, baselines):
+        for name in ("correlations", "top_indices"):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _key=(module.__name__, name), **kwargs):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    ens, inst = gen_problem(40, 80, 12, "gaussian", 5)
+    out = aomp_recover(ens.phi, inst.y, AompConfig(kmax=30))
+    assert out.iterations > 1
+    assert calls == {("treepursuit.astar", "correlations"): 1,
+                     ("treepursuit.astar", "top_indices"): 1}
+    calls.clear()
+    assert omp_recover(ens.phi, inst.y).iterations > 1
+    assert mmp_df_recover(ens.phi, inst.y, 12).nodes_expanded > 1
+    assert calls == {}
 
 
 def test_kmax_beyond_m_is_rejected():

@@ -319,6 +319,17 @@ def test_golden_sp_fbp():
         assert got == fbp_pin, ("fbp", ensemble, k, seed, effective.tolist())
 
 
+def test_sp_and_fbp_go_on_past_twin_columns():
+    # every column twice: the first selections hold twins, and `project`
+    # names the later twin, which SP and FBP drop before going on
+    ens, inst = gen_problem(20, 30, 4, "gaussian", 3)
+    phi = np.hstack([ens.phi, ens.phi])
+    assert sorted(omp_recover(phi, inst.y).support) == [2, 10, 15, 18]
+    for out in (sp_recover(phi, inst.y, 4), fbp_recover(phi, inst.y)):
+        assert out.reason == REASON_RESIDUE, out.solver
+        assert sorted(out.support) == [2, 10, 15, 18], out.solver
+
+
 def test_mmp_beats_single_path_when_first_choice_is_wrong():
     # depth-first multipath explores alternatives, so across many hard
     # instances it should recover at least as often as plain OMP

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    _top_few,
     check_problem,
     correlations,
     project,
@@ -169,6 +170,10 @@ def test_top_indices_matches_sorted_reference(scores, data):
     picked = top_indices(np.array(scores), count, exclude=form(excluded))
     assert picked == reference[:count]
     assert all(type(i) is int for i in picked)
+    # the unchecked kernel of the solver inner loops, on the same draw
+    few = _top_few(np.array(scores), count, form(excluded))
+    assert few == reference[:count]
+    assert all(type(i) is int for i in few)
     with pytest.raises(ValueError):
         top_indices(scores, available + 1, exclude=form(excluded))
 
@@ -317,11 +322,13 @@ def test_project_agrees_with_lstsq_and_the_incremental_factorization(seed, m, da
         project(y, phi, support + [data.draw(st.sampled_from(support))])
     zeroed = np.column_stack([phi, np.zeros(m)])
     at = data.draw(st.integers(0, len(support)))
-    with pytest.raises(SingularSupportError, match="atom %d" % n):
+    with pytest.raises(SingularSupportError, match="atom %d" % n) as err:
         project(y, zeroed, support[:at] + [n] + support[at:])
+    assert err.value.atom == n
     combined = np.column_stack([phi, sub @ rng.normal(size=len(support))])
-    with pytest.raises(SingularSupportError, match="atom %d" % n):
+    with pytest.raises(SingularSupportError, match="atom %d" % n) as err:
         project(y, combined, support + [n])
+    assert err.value.atom == n
 
 
 def test_check_problem_rejects_bad_input():
