@@ -3,18 +3,21 @@
 The search keeps up to P candidate support paths in cost order in a
 registry keyed by their sorted support sets, which also remembers every set
 ever opened.  Each round the cheapest incomplete path is expanded with its
-B best-correlated atoms.  A candidate that meets the residue criterion ends
-the search at once; otherwise it is inserted unless an equal support set
-has been opened before, replacing the expanded path first, filling spare
-capacity next, and finally displacing the costliest live path when it is
-cheaper.  Two multiplicative cost models make paths of different lengths
-comparable, and termination is either sparsity-based (paths capped at K
-atoms, best complete path returned) or residue-based (terminate once some
-candidate's residue drops below epsilon * ||y||).
+B best-correlated atoms.  A candidate whose support set has been opened
+before is skipped without being factorized: a set is opened only after it
+failed the residue test or ended the search, and the same set leaves the
+same residue.  Any other candidate that meets the residue criterion ends
+the search at once; otherwise it is inserted, replacing the expanded path
+first, filling spare capacity next, and finally displacing the costliest
+live path when it is cheaper.  Two multiplicative cost models make paths
+of different lengths comparable, and termination is either sparsity-based
+(paths capped at K atoms, best complete path returned) or residue-based
+(terminate once some candidate's residue drops below epsilon * ||y||).
 """
 
 import time
-from dataclasses import dataclass, asdict, field, fields
+from bisect import bisect
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -277,8 +280,10 @@ class PathState:
 
     norms[0] is ||y||; norms[i] is the residue norm after the first i
     atoms.  canonical, the support in ascending atom order and the path's
-    registry key, is derived once, when the path is built.  Paths compare
-    by identity, so the trie can tell a live path from an equal-valued copy.
+    registry key, is derived once, when the path is built: a child's is
+    its parent's with the new atom inserted (`key_with`), and a path built
+    without one sorts its support.  Paths compare by identity, so the trie
+    can tell a live path from an equal-valued copy.
     exhausted marks a path whose expansion produced no new child; it is
     treated as complete so the search cannot revisit it.
     """
@@ -287,11 +292,12 @@ class PathState:
     norms: tuple
     cost: float
     fact: IncrementalFactorization
-    canonical: tuple = field(init=False)
+    canonical: tuple = None
     exhausted: bool = False
 
     def __post_init__(self):
-        self.canonical = tuple(sorted(self.support))
+        if self.canonical is None:
+            self.canonical = tuple(sorted(self.support))
 
     @property
     def length(self):
@@ -300,12 +306,21 @@ class PathState:
     def complete(self, kmax):
         return self.exhausted or self.length >= kmax
 
-    def extended(self, j, phi, config):
-        """The child path with atom j appended; SingularSupportError when
-        atom j lies numerically in the span of the support."""
+    def key_with(self, j):
+        """The registry key of the child with atom j appended."""
+        key = self.canonical
+        i = bisect(key, j)
+        return key[:i] + (j,) + key[i:]
+
+    def extended(self, j, phi, config, key=None):
+        """The child path with atom j appended, keyed by `key` (by default
+        `key_with(j)`); SingularSupportError when atom j lies numerically
+        in the span of the support."""
         fact = self.fact.appended(j, phi[:, j])
         norms = self.norms + (fact.residue_norm,)
-        return PathState(fact.support, norms, config.path_cost(norms), fact)
+        if key is None:
+            key = self.key_with(j)
+        return PathState(fact.support, norms, config.path_cost(norms), fact, key)
 
 
 @dataclass
@@ -371,14 +386,16 @@ def expand(trie, best, phi, y, config):
     """One expansion round: evaluate the branch best-correlated children.
 
     Candidates are taken in descending-correlation order (ties ascending
-    index).  A candidate whose residue meets the criterion terminates the
-    round immediately, before any pruning test.  Otherwise it is inserted
-    when no equal support set was opened before and it beats the current
-    replacement target: the expanded path itself is replaced by its first
-    accepted child, spare capacity absorbs further children while fewer
-    than max_paths are live, and after that a child must beat the worst
-    live path by cost.  A path whose round accepts no child is marked
-    exhausted.
+    index).  A candidate whose support set was opened before counts as an
+    equivalent hit and is not factorized: that set failed the residue test
+    when it was opened (or ended the search), and the same set leaves the
+    same residue.  Any other candidate whose residue meets the criterion
+    terminates the round immediately.  Otherwise it is inserted when it
+    beats the current replacement target: the expanded path itself is
+    replaced by its first accepted child, spare capacity absorbs further
+    children while fewer than max_paths are live, and after that a child
+    must beat the worst live path by cost.  A path whose round accepts no
+    child is marked exhausted.
     """
     report = ExpansionReport()
     n = phi.shape[1]
@@ -395,17 +412,18 @@ def expand(trie, best, phi, y, config):
     threshold = config.effective_epsilon() * best.norms[0]
     for j in _top_few(corr, width, best.support):
         report.children_evaluated += 1
+        key = best.key_with(j)
+        if trie.has_equivalent(key):
+            report.equivalent_hits += 1
+            continue
         try:
-            child = best.extended(j, phi, config)
+            child = best.extended(j, phi, config, key)
         except SingularSupportError:
             report.singular_skips += 1
             continue
         if child.fact.residue_norm <= threshold:
             report.terminated = child
             return report
-        if trie.has_equivalent(child.canonical):
-            report.equivalent_hits += 1
-            continue
         if not report.consumed:
             trie.remove(best)
             trie.insert(child)

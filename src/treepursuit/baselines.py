@@ -148,8 +148,10 @@ def sp_recover(phi, y, k, max_iter=100):
     prunes back to the k largest-magnitude coefficients (ties by ascending
     index), and reprojects.  Terminates when the residue norm stops
     decreasing, returning the previous iterate, or when no atom is left
-    outside the support (2k > N).  An atom that lies in the span of the
-    atoms before it in a support is dropped from that support.
+    outside the support (2k > N).  No support is projected twice: a pruned
+    support equal to the current one stops at once, and a union of at most
+    k atoms is kept with its projection.  An atom that lies in the span of
+    the atoms before it in a support is dropped from that support.
     """
     t0 = time.perf_counter()
     phi, y, ynorm = _prep(phi, y)
@@ -170,11 +172,15 @@ def sp_recover(phi, y, k, max_iter=100):
             reason = REASON_STALLED
             break
         cand = top_indices(correlations(phi, r), width, exclude=set(support))
-        union, z_union, _ = _project_independent(y, phi, sorted(set(support) | set(cand)))
+        union, z_new, r_new = _project_independent(y, phi, sorted(set(support) | set(cand)))
         new_support = union
         if len(union) > k:
-            new_support = sorted(union[i] for i in top_indices(np.abs(z_union), k))
-        z_new, r_new = project(y, phi, new_support)
+            new_support = sorted(union[i] for i in top_indices(np.abs(z_new), k))
+            if new_support == support:
+                # projecting the same support again would leave the same residue
+                reason = REASON_STALLED
+                break
+            z_new, r_new = project(y, phi, new_support)
         res_new = float(np.linalg.norm(r_new))
         if res_new >= best_res:
             reason = REASON_STALLED

@@ -7,18 +7,22 @@ inputs on every call.  A solver checks its problem once, at entry
 then score correlations as the bare `np.abs(phi.T @ r)` and pick their
 few best atoms with `_top_few`, neither of which checks anything.
 `project` solves least squares on a whole support with one Householder
-QR (`np.linalg.qr`); SP and FBP, which rebuild their support every
-round, use it.  The solvers that extend a support one atom at a time
-(OMP, MMP-DF and the tree search) keep an incremental QR factorization
-instead (modified Gram-Schmidt with one reorthogonalization pass), so
-search paths that share a prefix can branch cheaply: appending one atom
-costs O(M*l) and copies nothing of the parent's factorization.  A child keeps a reference to its parent plus its
-own new column and assembles its full Q, R and Q^T y only when they are
-first read, so children that are never extended or returned never pay
-for that copy.  Both solve the square upper-triangular system
-R z = Q^T y with `np.linalg.solve`: every diagonal entry of R has passed
-the DEPENDENCY_TOL test and everything below it is zero, so partial
-pivoting swaps no rows and the LU solve is the back-substitution.
+QR of `[phi_S | y]` in LAPACK's raw form (`np.linalg.qr(..., mode="raw")`):
+R is the leading block and Q^T y the last column, so no Q is formed; SP
+and FBP, which rebuild their support every round, use it.  The solvers
+that extend a support one atom at a time (OMP, MMP-DF and the tree
+search) keep an incremental QR factorization instead (modified
+Gram-Schmidt with one reorthogonalization pass), so search paths that
+share a prefix can branch cheaply: appending one atom costs O(M*l) and
+copies nothing of the parent's factorization.  A child keeps a reference
+to its parent plus its own new direction, R column and entry of Q^T y.
+Materializing, which the next append needs, builds Q only; R and Q^T y
+are assembled from the kept columns when they are first read, which a
+solver does once, for the factorization it returns.  Both solve the square
+upper-triangular system R z = Q^T y with `np.linalg.solve`: every
+diagonal entry of R has passed the DEPENDENCY_TOL test and everything
+below it is zero, so partial pivoting swaps no rows and the LU solve is
+the back-substitution.
 """
 
 import math
@@ -132,18 +136,19 @@ def top_indices(scores, count, exclude=()):
 
 def _top_few(scores, count, exclude):
     """`top_indices` without its checks, for the few children of an inner
-    loop: `count` repeated argmax passes over a masked copy of the scores.
-    argmax takes the first of equal scores, which is the ascending-index
-    rule.  The caller guarantees finite scores and at least `count`
-    indices outside `exclude`; at larger counts the sort is faster."""
-    masked = scores.copy()
+    loop: `count` repeated argmax passes over the scores, each pick masked
+    to -inf.  It consumes `scores`: the array is masked in place, so the
+    caller hands it a fresh array it reads no more.  argmax takes the
+    first of equal scores, which is the ascending-index rule.  The caller
+    guarantees finite scores and at least `count` indices outside
+    `exclude`; at larger counts the sort is faster."""
     if exclude:
-        masked[list(exclude)] = -np.inf
+        scores[list(exclude)] = -np.inf
     picked = []
     for _ in range(count):
-        j = int(masked.argmax())
+        j = int(scores.argmax())
         picked.append(j)
-        masked[j] = -np.inf
+        scores[j] = -np.inf
     return picked
 
 
@@ -152,28 +157,31 @@ class IncrementalFactorization:
     with the residue of y against that support.
 
     `appended` returns a new factorization and leaves the original intact,
-    so paths that share a prefix branch without aliasing.  The child only
-    stores its new column (the orthonormal direction, its R column and its
-    entry of Q^T y) plus a reference to its parent; `q`, `rmat` and `qty`
-    are assembled on first read, after which the parent reference is
-    dropped, so at most one generation is held.  The residue and its norm
-    are computed eagerly.  Orthogonalization is modified Gram-Schmidt with
-    one full reorthogonalization pass, float64 only.
+    so paths that share a prefix branch without aliasing.  Each
+    factorization keeps, per support atom, its R column above the
+    diagonal, its diagonal entry and its entry of Q^T y, shared with its
+    ancestors.  A child stores its new orthonormal direction plus a
+    reference to its parent; `q` is assembled on first read, after which
+    the parent reference is dropped, so at most one generation is held.
+    `rmat` and `qty` are assembled from the kept columns on first read and
+    cached.  The residue and its norm are computed eagerly.
+    Orthogonalization is modified Gram-Schmidt with one full
+    reorthogonalization pass, float64 only.
     """
 
     __slots__ = (
         "support", "residue", "residue_norm",
-        "_q", "_rmat", "_qty", "_parent", "_qhat", "_coef", "_vnorm", "_proj",
+        "_columns", "_q", "_parent", "_qhat", "_rmat", "_qty",
     )
 
-    def __init__(self, support, q, rmat, qty, residue):
+    def __init__(self, support, columns, q, residue):
         self.support = support
         self.residue = residue
         self.residue_norm = _norm(residue)
+        self._columns = columns  # (R column above the diagonal, R_ll, (Q^T y)_l) per atom
         self._q = q
-        self._rmat = rmat
-        self._qty = qty
         self._parent = None
+        self._rmat = self._qty = None
 
     @classmethod
     def empty(cls, y):
@@ -181,46 +189,48 @@ class IncrementalFactorization:
         y = np.asarray(y, dtype=float)
         if y.ndim != 1:
             raise ValueError("y must be a vector")
-        m = y.shape[0]
-        return cls((), np.empty((m, 0)), np.empty((0, 0)), np.empty(0), y.copy())
+        fact = cls((), (), np.empty((y.shape[0], 0)), y.copy())
+        fact._rmat, fact._qty = np.empty((0, 0)), np.empty(0)
+        return fact
 
     @property
     def length(self):
         return len(self.support)
 
-    def _materialize(self):
-        # the parent was materialized when this child was appended to it
-        parent = self._parent
-        l = len(parent.support)
-        q = np.empty((self.residue.shape[0], l + 1))
-        q[:, :l] = parent._q
-        q[:, l] = self._qhat
-        rmat = np.zeros((l + 1, l + 1))
-        rmat[:l, :l] = parent._rmat
-        rmat[:l, l] = self._coef
-        rmat[l, l] = self._vnorm
-        qty = np.empty(l + 1)
-        qty[:l] = parent._qty
-        qty[l] = self._proj
-        self._q, self._rmat, self._qty = q, rmat, qty
-        self._parent = self._qhat = self._coef = None
-
     @property
     def q(self):
-        if self._parent is not None:
-            self._materialize()
+        parent = self._parent
+        if parent is not None:
+            # the parent was materialized when this child was appended to it
+            l = len(parent.support)
+            q = np.empty((self.residue.shape[0], l + 1))
+            q[:, :l] = parent._q
+            q[:, l] = self._qhat
+            self._q = q
+            self._parent = self._qhat = None
         return self._q
+
+    def _assemble(self):
+        above, diagonal, qty = zip(*self._columns)
+        l = len(diagonal)
+        rmat = np.zeros((l, l))
+        # column c of R holds c entries above its diagonal; in column order
+        # they fill the strictly lower triangle of R^T in row order
+        i = np.arange(l)
+        rmat.T[i[:, None] > i] = np.concatenate(above)
+        rmat.ravel()[::l + 1] = diagonal
+        self._rmat, self._qty = rmat, np.array(qty)
 
     @property
     def rmat(self):
-        if self._parent is not None:
-            self._materialize()
+        if self._rmat is None:
+            self._assemble()
         return self._rmat
 
     @property
     def qty(self):
-        if self._parent is not None:
-            self._materialize()
+        if self._qty is None:
+            self._assemble()
         return self._qty
 
     def appended(self, index, column):
@@ -248,14 +258,11 @@ class IncrementalFactorization:
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
         proj = float(qhat.dot(self.residue))
         child = IncrementalFactorization(
-            self.support + (int(index),), None, None, None,
+            self.support + (int(index),), self._columns + ((coef, vnorm, proj),), None,
             self.residue - proj * qhat,
         )
         child._parent = self
         child._qhat = qhat
-        child._coef = coef
-        child._vnorm = vnorm
-        child._proj = proj
         return child
 
     def coefficients(self):
@@ -270,12 +277,14 @@ def project(y, phi, support):
     """Least-squares projection of y onto the given columns of phi.
 
     Returns (z, r) with z the coefficients in support order and
-    r = y - phi[:, support] @ z.  One Householder QR of phi[:, support]
-    (`np.linalg.qr`) and `np.linalg.solve` on R z = Q^T y solve it; the
-    incremental factorization serves only the solvers that extend a
-    support one atom at a time.  Raises SingularSupportError when a
-    column is zero or lies numerically in the span of the columns before
-    it, ValueError on dimension mismatch.
+    r = y - phi[:, support] @ z.  One Householder QR of `[phi_S | y]` in
+    raw form (`np.linalg.qr(..., mode="raw")`) gives R as its leading
+    block and Q^T y as the top of its last column, so Q is never formed;
+    `np.linalg.solve` on R z = Q^T y solves it.  The incremental
+    factorization serves only the solvers that extend a support one atom
+    at a time.  Raises SingularSupportError when a column is zero or lies
+    numerically in the span of the columns before it, ValueError on
+    dimension mismatch.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -289,13 +298,17 @@ def project(y, phi, support):
             raise ValueError("support index %d out of range" % j)
     if not support:
         return np.empty(0), y.copy()
+    k = len(support)
     sub = phi[:, support]
-    q, rmat = np.linalg.qr(sub)
+    # raw mode returns the factored matrix transposed: R is the upper
+    # triangle of h.T, below it lie the Householder vectors
+    h, _ = np.linalg.qr(np.column_stack([sub, y]), mode="raw")
+    rmat = np.triu(h[:k, :k].T)
     # |R_ii| is the distance of column i from the span of columns 0..i-1
     colnorms = np.linalg.norm(sub, axis=0)
     dependent = (colnorms == 0.0) | (np.abs(np.diag(rmat)) < DEPENDENCY_TOL * colnorms)
     if dependent.any():
         i = int(np.argmax(dependent))
         raise SingularSupportError(support[i])
-    z = np.linalg.solve(rmat, q.T @ y)
+    z = np.linalg.solve(rmat, h[k, :k])
     return z, y - sub @ z

@@ -22,6 +22,7 @@ from treepursuit.baselines import mmp_df_recover, omp_recover
 from treepursuit.linalg import IncrementalFactorization
 from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, REASON_RESIDUE
 from treepursuit.siggen import derive_seed, gen_problem
+from treepursuit.trie import SearchTrie
 
 
 # fixed-decay cost: alpha^(kmax-l) * ||r_l||, here 0.8^(10-8) * 1.0
@@ -386,16 +387,54 @@ def test_init_search_seeds_top_correlated_atoms():
         assert p.cost > 0
 
 
-def test_equivalent_paths_are_pruned_not_duplicated():
+def _count_appends(monkeypatch):
+    """The atoms of every `IncrementalFactorization.appended` call from now on."""
+    atoms = []
+    real = IncrementalFactorization.appended
+
+    def counted(self, index, column):
+        atoms.append(index)
+        return real(self, index, column)
+
+    monkeypatch.setattr(IncrementalFactorization, "appended", counted)
+    return atoms
+
+
+def test_equivalent_paths_are_pruned_not_duplicated(monkeypatch):
     # wide searches on hard instances must eventually revisit a support
-    # set; the trie memory reports those as hits instead of duplicating
+    # set; the trie memory reports those as hits instead of duplicating,
+    # and a hit is never factorized: each seed path and each other child
+    # evaluated costs one append
+    atoms = _count_appends(monkeypatch)
     hits = 0
     for seed in range(10):
         ens, inst = gen_problem(14, 24, 9, "gaussian", derive_seed(5, "eq", seed))
         cfg = AompConfig(kmax=12, initial_paths=3, branch=3, max_paths=50, audit=True)
+        atoms.clear()
         out = aomp_recover(ens.phi, inst.y, cfg)
+        assert len(atoms) == cfg.initial_paths + out.nodes_expanded - out.equivalent_hits
         hits += out.equivalent_hits
     assert hits > 0
+
+
+def test_a_support_opened_in_another_order_is_not_factorized(monkeypatch):
+    # atoms 0 then 1 opened the set {0, 1}; expanding the path (1,) meets
+    # that set again through atom 0, counts the hit without appending,
+    # and goes on to atom 2
+    phi = np.eye(4)
+    y = np.array([3.0, 2.0, 1.0, 0.5])
+    cfg = AompConfig(kmax=3, initial_paths=1, branch=2, max_paths=5)
+    root = PathState((), (float(np.linalg.norm(y)),), 0.0, IncrementalFactorization.empty(y))
+    trie = SearchTrie()
+    trie.insert(root.extended(0, phi, cfg).extended(1, phi, cfg))
+    best = root.extended(1, phi, cfg)
+    trie.insert(best)
+    atoms = _count_appends(monkeypatch)
+    report = expand(trie, best, phi, y, cfg)
+    assert atoms == [2]
+    assert (report.children_evaluated, report.equivalent_hits, report.accepted) == (2, 1, 1)
+    assert report.terminated is None
+    assert sorted(p.canonical for p in trie.paths()) == [(0, 1), (1, 2)]
 
 
 def test_hybrid_returns_first_stage_when_greedy_suffices():

@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from treepursuit import baselines
 from treepursuit.baselines import (
     fbp_recover,
     iht_recover,
@@ -135,6 +136,31 @@ def test_sp_matches_replay():
         out = sp_recover(ens.phi, inst.y, 6)
         ref = sp_replay(ens.phi, inst.y, 6)
         assert sorted(out.support) == ref
+
+
+def test_sp_projects_no_support_twice(monkeypatch):
+    # the residue falls strictly every round, so a pruned support equal to
+    # the current one ends the run without being projected again; with
+    # every column twice, twins dropped from a union leave it at k atoms,
+    # which SP keeps with the projection it already has
+    projected = []
+    real = baselines.project
+
+    def recorded(y, phi, support):
+        projected.append(tuple(support))
+        return real(y, phi, support)
+
+    monkeypatch.setattr(baselines, "project", recorded)
+    instances = []
+    for t in range(20):
+        ens, inst = gen_problem(24, 48, 6, "gaussian", derive_seed(5, "sp", t))
+        instances.append((ens.phi, inst.y, 6))
+    ens, inst = gen_problem(20, 30, 4, "gaussian", 3)
+    instances.append((np.hstack([ens.phi, ens.phi]), inst.y, 4))
+    for phi, y, k in instances:
+        projected.clear()
+        sp_recover(phi, y, k)
+        assert len(projected) == len(set(projected))
 
 
 def test_sp_exact_recovery_and_preconditions():
