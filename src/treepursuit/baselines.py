@@ -12,10 +12,11 @@ import numpy as np
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    _lstsq,
     _top_few,
+    _top_sorted,
     check_problem,
     correlations,
-    project,
     top_indices,
 )
 from .results import (
@@ -92,16 +93,36 @@ def _prep(phi, y):
     return phi, y, float(np.linalg.norm(y))
 
 
-def _project_independent(y, phi, support):
-    """`project` on `support` less each atom it finds dependent on the atoms
-    before it, dropped one at a time; returns (kept, z, r), kept in support
-    order."""
+def _augmented(phi, y):
+    """[phi | y] and the column norms of phi, built once per solve.  The
+    block is in Fortran order, so gathering a support copies whole columns
+    and phi's column norms equal, bit for bit, those of any gathered
+    support, which `project` computes."""
+    m, n = phi.shape
+    aug = np.empty((m, n + 1), order="F")
+    aug[:, :n] = phi
+    aug[:, n] = y
+    return aug, np.linalg.norm(aug[:, :n], axis=0)
+
+
+def _project(aug, colnorms, support):
+    """`project(y, phi, support)` on a prepared problem, unchecked: one
+    gather of `[phi_S | y]` for `_lstsq`.  `support` is a list."""
+    return _lstsq(aug[:, support + [aug.shape[1] - 1]], colnorms[support], support)
+
+
+def _project_independent(aug, colnorms, support):
+    """`_project` on `support` less every atom it finds dependent on the
+    atoms before it; returns (kept, z, r), kept in support order.  One
+    factorization marks all of them: dropping a column in the span of the
+    columns before it leaves the span of every later prefix unchanged."""
     kept = list(support)
     while True:
         try:
-            return (kept, *project(y, phi, kept))
+            return (kept, *_project(aug, colnorms, kept))
         except SingularSupportError as err:
-            kept.remove(err.atom)
+            dependent = set(err.dependent)
+            kept = [j for j in kept if j not in dependent]
 
 
 def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
@@ -161,7 +182,9 @@ def sp_recover(phi, y, k, max_iter=100):
         raise ValueError("sp_recover needs 1 <= k <= min(M/2, N)")
     if ynorm == 0.0:
         return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
-    support, z, r = _project_independent(y, phi, sorted(top_indices(correlations(phi, y), k)))
+    aug, colnorms = _augmented(phi, y)
+    first = sorted(top_indices(correlations(phi, y), k))
+    support, z, r = _project_independent(aug, colnorms, first)
     best_res = float(np.linalg.norm(r))
     reason = REASON_MAX_ITER
     iterations = 0
@@ -171,16 +194,16 @@ def sp_recover(phi, y, k, max_iter=100):
         if width < 1:
             reason = REASON_STALLED
             break
-        cand = top_indices(correlations(phi, r), width, exclude=set(support))
-        union, z_new, r_new = _project_independent(y, phi, sorted(set(support) | set(cand)))
+        cand = _top_sorted(np.abs(phi.T @ r), width, support)
+        union, z_new, r_new = _project_independent(aug, colnorms, sorted(support + cand))
         new_support = union
         if len(union) > k:
-            new_support = sorted(union[i] for i in top_indices(np.abs(z_new), k))
+            new_support = sorted(union[i] for i in _top_sorted(np.abs(z_new), k, ()))
             if new_support == support:
                 # projecting the same support again would leave the same residue
                 reason = REASON_STALLED
                 break
-            z_new, r_new = project(y, phi, new_support)
+            z_new, r_new = _project(aug, colnorms, new_support)
         res_new = float(np.linalg.norm(r_new))
         if res_new >= best_res:
             reason = REASON_STALLED
@@ -264,6 +287,7 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     if ynorm == 0.0:
         return finish(phi, y, (), (), epsilon, REASON_RESIDUE, "fbp", t0)
     threshold = epsilon * ynorm
+    aug, colnorms = _augmented(phi, y)
     support = []
     z = np.empty(0)
     r = y.copy()
@@ -275,19 +299,19 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         if width < 1 or len(support) + width > m:
             reason = REASON_STALLED
             break
-        fwd = top_indices(correlations(phi, r), width, exclude=set(support))
-        expanded = sorted(set(support) | set(fwd))
-        kept, z_exp, _ = _project_independent(y, phi, expanded)
+        fwd = _top_sorted(np.abs(phi.T @ r), width, support)
+        expanded = sorted(support + fwd)
+        kept, z_exp, _ = _project_independent(aug, colnorms, expanded)
         if not kept:
             reason = REASON_STALLED  # every atom offered is a zero column
             break
         # with fewer than alpha atoms left, fewer than beta may be expanded;
         # atoms found dependent count toward the beta dropped
         count = min(beta, len(expanded)) - (len(expanded) - len(kept))
-        drop = top_indices(-np.abs(z_exp), count) if count > 0 else ()
+        drop = _top_sorted(-np.abs(z_exp), count, ()) if count > 0 else ()
         dropped = {kept[i] for i in drop}
         support = [j for j in kept if j not in dropped]
-        z, r = project(y, phi, support)
+        z, r = _project(aug, colnorms, support)
         if float(np.linalg.norm(r)) <= threshold:
             break
     keep = np.abs(z) > 1e-10 * np.abs(z).max(initial=0.0)

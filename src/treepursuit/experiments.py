@@ -34,7 +34,7 @@ from .baselines import (
     fbp_recover,
     mmp_df_recover,
 )
-from .linalg import check_problem
+from .linalg import problem_shape
 from .results import attempt
 from .siggen import derive_seed, gen_problem
 
@@ -89,14 +89,14 @@ def anmse(rel_errors):
     return float(np.mean(errs**2))
 
 
+# the shape is checked before it picks kmax "auto"; the solver called
+# checks the rest of the problem
 def _search(phi, y, k, **settings):
-    phi, y = check_problem(phi, y)  # before its shape picks kmax "auto"
-    return aomp_recover(phi, y, AompConfig.for_problem(*phi.shape, k, **settings))
+    return aomp_recover(phi, y, AompConfig.for_problem(*problem_shape(phi, y), k, **settings))
 
 
 def _hybrid(phi, y, k, **settings):
-    phi, y = check_problem(phi, y)
-    return hybrid_recover(phi, y, AompConfig.for_problem(*phi.shape, k, **settings), k)
+    return hybrid_recover(phi, y, AompConfig.for_problem(*problem_shape(phi, y), k, **settings), k)
 
 
 class Solver(NamedTuple):

@@ -3,26 +3,31 @@
 Input validation, correlation scores, deterministic top-k selection, and
 least-squares projection, on numpy alone.  The public kernels check their
 inputs on every call.  A solver checks its problem once, at entry
-(`check_problem`); the inner loops of the tree search, OMP and MMP-DF
-then score correlations as the bare `np.abs(phi.T @ r)` and pick their
-few best atoms with `_top_few`, neither of which checks anything.
-`project` solves least squares on a whole support with one Householder
-QR of `[phi_S | y]` in LAPACK's raw form (`np.linalg.qr(..., mode="raw")`):
-R is the leading block and Q^T y the last column, so no Q is formed; SP
-and FBP, which rebuild their support every round, use it.  The solvers
-that extend a support one atom at a time (OMP, MMP-DF and the tree
-search) keep an incremental QR factorization instead (modified
-Gram-Schmidt with one reorthogonalization pass), so search paths that
-share a prefix can branch cheaply: appending one atom costs O(M*l) and
-copies nothing of the parent's factorization.  A child keeps a reference
-to its parent plus its own new direction, R column and entry of Q^T y.
-Materializing, which the next append needs, builds Q only; R and Q^T y
-are assembled from the kept columns when they are first read, which a
-solver does once, for the factorization it returns.  Both solve the square
-upper-triangular system R z = Q^T y with `np.linalg.solve`: every
-diagonal entry of R has passed the DEPENDENCY_TOL test and everything
-below it is zero, so partial pivoting swaps no rows and the LU solve is
-the back-substitution.
+(`check_problem`); the inner loops of the tree search and of every
+greedy baseline but IHT then score correlations as the bare
+`np.abs(phi.T @ r)` and pick their atoms with `_top_few` (a few, by
+repeated argmax) or `_top_sorted` (many, by a stable sort), none of
+which checks anything.  Least squares on a whole support is one
+Householder QR of `[phi_S | y]` in LAPACK's raw form
+(`np.linalg.qr(..., mode="raw")`): R is the leading block and Q^T y the
+last column, so no Q is formed.  The private kernel `_lstsq` does it on
+a gathered block and checks nothing; the public `project` is its checks
+plus that gather.  SP and FBP, which rebuild their support every round,
+prepare `[phi | y]` and the column norms of phi once per solve and
+gather each support with one fancy index, so their loops reach `_lstsq`
+directly.  The solvers that extend a support one atom at a time (OMP,
+MMP-DF and the tree search) keep an incremental QR factorization
+instead (modified Gram-Schmidt with one reorthogonalization pass), so
+search paths that share a prefix can branch cheaply: appending one atom
+costs O(M*l) and copies nothing of the parent's factorization.  A child
+keeps a reference to its parent plus its own new direction, R column and
+entry of Q^T y.  Materializing, which the next append needs, builds Q
+only; R and Q^T y are assembled from the kept columns when they are
+first read, which a solver does once, for the factorization it returns.
+Both solve the square upper-triangular system R z = Q^T y with
+`np.linalg.solve`: every diagonal entry of R has passed the
+DEPENDENCY_TOL test and everything below it is zero, so partial
+pivoting swaps no rows and the LU solve is the back-substitution.
 """
 
 import math
@@ -32,6 +37,7 @@ import numpy as np
 __all__ = [
     "SingularSupportError",
     "check_problem",
+    "problem_shape",
     "correlations",
     "top_indices",
     "project",
@@ -46,11 +52,14 @@ DEPENDENCY_TOL = 1e-12
 
 class SingularSupportError(Exception):
     """The requested support set is numerically rank deficient; `atom` is
-    the first atom that lies in the span of the atoms before it."""
+    the first atom that lies in the span of the atoms before it, and
+    `dependent` lists every such atom the one factorization found: all of
+    them for a whole-support projection, the appended atom for `appended`."""
 
-    def __init__(self, atom):
+    def __init__(self, atom, dependent=None):
         super().__init__(atom)
         self.atom = atom
+        self.dependent = [atom] if dependent is None else dependent
 
     def __str__(self):
         return "atom %d is linearly dependent on the current support" % self.atom
@@ -74,11 +83,21 @@ def check_problem(phi, y):
     """
     phi = _real_finite(phi, "phi")
     y = _real_finite(y, "y")
-    if phi.ndim != 2 or y.ndim != 1 or phi.shape[0] != y.shape[0]:
-        raise ValueError("phi must be (M, N) and y length M")
-    if phi.size == 0:
-        raise ValueError("phi must have at least one row and one column, got %d x %d" % phi.shape)
+    problem_shape(phi, y)
     return phi, y
+
+
+def problem_shape(phi, y):
+    """The shape half of `check_problem`: returns (M, N) after checking
+    that phi is an (M, N) matrix with M, N >= 1 and y a vector of length
+    M.  It reads no entry, so a caller that hands the problem on to a
+    solver leaves the finiteness check to that solver."""
+    phi_shape, y_shape = np.shape(phi), np.shape(y)
+    if len(phi_shape) != 2 or len(y_shape) != 1 or phi_shape[0] != y_shape[0]:
+        raise ValueError("phi must be (M, N) and y length M")
+    if 0 in phi_shape:
+        raise ValueError("phi must have at least one row and one column, got %d x %d" % phi_shape)
+    return phi_shape
 
 
 def _norm(v):
@@ -127,10 +146,18 @@ def top_indices(scores, count, exclude=()):
             "requested %d indices but only %d are available"
             % (count, scores.shape[0] - len(excluded))
         )
-    # stable sort on the negated scores keeps ties in ascending-index order
+    return _top_sorted(scores, count, list(excluded))
+
+
+def _top_sorted(scores, count, exclude):
+    """`top_indices` without its checks, for the wide selections of SP and
+    FBP: a stable sort of the negated scores, which keeps ties in
+    ascending-index order.  `exclude` is a list of indices.  The caller
+    guarantees finite scores and at least `count` indices outside
+    `exclude`."""
     order = np.negative(scores)
-    if excluded:
-        order[list(excluded)] = np.inf
+    if exclude:
+        order[exclude] = np.inf
     return np.argsort(order, kind="stable")[:count].tolist()
 
 
@@ -273,13 +300,54 @@ class IncrementalFactorization:
         return np.linalg.solve(self.rmat, self.qty)
 
 
+# upper-triangular ones, grown to the largest order asked for: its
+# leading block zeroes the Householder vectors below R by one multiply,
+# where np.triu would build a fresh mask on every call
+_UPPER = np.ones((0, 0))
+
+
+def _upper(k):
+    global _UPPER
+    upper = _UPPER
+    if upper.shape[0] < k:
+        upper = np.triu(np.ones((2 * k, 2 * k)))
+        upper.flags.writeable = False
+        _UPPER = upper
+    return upper[:k, :k]
+
+
+def _lstsq(block, colnorms, support):
+    """Least squares of the last column of `block` = [phi_S | y] on the
+    others; returns (z, r) with r = y - phi_S z.  `colnorms` are the
+    column norms of phi_S.  Raises SingularSupportError naming the first
+    atom of `support` whose column is zero or lies within DEPENDENCY_TOL
+    of the span of the columns before it, and in `dependent` every such
+    atom.  Checks nothing: `project` checks its arguments, and SP and FBP
+    gather their blocks from a problem checked at entry."""
+    k = len(support)
+    # raw mode returns the factored matrix transposed: R is the upper
+    # triangle of h.T, below it lie the Householder vectors
+    h, _ = np.linalg.qr(block, mode="raw")
+    rmat = h[:k, :k].T * _upper(k)
+    # |R_ii| is the distance of column i from the span of columns 0..i-1
+    dependent = (colnorms == 0.0) | (np.abs(rmat.diagonal()) < DEPENDENCY_TOL * colnorms)
+    if dependent.any():
+        atoms = [support[i] for i in np.flatnonzero(dependent)]
+        raise SingularSupportError(atoms[0], atoms)
+    z = np.linalg.solve(rmat, h[k, :k])
+    return z, block[:, k] - block[:, :k] @ z
+
+
 def project(y, phi, support):
     """Least-squares projection of y onto the given columns of phi.
 
     Returns (z, r) with z the coefficients in support order and
-    r = y - phi[:, support] @ z.  One Householder QR of `[phi_S | y]` in
-    raw form (`np.linalg.qr(..., mode="raw")`) gives R as its leading
-    block and Q^T y as the top of its last column, so Q is never formed;
+    r = y - phi[:, support] @ z.  It checks its arguments, stacks
+    `[phi_S | y]` and hands it to `_lstsq`, the kernel that SP and FBP
+    call directly on supports gathered from a problem they prepared once
+    per solve.  One Householder QR of the block in raw form
+    (`np.linalg.qr(..., mode="raw")`) gives R as its leading block and
+    Q^T y as the top of its last column, so Q is never formed;
     `np.linalg.solve` on R z = Q^T y solves it.  The incremental
     factorization serves only the solvers that extend a support one atom
     at a time.  Raises SingularSupportError when a column is zero or lies
@@ -298,17 +366,5 @@ def project(y, phi, support):
             raise ValueError("support index %d out of range" % j)
     if not support:
         return np.empty(0), y.copy()
-    k = len(support)
     sub = phi[:, support]
-    # raw mode returns the factored matrix transposed: R is the upper
-    # triangle of h.T, below it lie the Householder vectors
-    h, _ = np.linalg.qr(np.column_stack([sub, y]), mode="raw")
-    rmat = np.triu(h[:k, :k].T)
-    # |R_ii| is the distance of column i from the span of columns 0..i-1
-    colnorms = np.linalg.norm(sub, axis=0)
-    dependent = (colnorms == 0.0) | (np.abs(np.diag(rmat)) < DEPENDENCY_TOL * colnorms)
-    if dependent.any():
-        i = int(np.argmax(dependent))
-        raise SingularSupportError(support[i])
-    z = np.linalg.solve(rmat, h[k, :k])
-    return z, y - sub @ z
+    return _lstsq(np.column_stack([sub, y]), np.linalg.norm(sub, axis=0), support)

@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from treepursuit import baselines
+from treepursuit import baselines, linalg
 from treepursuit.baselines import (
     fbp_recover,
     iht_recover,
@@ -142,15 +142,16 @@ def test_sp_projects_no_support_twice(monkeypatch):
     # the residue falls strictly every round, so a pruned support equal to
     # the current one ends the run without being projected again; with
     # every column twice, twins dropped from a union leave it at k atoms,
-    # which SP keeps with the projection it already has
+    # which SP keeps with the projection it already has.  Every projection
+    # of SP factors through the least-squares kernel.
     projected = []
-    real = baselines.project
+    real = baselines._lstsq
 
-    def recorded(y, phi, support):
+    def recorded(block, colnorms, support):
         projected.append(tuple(support))
-        return real(y, phi, support)
+        return real(block, colnorms, support)
 
-    monkeypatch.setattr(baselines, "project", recorded)
+    monkeypatch.setattr(baselines, "_lstsq", recorded)
     instances = []
     for t in range(20):
         ens, inst = gen_problem(24, 48, 6, "gaussian", derive_seed(5, "sp", t))
@@ -160,7 +161,59 @@ def test_sp_projects_no_support_twice(monkeypatch):
     for phi, y, k in instances:
         projected.clear()
         sp_recover(phi, y, k)
+        assert projected
         assert len(projected) == len(set(projected))
+
+
+def test_sp_and_fbp_loops_run_no_checked_kernel(monkeypatch):
+    # the problem is checked and prepared once per solve; SP reaches the
+    # checked correlations and top_indices only for its first selection,
+    # and neither solver reaches the checked project
+    calls = {}
+    for module, name in ((baselines, "correlations"), (baselines, "top_indices"),
+                         (linalg, "project")):
+
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    ens, inst = gen_problem(40, 80, 8, "gaussian", 5)
+    assert sp_recover(ens.phi, inst.y, 8).iterations > 1
+    assert calls == {"correlations": 1, "top_indices": 1}
+    calls.clear()
+    assert fbp_recover(ens.phi, inst.y).iterations > 1
+    assert calls == {}
+
+
+def test_one_factorization_marks_every_dependent_atom(monkeypatch):
+    # with every column twice, a selection holding twins is factored once
+    # to mark every later twin and once more without them
+    factorizations = []  # per selection of SP or FBP
+    selecting = []
+    real_kernel, real_select = baselines._lstsq, baselines._project_independent
+
+    def kernel(*args):
+        if selecting:
+            factorizations[-1] += 1
+        return real_kernel(*args)
+
+    def select(*args):
+        factorizations.append(0)
+        selecting.append(True)
+        try:
+            return real_select(*args)
+        finally:
+            selecting.pop()
+
+    monkeypatch.setattr(baselines, "_lstsq", kernel)
+    monkeypatch.setattr(baselines, "_project_independent", select)
+    ens, inst = gen_problem(20, 30, 4, "gaussian", 3)
+    phi = np.hstack([ens.phi, ens.phi])
+    for solve in (lambda: sp_recover(phi, inst.y, 4), lambda: fbp_recover(phi, inst.y)):
+        factorizations.clear()
+        assert solve().reason == REASON_RESIDUE
+        assert max(factorizations) == 2, factorizations
 
 
 def test_sp_exact_recovery_and_preconditions():

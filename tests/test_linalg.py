@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepursuit.baselines import _augmented, _project
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
@@ -329,6 +330,39 @@ def test_project_agrees_with_lstsq_and_the_incremental_factorization(seed, m, da
     with pytest.raises(SingularSupportError, match="atom %d" % n) as err:
         project(y, combined, support + [n])
     assert err.value.atom == n
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 10),
+    integer=st.booleans(),
+    data=st.data(),
+)
+def test_prepared_projection_equals_project_bit_for_bit(seed, m, integer, data):
+    # SP and FBP project on [phi | y] gathered from a problem prepared once
+    # per solve; twin and zero columns make many supports dependent
+    rng = np.random.default_rng(seed)
+    n = m + 5
+    phi = rng.integers(-2, 3, size=(m, n)).astype(float) if integer else rng.normal(size=(m, n))
+    twins = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    phi[:, twins] = phi[:, data.draw(st.lists(st.integers(0, n - 1), min_size=len(twins),
+                                              max_size=len(twins)))]
+    phi[:, data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    y = rng.normal(size=m)
+    support = data.draw(st.lists(st.integers(0, n - 1), max_size=m, unique=True))
+    aug, colnorms = _augmented(phi, y)
+    try:
+        z, r = project(y, phi, support)
+    except SingularSupportError as err:
+        with pytest.raises(SingularSupportError) as prepared:
+            _project(aug, colnorms, support)
+        assert (prepared.value.atom, prepared.value.dependent) == (err.atom, err.dependent)
+        assert err.atom == err.dependent[0]
+    else:
+        z_prep, r_prep = _project(aug, colnorms, support)
+        assert z_prep.tobytes() == z.tobytes()
+        assert r_prep.tobytes() == r.tobytes()
 
 
 def test_check_problem_rejects_bad_input():
