@@ -274,7 +274,7 @@ def _check_type(key, value):
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PathState:
     """One search path: ordered support, residue-norm history, cost.
 
@@ -323,7 +323,7 @@ class PathState:
         return PathState(fact.support, norms, config.path_cost(norms), fact, key)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExpansionReport:
     """What one expansion round did."""
 
@@ -400,7 +400,7 @@ def expand(trie, best, phi, y, config):
     report = ExpansionReport()
     n = phi.shape[1]
     # phi and the residue were checked when the search began
-    corr = np.abs(phi.T @ best.fact.residue)
+    corr = np.abs(phi.T.dot(best.fact.residue))
     if config.audit and best.support:
         held = float(np.max(corr[list(best.support)]))
         if held > 1e-10 * best.norms[0]:
@@ -445,21 +445,31 @@ def expand(trie, best, phi, y, config):
     return report
 
 
-def _audit_trie(trie, config):
+def _audit_trie(trie, config, checked):
+    """Check the live paths; returns, for the next round's `checked`, the
+    (norms, cost) each live path passed with.  The cap and the distinct
+    supports are checked every round; a path's cost and residue history
+    only when its norms or cost differ from its entry in `checked`, since
+    a tuple cannot change in place and the config is frozen."""
     live = trie.paths()
     if len(live) > config.max_paths:
         raise AuditError("live paths exceed max_paths")
     keys = set()
+    passed = {}
     for p in live:
         if p.canonical in keys:
             raise AuditError("two live paths share a support set")
         keys.add(p.canonical)
-        if abs(config.path_cost(p.norms) - p.cost) > 1e-12:
-            raise AuditError("stored cost is stale")
-        slack = 1e-12 * max(1.0, p.norms[0])
-        for a, b in zip(p.norms, p.norms[1:]):
-            if b > a + slack:
-                raise AuditError("residue history increased along a path")
+        norms, cost = p.norms, p.cost
+        if checked.get(p) != (norms, cost):
+            if abs(config.path_cost(norms) - cost) > 1e-12:
+                raise AuditError("stored cost is stale")
+            slack = 1e-12 * max(1.0, norms[0])
+            for a, b in zip(norms, norms[1:]):
+                if b > a + slack:
+                    raise AuditError("residue history increased along a path")
+        passed[p] = norms, cost
+    return passed
 
 
 def aomp_recover(phi, y, config=None):
@@ -477,9 +487,8 @@ def aomp_recover(phi, y, config=None):
         config = AompConfig()
     phi, y = check_problem(phi, y)
     trie, done = init_search(phi, y, config)
-    counters = dict.fromkeys(
-        ("iterations", "nodes_expanded", "equivalent_hits", "singular_skips"), 0
-    )
+    iterations = nodes_expanded = equivalent_hits = singular_skips = 0
+    checked = {}
     chosen = done
     reason = REASON_ALL_COMPLETE
     if chosen is None:
@@ -487,16 +496,16 @@ def aomp_recover(phi, y, config=None):
             best = select_best_incomplete(trie, config)
             if best is None:
                 break
-            if counters["iterations"] >= config.max_iterations:
+            if iterations >= config.max_iterations:
                 reason = REASON_BUDGET
                 break
-            counters["iterations"] += 1
+            iterations += 1
             report = expand(trie, best, phi, y, config)
-            counters["nodes_expanded"] += report.children_evaluated
-            counters["equivalent_hits"] += report.equivalent_hits
-            counters["singular_skips"] += report.singular_skips
+            nodes_expanded += report.children_evaluated
+            equivalent_hits += report.equivalent_hits
+            singular_skips += report.singular_skips
             if config.audit:
-                _audit_trie(trie, config)
+                checked = _audit_trie(trie, config, checked)
             if report.terminated is not None:
                 chosen = report.terminated
                 break
@@ -507,7 +516,8 @@ def aomp_recover(phi, y, config=None):
         support, values = chosen.support, chosen.fact.coefficients()
     return finish(
         phi, y, support, values, config.effective_epsilon(), reason, "aomp", t0,
-        paths_opened=trie.inserted_total, **counters,
+        paths_opened=trie.inserted_total, iterations=iterations, nodes_expanded=nodes_expanded,
+        equivalent_hits=equivalent_hits, singular_skips=singular_skips,
     )
 
 

@@ -149,7 +149,7 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
         if fact.length == n:
             reason = REASON_STALLED  # no atom left outside the support
             break
-        j = _top_few(np.abs(phi.T @ fact.residue), 1, fact.support)[0]
+        j = _top_few(np.abs(phi.T.dot(fact.residue)), 1, fact.support)[0]
         try:
             fact = fact.appended(j, phi[:, j])
         except SingularSupportError:
@@ -194,7 +194,7 @@ def sp_recover(phi, y, k, max_iter=100):
         if width < 1:
             reason = REASON_STALLED
             break
-        cand = _top_sorted(np.abs(phi.T @ r), width, support)
+        cand = _top_sorted(np.abs(phi.T.dot(r)), width, support)
         union, z_new, r_new = _project_independent(aug, colnorms, sorted(support + cand))
         new_support = union
         if len(union) > k:
@@ -299,7 +299,7 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         if width < 1 or len(support) + width > m:
             reason = REASON_STALLED
             break
-        fwd = _top_sorted(np.abs(phi.T @ r), width, support)
+        fwd = _top_sorted(np.abs(phi.T.dot(r)), width, support)
         expanded = sorted(support + fwd)
         kept, z_exp, _ = _project_independent(aug, colnorms, expanded)
         if not kept:
@@ -348,7 +348,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
                 state["best"] = fact
                 state["best_res"] = fact.residue_norm
             return None
-        corr = np.abs(phi.T @ fact.residue)
+        corr = np.abs(phi.T.dot(fact.residue))
         width = min(branching, n - fact.length)
         for j in _top_few(corr, width, fact.support):
             if state["complete"] >= max_paths:

@@ -5,10 +5,13 @@ least-squares projection, on numpy alone.  The public kernels check their
 inputs on every call.  A solver checks its problem once, at entry
 (`check_problem`); the inner loops of the tree search and of every
 greedy baseline but IHT then score correlations as the bare
-`np.abs(phi.T @ r)` and pick their atoms with `_top_few` (a few, by
+`np.abs(phi.T.dot(r))` and pick their atoms with `_top_few` (a few, by
 repeated argmax) or `_top_sorted` (many, by a stable sort), none of
-which checks anything.  Least squares on a whole support is one
-Householder QR of `[phi_S | y]` in LAPACK's raw form
+which checks anything.  `ndarray.dot` calls the same matrix-vector
+product as the `@` ufunc, bit for bit, with less dispatch per call, and
+`_top_few` masks the excluded support only when an excluded index wins
+an argmax pass, which leaves its picks unchanged.  Least squares on a
+whole support is one Householder QR of `[phi_S | y]` in LAPACK's raw form
 (`np.linalg.qr(..., mode="raw")`): R is the leading block and Q^T y the
 last column, so no Q is formed.  The private kernel `_lstsq` does it on
 a gathered block and checks nothing; the public `project` is its checks
@@ -17,13 +20,18 @@ prepare `[phi | y]` and the column norms of phi once per solve and
 gather each support with one fancy index, so their loops reach `_lstsq`
 directly.  The solvers that extend a support one atom at a time (OMP,
 MMP-DF and the tree search) keep an incremental QR factorization
-instead (modified Gram-Schmidt with one reorthogonalization pass), so
+instead (classical Gram-Schmidt with one reorthogonalization pass), so
 search paths that share a prefix can branch cheaply: appending one atom
 costs O(M*l) and copies nothing of the parent's factorization.  A child
 keeps a reference to its parent plus its own new direction, R column and
-entry of Q^T y.  Materializing, which the next append needs, builds Q
-only; R and Q^T y are assembled from the kept columns when they are
-first read, which a solver does once, for the factorization it returns.
+entry of Q^T y; the R column is kept as the two passes' parts.
+Materializing, which the next append needs, builds Q only; R and Q^T y
+are assembled from the kept columns when they are first read, which a
+solver does once, for the factorization it returns, and that assembly
+adds the two parts of every column in one vector sum.  The records and
+counters around these kernels are lean too: the search's paths and
+expansion reports are slotted dataclasses, its counters are locals, and
+`results.finish` takes the residual norm with `_norm`.
 Both solve the square upper-triangular system R z = Q^T y with
 `np.linalg.solve`: every diagonal entry of R has passed the
 DEPENDENCY_TOL test and everything below it is zero, so partial
@@ -101,8 +109,10 @@ def problem_shape(phi, y):
 
 
 def _norm(v):
-    # the expression np.linalg.norm evaluates for a real vector, so results
-    # are bit-identical, without its per-call dispatch
+    # the expression np.linalg.norm evaluates for a real vector, without its
+    # per-call dispatch; bit-identical only for a contiguous v, since
+    # np.linalg.norm first copies a strided vector and the dot of the copy
+    # can round differently
     return math.sqrt(v.dot(v))
 
 
@@ -166,14 +176,19 @@ def _top_few(scores, count, exclude):
     loop: `count` repeated argmax passes over the scores, each pick masked
     to -inf.  It consumes `scores`: the array is masked in place, so the
     caller hands it a fresh array it reads no more.  argmax takes the
-    first of equal scores, which is the ascending-index rule.  The caller
-    guarantees finite scores and at least `count` indices outside
-    `exclude`; at larger counts the sort is faster."""
-    if exclude:
-        scores[list(exclude)] = -np.inf
+    first of equal scores, which is the ascending-index rule.  `exclude`
+    is masked only once one of its indices wins a pass: a free winner is
+    the winner of the masked scores too, so the picks are those of
+    masking first.  The caller guarantees finite scores and at least
+    `count` indices outside `exclude`; at larger counts the sort is
+    faster."""
     picked = []
-    for _ in range(count):
+    while len(picked) < count:
         j = int(scores.argmax())
+        if j in exclude:
+            # no excluded index wins a pass once they are masked
+            scores[list(exclude)] = -np.inf
+            continue
         picked.append(j)
         scores[j] = -np.inf
     return picked
@@ -186,14 +201,15 @@ class IncrementalFactorization:
     `appended` returns a new factorization and leaves the original intact,
     so paths that share a prefix branch without aliasing.  Each
     factorization keeps, per support atom, its R column above the
-    diagonal, its diagonal entry and its entry of Q^T y, shared with its
-    ancestors.  A child stores its new orthonormal direction plus a
-    reference to its parent; `q` is assembled on first read, after which
-    the parent reference is dropped, so at most one generation is held.
+    diagonal as the two Gram-Schmidt passes' parts, its diagonal entry
+    and its entry of Q^T y, shared with its ancestors.  A child stores
+    its new orthonormal direction plus a reference to its parent; `q` is
+    assembled on first read, after which the parent reference is
+    dropped, so at most one generation is held.
     `rmat` and `qty` are assembled from the kept columns on first read and
-    cached.  The residue and its norm are computed eagerly.
-    Orthogonalization is modified Gram-Schmidt with one full
-    reorthogonalization pass, float64 only.
+    cached; that is where each column's two parts are added.  The residue
+    and its norm are computed eagerly.  Orthogonalization is classical
+    Gram-Schmidt with one full reorthogonalization pass, float64 only.
     """
 
     __slots__ = (
@@ -205,7 +221,9 @@ class IncrementalFactorization:
         self.support = support
         self.residue = residue
         self.residue_norm = _norm(residue)
-        self._columns = columns  # (R column above the diagonal, R_ll, (Q^T y)_l) per atom
+        # per atom: the two Gram-Schmidt passes' parts of its R column above
+        # the diagonal, whose sum is that column, then R_ll and (Q^T y)_l
+        self._columns = columns
         self._q = q
         self._parent = None
         self._rmat = self._qty = None
@@ -238,13 +256,15 @@ class IncrementalFactorization:
         return self._q
 
     def _assemble(self):
-        above, diagonal, qty = zip(*self._columns)
+        coefs, extras, diagonal, qty = zip(*self._columns)
         l = len(diagonal)
         rmat = np.zeros((l, l))
         # column c of R holds c entries above its diagonal; in column order
-        # they fill the strictly lower triangle of R^T in row order
+        # they fill the strictly lower triangle of R^T in row order.  One
+        # sum of the passes for all columns adds what each column's own
+        # sum would, element by element
         i = np.arange(l)
-        rmat.T[i[:, None] > i] = np.concatenate(above)
+        rmat.T[i[:, None] > i] = np.concatenate(coefs) + np.concatenate(extras)
         rmat.ravel()[::l + 1] = diagonal
         self._rmat, self._qty = rmat, np.array(qty)
 
@@ -277,7 +297,6 @@ class IncrementalFactorization:
         v -= q.dot(coef)
         extra = qt.dot(v)
         v -= q.dot(extra)
-        coef += extra
         vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
             raise SingularSupportError(int(index))
@@ -285,7 +304,7 @@ class IncrementalFactorization:
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
         proj = float(qhat.dot(self.residue))
         child = IncrementalFactorization(
-            self.support + (int(index),), self._columns + ((coef, vnorm, proj),), None,
+            self.support + (int(index),), self._columns + ((coef, extra, vnorm, proj),), None,
             self.residue - proj * qhat,
         )
         child._parent = self

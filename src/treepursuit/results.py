@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _norm
+
 __all__ = [
     "RecoveryOutput",
     "finish",
@@ -123,7 +125,7 @@ def finish(phi, y, support, values, epsilon, reason, solver, t0, **counters):
     xhat = np.zeros(phi.shape[1])
     support = tuple(int(j) for j in support)
     xhat[list(support)] = values
-    residual = float(np.linalg.norm(y - phi @ xhat))
+    residual = _norm(y - phi.dot(xhat))
     if residual <= epsilon * float(np.linalg.norm(y)):
         reason = REASON_RESIDUE
     return RecoveryOutput(

@@ -178,6 +178,17 @@ def test_reason_matches_residue_invariant():
             assert (out.reason == REASON_RESIDUE) == met
 
 
+def test_an_exact_zero_residue_meets_a_zero_epsilon():
+    # orthogonal integer columns leave exact residues: the child {0, 1}
+    # of the first expansion leaves 0.0, which meets epsilon = 0 and ends
+    # the search at once
+    phi = np.array([[2.0, 0, 0, 0], [0, 3.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    y = np.array([3.0, 2.0, 0.0, 0.0])
+    out = aomp_recover(phi, y, AompConfig(kmax=4, epsilon=0.0))
+    assert out.reason == REASON_RESIDUE and out.residual_norm == 0.0
+    assert out.support == (0, 1) and out.iterations == 1
+
+
 def test_budget_exhaustion_reported():
     ens, inst = gen_problem(16, 64, 10, "gaussian", 3)
     out = aomp_recover(ens.phi, inst.y, AompConfig(kmax=12, max_iterations=2))
@@ -295,6 +306,40 @@ def test_audit_catches_a_corrupted_search(monkeypatch, corrupt, message):
     monkeypatch.setattr(astar, "expand", expand_then_corrupt)
     ens, inst = gen_problem(20, 40, 6, "gaussian", 3)
     cfg = AompConfig(kmax=12, initial_paths=3, max_paths=5, audit=True)
+    with pytest.raises(AuditError, match=message):
+        aomp_recover(ens.phi, inst.y, cfg)
+
+
+def _stale_cost_only(path, config):
+    path.cost += 1.0
+
+
+def _rising_residue_at_the_same_cost(path, config):
+    # under the mul model the cost reads only the last norm and the length
+    path.norms = (path.norms[-1] / 2.0,) + path.norms[1:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_stale_cost_only, "stored cost is stale"),
+    (_rising_residue_at_the_same_cost, "residue history increased"),
+])
+def test_audit_rechecks_a_path_changed_after_it_passed(monkeypatch, corrupt, message):
+    # the audit checks a path's cost and history again once either has
+    # changed, also for a path that passed earlier rounds unchanged
+    real_expand = astar.expand
+    audited = []
+
+    def expand_then_corrupt(trie, best, phi, y, config):
+        report = real_expand(trie, best, phi, y, config)
+        passed = [p for p in trie.paths() if any(p is q for q in audited)]
+        if passed:
+            corrupt(passed[-1], config)
+        audited[:] = trie.paths()
+        return report
+
+    monkeypatch.setattr(astar, "expand", expand_then_corrupt)
+    ens, inst = gen_problem(20, 40, 6, "gaussian", 3)
+    cfg = AompConfig(kmax=12, initial_paths=3, max_paths=5, cost_model="mul", audit=True)
     with pytest.raises(AuditError, match=message):
         aomp_recover(ens.phi, inst.y, cfg)
 
@@ -461,6 +506,17 @@ def test_hybrid_falls_back_to_search_on_greedy_failure():
         assert rel < 1e-6
         break
     assert fell_back == 1, "no greedy failure found in 60 seeds"
+
+
+def test_hybrid_searches_when_greedy_needs_one_atom_more_than_k():
+    # y = a0 + a1, and a2 leans towards both and off their plane, so OMP
+    # takes a2 first and meets the target only at K + 1 = 3 atoms
+    phi = np.array([[1.0, 0.0, 0.8], [0.0, 1.0, 0.8], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]])
+    y = phi[:, 0] + phi[:, 1]
+    assert omp_recover(phi, y, max_iter=2).reason != REASON_RESIDUE
+    assert omp_recover(phi, y, max_iter=3).reason == REASON_RESIDUE
+    out = hybrid_recover(phi, y, AompConfig(kmax=3), 2)
+    assert out.hybrid_stage == "astar" and out.reason == REASON_RESIDUE
 
 
 def test_hybrid_validates_k():

@@ -1,6 +1,7 @@
 """The README's imports and the quick demos keep working."""
 
 import argparse
+import importlib.util
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from treepursuit.cli import build_parser
+from treepursuit.experiments import SOLVERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +72,21 @@ def test_the_package_imports_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert "cli" in modules and "rip" in modules
     assert proc.stdout.strip() == "[]"
+
+
+def test_output_digest_covers_every_label_and_repeats(monkeypatch):
+    # the byte-identity tool README names runs on the current API: on its
+    # smallest shape it solves every problem and its twin-column variant
+    # with every label, and repeats its digest
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SHAPES", tool.SHAPES[:1])
+    value, solves = tool.digest()
+    assert solves == 2 * len(tool.ENSEMBLES) * len(tool.SEEDS) * len(SOLVERS)
+    assert re.fullmatch("[0-9a-f]{64}", value)
+    assert tool.digest() == (value, solves)

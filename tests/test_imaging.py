@@ -51,6 +51,21 @@ def test_recover_image_exact_when_search_succeeds():
     assert out.reconstruction.min() >= 0.0 and out.reconstruction.max() <= 255.0
 
 
+def test_recover_image_clamps_blocks_that_overshoot():
+    # three Haar atoms of a lone bright pixel dip below 0, and of a lone
+    # dark pixel in a bright block rise above 255; the assembled
+    # reconstruction is clamped, the sparsified reference is not
+    image = np.zeros((8, 16))
+    image[0, 0] = 255.0
+    image[:, 8:] = 255.0
+    image[0, 8] = 0.0
+    out = recover_image(image, 3, 40, make_solver("omp"), seed=1)
+    assert out.residue_met_blocks == 2
+    assert out.sparsified.min() < -1.0 and out.sparsified.max() > 256.0
+    assert out.reconstruction.min() == 0.0 and out.reconstruction.max() == 255.0
+    assert np.allclose(out.reconstruction, np.clip(out.sparsified, 0.0, 255.0), atol=1e-9)
+
+
 def test_recover_image_validates_arguments():
     with pytest.raises(ValueError):
         recover_image(np.zeros((10, 16)), 4, 24, make_solver("omp"), seed=0)

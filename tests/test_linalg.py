@@ -179,6 +179,41 @@ def test_top_indices_matches_sorted_reference(scores, data):
         top_indices(scores, available + 1, exclude=form(excluded))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    free=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_top_few_masks_the_exclusion_once_an_excluded_index_wins(free, data):
+    # excluded indices hold the largest scores or tie with free indices
+    # before or after them, so the argmax passes reach an excluded index
+    # and _top_few falls back to masking the exclusion
+    n = len(free) + data.draw(st.integers(1, 6))
+    excluded = data.draw(st.lists(st.integers(0, n - 1), min_size=n - len(free),
+                                  max_size=n - len(free), unique=True))
+    free_at = [i for i in range(n) if i not in excluded]
+    scores = np.empty(n)
+    scores[free_at] = free
+    for i in excluded:
+        scores[i] = data.draw(st.sampled_from([3.0] + free), label="excluded score")
+    count = data.draw(st.integers(1, len(free_at)))
+    reference = [i for i in sorted(range(n), key=lambda i: (-scores[i], i)) if i not in excluded]
+    form = data.draw(st.sampled_from([set, tuple, list]))
+    assert _top_few(scores.copy(), count, form(excluded)) == reference[:count]
+
+
+def test_top_few_fallback_cases():
+    # an excluded winner, and excluded ties after and before a free index
+    for scores, exclude, count, picks in [
+        ([1.0, 3.0, 2.0], (1,), 2, [2, 0]),
+        ([2.0, 2.0, 1.0], (1,), 2, [0, 2]),
+        ([2.0, 2.0, 1.0], (0,), 1, [1]),
+        ([0.0, 0.0, 0.0, 0.0], [0, 2], 2, [1, 3]),
+    ]:
+        for form in (set, tuple, list):
+            assert _top_few(np.array(scores), count, form(exclude)) == picks
+
+
 def _chain(y, phi, support):
     fact = IncrementalFactorization.empty(y)
     for j in support:
@@ -281,6 +316,70 @@ def test_factorization_branches_agree_with_lstsq(seed, m, steps):
         assert np.linalg.norm(node.coefficients() - z_ref) <= tol
         assert np.allclose(node.q @ node.rmat, sub, atol=1e-10)
         assert np.allclose(node.residue, y - sub @ z_ref, atol=1e-9)
+
+
+def _off_span(rng, sub, distance):
+    """A column at relative distance `distance` from the span of `sub`'s
+    columns: a combination of them plus that share of a unit vector
+    orthogonal to them."""
+    q, _ = np.linalg.qr(sub, mode="complete")
+    inside = sub @ rng.normal(size=sub.shape[1])
+    away = q[:, sub.shape[1]:] @ rng.normal(size=sub.shape[0] - sub.shape[1])
+    return inside + distance * np.linalg.norm(inside) * away / np.linalg.norm(away)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 12), data=st.data())
+def test_nearly_dependent_columns_agree_with_lstsq(seed, m, data):
+    # the appended column lies close to the span of the support before it,
+    # so the first Gram-Schmidt pass leaves a short v whose rounding error,
+    # the second pass's `extra`, is a share of about eps / distance of v
+    # instead of eps; R is still the eager chain's per-append sums, bit for
+    # bit, and the coefficients agree with dense lstsq
+    rng = np.random.default_rng(seed)
+    length = data.draw(st.integers(1, m - 2))
+    sub = rng.normal(size=(m, length))
+    distance = data.draw(st.sampled_from([1e-4, 1e-6, 1e-8]))
+    phi = np.column_stack([sub, _off_span(rng, sub, distance), rng.normal(size=(m, 2))])
+    y = rng.normal(size=m)
+    support = list(range(length + 1)) + data.draw(st.lists(st.sampled_from(
+        [length + 1, length + 2]), max_size=m - length - 1, unique=True))
+    fact = _chain(y, phi, support)
+    q, rmat, qty, residue = _eager_chain(y, phi, support)
+    assert np.array_equal(fact.rmat, rmat) and np.array_equal(fact.qty, qty)
+    block = phi[:, support]
+    z_ref, *_ = np.linalg.lstsq(block, y, rcond=None)
+    tol = 1e-12 * np.linalg.cond(block) * max(1.0, float(np.linalg.norm(z_ref)))
+    assert np.linalg.norm(fact.coefficients() - z_ref) <= tol
+    assert np.allclose(fact.q @ fact.rmat, block, atol=1e-12 * np.abs(block).max())
+    # the residue of a least-squares problem moves by up to about
+    # cond * eps * ||y|| under rounding
+    basis, _ = np.linalg.qr(block)
+    drift = np.linalg.norm(fact.residue - (y - basis @ (basis.T @ y)))
+    assert drift <= 1e-14 * np.linalg.cond(block) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dependency_tolerance_is_relative_1e12(seed):
+    # a column 1e-10 of its norm away from the span of the support is
+    # independent, one 1e-14 away is dependent, for the incremental
+    # factorization and for the whole-support kernel behind project
+    rng = np.random.default_rng(seed)
+    m, length = 12, 5
+    sub = rng.normal(size=(m, length))
+    y = rng.normal(size=m)
+    fact = _chain(y, sub, range(length))
+    for distance, independent in ((1e-10, True), (1e-14, False)):
+        phi = np.column_stack([sub, _off_span(rng, sub, distance)])
+        support = list(range(length + 1))
+        if independent:
+            assert fact.appended(length, phi[:, length]).length == length + 1
+            assert project(y, phi, support)[0].shape == (length + 1,)
+            continue
+        with pytest.raises(SingularSupportError):
+            fact.appended(length, phi[:, length])
+        with pytest.raises(SingularSupportError, match="atom %d" % length):
+            project(y, phi, support)
 
 
 @settings(max_examples=40, deadline=None)
