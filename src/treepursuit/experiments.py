@@ -10,7 +10,6 @@ emitted per-trial records.
 import csv
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -278,6 +277,9 @@ def run_batch(solver, n, m, k, ensemble, trials, base_seed, jobs=1):
     if jobs == 1:
         records = [_run_trial(*a) for a in args]
     else:
+        # imported here so that importing the package loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_trial_star, args))
     return TrialBatchResult(records)

@@ -20,18 +20,22 @@ prepare `[phi | y]` and the column norms of phi once per solve and
 gather each support with one fancy index, so their loops reach `_lstsq`
 directly.  The solvers that extend a support one atom at a time (OMP,
 MMP-DF and the tree search) keep an incremental QR factorization
-instead (classical Gram-Schmidt with one reorthogonalization pass), so
-search paths that share a prefix can branch cheaply: appending one atom
-costs O(M*l) and copies nothing of the parent's factorization.  A child
-keeps a reference to its parent plus its own new direction, R column and
-entry of Q^T y; the R column is kept as the two passes' parts.
-Materializing, which the next append needs, builds Q only; R and Q^T y
-are assembled from the kept columns when they are first read, which a
-solver does once, for the factorization it returns, and that assembly
-adds the two parts of every column in one vector sum.  The records and
-counters around these kernels are lean too: the search's paths and
-expansion reports are slotted dataclasses, its counters are locals, and
-`results.finish` takes the residual norm with `_norm`.
+instead, so search paths that share a prefix can branch cheaply:
+appending one atom costs O(M*l) and copies nothing of the parent's
+factorization.  It is classical Gram-Schmidt with a second pass only
+when the first leaves less than 1/sqrt(2) of the column's norm
+(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976), which keeps Q
+orthonormal to working precision while most appends take one pass.
+Outputs therefore differ from those of the earlier rule, which always
+ran the second pass, at rounding level, not bit for bit.  A child keeps
+a reference to its parent plus its own new direction, one R column and
+one entry of Q^T y.  Materializing, which the next append needs, builds
+Q only; R and Q^T y are assembled from the kept columns when they are
+first read, which a solver does once, for the factorization it returns.
+The records and counters around these kernels are lean too: the
+search's paths and expansion reports are slotted dataclasses, its
+counters are locals, and `results.finish` takes the residual norm with
+`_norm`.
 Both solve the square upper-triangular system R z = Q^T y with
 `np.linalg.solve`: every diagonal entry of R has passed the
 DEPENDENCY_TOL test and everything below it is zero, so partial
@@ -56,6 +60,11 @@ __all__ = [
 # fraction of its original norm is treated as linearly dependent on the
 # columns before it.
 DEPENDENCY_TOL = 1e-12
+
+# An appended column is orthogonalized a second time only when the first
+# Gram-Schmidt pass leaves less than this fraction of its norm (Daniel,
+# Gragg, Kaufman & Stewart, Math. Comp. 1976).
+REORTHOGONALIZE_TOL = 1.0 / math.sqrt(2.0)
 
 
 class SingularSupportError(Exception):
@@ -200,16 +209,19 @@ class IncrementalFactorization:
 
     `appended` returns a new factorization and leaves the original intact,
     so paths that share a prefix branch without aliasing.  Each
-    factorization keeps, per support atom, its R column above the
-    diagonal as the two Gram-Schmidt passes' parts, its diagonal entry
-    and its entry of Q^T y, shared with its ancestors.  A child stores
-    its new orthonormal direction plus a reference to its parent; `q` is
-    assembled on first read, after which the parent reference is
-    dropped, so at most one generation is held.
+    factorization keeps, per support atom, one R column above the
+    diagonal, its diagonal entry and its entry of Q^T y, shared with its
+    ancestors.  A child stores its new orthonormal direction plus a
+    reference to its parent; `q` is assembled on first read, after which
+    the parent reference is dropped, so at most one generation is held.
     `rmat` and `qty` are assembled from the kept columns on first read and
-    cached; that is where each column's two parts are added.  The residue
-    and its norm are computed eagerly.  Orthogonalization is classical
-    Gram-Schmidt with one full reorthogonalization pass, float64 only.
+    cached.  The residue and its norm are computed eagerly.
+    Orthogonalization is classical Gram-Schmidt, float64 only, with a
+    second pass only when the first leaves less than
+    REORTHOGONALIZE_TOL = 1/sqrt(2) of the column's norm (Daniel et al.
+    1976); its correction is added to the R column at once.  Outputs
+    are not byte-identical to those of the earlier rule that always ran
+    the second pass; they differ at rounding level.
     """
 
     __slots__ = (
@@ -221,8 +233,7 @@ class IncrementalFactorization:
         self.support = support
         self.residue = residue
         self.residue_norm = _norm(residue)
-        # per atom: the two Gram-Schmidt passes' parts of its R column above
-        # the diagonal, whose sum is that column, then R_ll and (Q^T y)_l
+        # per atom: its R column above the diagonal, R_ll and (Q^T y)_l
         self._columns = columns
         self._q = q
         self._parent = None
@@ -256,15 +267,13 @@ class IncrementalFactorization:
         return self._q
 
     def _assemble(self):
-        coefs, extras, diagonal, qty = zip(*self._columns)
+        coefs, diagonal, qty = zip(*self._columns)
         l = len(diagonal)
         rmat = np.zeros((l, l))
         # column c of R holds c entries above its diagonal; in column order
-        # they fill the strictly lower triangle of R^T in row order.  One
-        # sum of the passes for all columns adds what each column's own
-        # sum would, element by element
+        # they fill the strictly lower triangle of R^T in row order
         i = np.arange(l)
-        rmat.T[i[:, None] > i] = np.concatenate(coefs) + np.concatenate(extras)
+        rmat.T[i[:, None] > i] = np.concatenate(coefs)
         rmat.ravel()[::l + 1] = diagonal
         self._rmat, self._qty = rmat, np.array(qty)
 
@@ -295,16 +304,21 @@ class IncrementalFactorization:
         colnorm = _norm(v)
         coef = qt.dot(v)
         v -= q.dot(coef)
-        extra = qt.dot(v)
-        v -= q.dot(extra)
         vnorm = _norm(v)
+        if vnorm < REORTHOGONALIZE_TOL * colnorm:
+            # the first pass cancelled most of the column, so its rounding
+            # error is a large share of v: a second pass removes it
+            extra = qt.dot(v)
+            v -= q.dot(extra)
+            coef += extra
+            vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
             raise SingularSupportError(int(index))
         qhat = v / vnorm
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
         proj = float(qhat.dot(self.residue))
         child = IncrementalFactorization(
-            self.support + (int(index),), self._columns + ((coef, extra, vnorm, proj),), None,
+            self.support + (int(index),), self._columns + ((coef, vnorm, proj),), None,
             self.residue - proj * qhat,
         )
         child._parent = self

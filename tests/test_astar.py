@@ -288,12 +288,22 @@ def _overlapping_candidates(trie, y, config):
         path.fact = IncrementalFactorization.empty(y)
 
 
+def _residue_off_by_a_support_column(trie, y, config):
+    # a residue that keeps 1e-6 ||y|| along a unit-norm support column, the
+    # first column of Q, as an orthogonalization that lost orthogonality
+    # would; the norms and cost stay as they were
+    for path in trie.paths():
+        fact = path.fact
+        fact.residue = fact.residue + 1e-6 * np.linalg.norm(y) * fact.q[:, 0]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_stale_cost, "stored cost is stale"),
     (_rising_residue, "residue history increased"),
     (_shared_support, "share a support set"),
     (_over_the_cap, "exceed max_paths"),
     (_overlapping_candidates, "overlap the path support"),
+    (_residue_off_by_a_support_column, "overlap the path support"),
 ])
 def test_audit_catches_a_corrupted_search(monkeypatch, corrupt, message):
     real_expand = astar.expand

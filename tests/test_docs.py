@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import io
 import os
 import re
 import subprocess
@@ -74,6 +75,24 @@ def test_the_package_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_package_loads_no_process_pool():
+    # run_batch imports the process pool only for jobs > 1, so a fresh
+    # import of the package leaves concurrent.futures.process and
+    # multiprocessing unloaded
+    code = (
+        "import sys, treepursuit\n"
+        "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
+        " or m == 'multiprocessing' or m.startswith('multiprocessing.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_output_digest_covers_every_label_and_repeats(monkeypatch):
     # the byte-identity tool README names runs on the current API: on its
     # smallest shape it solves every problem and its twin-column variant
@@ -90,3 +109,25 @@ def test_output_digest_covers_every_label_and_repeats(monkeypatch):
     assert solves == 2 * len(tool.ENSEMBLES) * len(tool.SEEDS) * len(SOLVERS)
     assert re.fullmatch("[0-9a-f]{64}", value)
     assert tool.digest() == (value, solves)
+
+
+def test_output_digest_list_prints_every_solve_and_keeps_the_digest(monkeypatch):
+    # --list writes one line per solve, the problem name and the record
+    # head, and hashes exactly what the plain digest hashes
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SHAPES", tool.SHAPES[:1])
+    monkeypatch.setattr(tool, "ENSEMBLES", tool.ENSEMBLES[:1])
+    listing = io.StringIO()
+    value, solves = tool.digest(listing)
+    assert tool.digest() == (value, solves)
+    lines = listing.getvalue().splitlines()
+    assert len(lines) == solves
+    expected = [(name, label) for name, *_ in tool.problems() for label in SOLVERS]
+    heads = [line.split(": ", 1) for line in lines]
+    assert [(name, head.split()[0]) for name, head in heads] == expected

@@ -223,17 +223,22 @@ def _chain(y, phi, support):
 
 def _eager_chain(y, phi, support):
     """Reference: every append copies Q, R and Q^T y at once, with the same
-    arithmetic as the lazy factorization, so results must agree bit for bit."""
+    arithmetic as the lazy factorization, so results must agree bit for bit.
+    A second Gram-Schmidt pass runs only when the first leaves less than
+    1/sqrt(2) of the column's norm."""
     m = y.shape[0]
     q, rmat, qty, residue = np.empty((m, 0)), np.empty((0, 0)), np.empty(0), y.copy()
     for j in support:
         v = phi[:, j].copy()
+        colnorm = float(np.linalg.norm(v))
         coef = q.T @ v
         v -= q @ coef
-        extra = q.T @ v
-        v -= q @ extra
-        coef += extra
         vnorm = float(np.linalg.norm(v))
+        if vnorm < 1.0 / np.sqrt(2.0) * colnorm:
+            extra = q.T @ v
+            v -= q @ extra
+            coef += extra
+            vnorm = float(np.linalg.norm(v))
         qhat = v / vnorm
         l = q.shape[1]
         grown = np.zeros((l + 1, l + 1))
@@ -332,10 +337,11 @@ def _off_span(rng, sub, distance):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 12), data=st.data())
 def test_nearly_dependent_columns_agree_with_lstsq(seed, m, data):
     # the appended column lies close to the span of the support before it,
-    # so the first Gram-Schmidt pass leaves a short v whose rounding error,
-    # the second pass's `extra`, is a share of about eps / distance of v
-    # instead of eps; R is still the eager chain's per-append sums, bit for
-    # bit, and the coefficients agree with dense lstsq
+    # so the first Gram-Schmidt pass leaves less than 1/sqrt(2) of its norm
+    # in a short v whose rounding error is a share of about eps / distance
+    # of v instead of eps; the second pass runs and adds its `extra` to the
+    # R column, which is still the eager chain's, bit for bit, and the
+    # coefficients agree with dense lstsq
     rng = np.random.default_rng(seed)
     length = data.draw(st.integers(1, m - 2))
     sub = rng.normal(size=(m, length))
@@ -357,6 +363,26 @@ def test_nearly_dependent_columns_agree_with_lstsq(seed, m, data):
     basis, _ = np.linalg.qr(block)
     drift = np.linalg.norm(fact.residue - (y - basis @ (basis.T @ y)))
     assert drift <= 1e-14 * np.linalg.cond(block) * np.linalg.norm(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 16), data=st.data())
+def test_q_stays_orthonormal_past_a_nearly_dependent_column(seed, m, data):
+    # one column of the chain lies 1e-4..1e-8 of its norm from the span of
+    # the columns before it: the first Gram-Schmidt pass leaves less than
+    # 1/sqrt(2) of its norm, so the second pass runs and Q stays orthonormal
+    # to working precision, as does the residue to Q, along the whole chain
+    rng = np.random.default_rng(seed)
+    length = data.draw(st.integers(2, m - 1))
+    near = data.draw(st.integers(1, length - 1))
+    distance = data.draw(st.sampled_from([1e-4, 1e-6, 1e-8]))
+    phi = rng.normal(size=(m, length))
+    phi[:, near] = _off_span(rng, phi[:, :near], distance)
+    y = rng.normal(size=m)
+    fact = _chain(y, phi, range(length))
+    q = fact.q
+    assert np.abs(q.T @ q - np.eye(length)).max() <= 1e-13
+    assert np.abs(q.T @ fact.residue).max() <= 1e-13 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("seed", range(5))
