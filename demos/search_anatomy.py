@@ -27,7 +27,7 @@ def main():
         it += 1
         best = select_best_incomplete(trie, cfg)
         if best is None:
-            print("every path complete, no solution at the residue target")
+            print("every live path closed, no solution at the residue target")
             return
         residue = best.norms[-1] / ynorm
         report = expand(trie, best, ens.phi, inst.y, cfg)

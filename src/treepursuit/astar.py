@@ -284,8 +284,6 @@ class PathState:
     its parent's with the new atom inserted (`key_with`), and a path built
     without one sorts its support.  Paths compare by identity, so the trie
     can tell a live path from an equal-valued copy.
-    exhausted marks a path whose expansion produced no new child; it is
-    treated as complete so the search cannot revisit it.
     """
 
     support: tuple
@@ -293,7 +291,6 @@ class PathState:
     cost: float
     fact: IncrementalFactorization
     canonical: tuple = None
-    exhausted: bool = False
 
     def __post_init__(self):
         if self.canonical is None:
@@ -302,9 +299,6 @@ class PathState:
     @property
     def length(self):
         return len(self.support)
-
-    def complete(self, kmax):
-        return self.exhausted or self.length >= kmax
 
     def key_with(self, j):
         """The registry key of the child with atom j appended."""
@@ -349,7 +343,7 @@ def init_search(phi, y, config):
     _check_fits(config, phi.shape[0])
     n = phi.shape[1]
     corr = correlations(phi, y)
-    trie = SearchTrie()
+    trie = SearchTrie(config.kmax)
     ynorm = float(np.linalg.norm(y))
     # the root is never ranked, so its cost is a placeholder
     root = PathState((), (ynorm,), 0.0, IncrementalFactorization.empty(y))
@@ -377,9 +371,9 @@ def _check_fits(config, m):
 
 
 def select_best_incomplete(trie, config):
-    """Minimum-cost live path shorter than kmax, ties broken by the trie's
-    cost order; None when all complete."""
-    return trie.cheapest(lambda p: not p.complete(config.kmax))
+    """Minimum-cost open path, ties broken by the trie's cost order; None
+    when every live path is closed (kmax atoms, or its round kept no child)."""
+    return trie.cheapest_open()
 
 
 def expand(trie, best, phi, y, config):
@@ -395,7 +389,7 @@ def expand(trie, best, phi, y, config):
     replaced by its first accepted child, spare capacity absorbs further
     children while fewer than max_paths are live, and after that a child
     must beat the worst live path by cost.  A path whose round accepts no
-    child is marked exhausted.
+    child is closed: it stays live but is not expanded again.
     """
     report = ExpansionReport()
     n = phi.shape[1]
@@ -407,7 +401,7 @@ def expand(trie, best, phi, y, config):
             raise AuditError("expansion candidates overlap the path support")
     width = min(config.branch, n - best.length)
     if width < 1:
-        best.exhausted = True
+        trie.close(best)
         return report
     threshold = config.effective_epsilon() * best.norms[0]
     for j in _top_few(corr, width, best.support):
@@ -441,7 +435,7 @@ def expand(trie, best, phi, y, config):
             else:
                 report.cost_rejected += 1
     if not report.consumed:
-        best.exhausted = True
+        trie.close(best)
     return report
 
 

@@ -1,5 +1,7 @@
 """Tree-search engine: cost models, expansion mechanics, termination."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -405,17 +407,22 @@ def test_shape_validation():
 
 def test_expansion_round_post_conditions():
     # scripted single rounds: the expanded path either terminates the
-    # search, is consumed by its first accepted child, or is exhausted
-    for seed in range(20):
+    # search, is consumed by its first accepted child, or is closed: it
+    # stays live but is never selected again.  With one branch, a child
+    # whose support was opened before leaves its parent closed.
+    closures = 0
+    for (initial, branch), seed in product(((2, 3), (3, 1)), range(20)):
         ens, inst = gen_problem(18, 40, 6, "gaussian", derive_seed(31, "exp", seed))
-        cfg = AompConfig(kmax=10, initial_paths=2, branch=3, max_paths=4)
+        cfg = AompConfig(kmax=10, initial_paths=initial, branch=branch, max_paths=4)
         trie, done = init_search(ens.phi, inst.y, cfg)
         if done is not None:
             continue
+        closed = []
         for _ in range(12):
             best = select_best_incomplete(trie, cfg)
             if best is None:
                 break
+            assert all(best is not p for p in closed)
             before = trie.live_count
             report = expand(trie, best, ens.phi, inst.y, cfg)
             assert trie.live_count <= cfg.max_paths
@@ -425,8 +432,11 @@ def test_expansion_round_post_conditions():
                 assert best not in trie.paths()  # replaced by its first child
                 assert trie.live_count >= before
             else:
-                assert best.exhausted and best.complete(cfg.kmax)
+                assert any(best is p for p in trie.paths())
+                closed.append(best)
             assert report.children_evaluated <= cfg.branch
+        closures += len(closed)
+    assert closures > 0
 
 
 def test_init_search_seeds_top_correlated_atoms():
@@ -480,7 +490,7 @@ def test_a_support_opened_in_another_order_is_not_factorized(monkeypatch):
     y = np.array([3.0, 2.0, 1.0, 0.5])
     cfg = AompConfig(kmax=3, initial_paths=1, branch=2, max_paths=5)
     root = PathState((), (float(np.linalg.norm(y)),), 0.0, IncrementalFactorization.empty(y))
-    trie = SearchTrie()
+    trie = SearchTrie(cfg.kmax)
     trie.insert(root.extended(0, phi, cfg).extended(1, phi, cfg))
     best = root.extended(1, phi, cfg)
     trie.insert(best)

@@ -238,6 +238,17 @@ def test_sp_stops_when_no_atom_is_left_outside_the_support():
         sp_recover(ens.phi, inst.y, 4)  # k must stay within N
 
 
+def test_sp_stops_when_a_new_support_only_ties_the_residue():
+    # y = e1 on columns u0 = (1, 1) and u1 = (2, -2): u1 correlates more,
+    # so SP starts from {1}; the union's projection y = u0 / 2 + u1 / 4
+    # prunes to {0}, a different support whose residue (1, -1) / 2 has the
+    # same norm as {1}'s (1, 1) / 2, bit for bit, since the two differ only
+    # in sign.  A tie is no decrease: SP stops on {1} after one iteration.
+    phi = np.array([[1.0, 2.0], [1.0, -2.0]])
+    out = sp_recover(phi, np.array([1.0, 0.0]), 1)
+    assert (out.reason, out.iterations, tuple(out.support)) == (REASON_STALLED, 1, (1,))
+
+
 def test_iht_recovers_with_well_scaled_matrix():
     # orthonormal rows keep the spectral norm at one, the classic setting
     # where the fixed unit step is contractive
@@ -260,6 +271,13 @@ def test_iht_flags_divergence():
     out = iht_recover(ens.phi, inst.y, 4, step=5e4, max_iter=50)
     assert out.reason == REASON_DIVERGED
     assert out.converged is False
+
+
+def test_iht_flags_divergence_past_ten_times_the_signal():
+    # phi = [[2]], y = 1: each sweep multiplies the residue by -3 (3, 9,
+    # 27), so it first passes 10 ||y|| in the third sweep, not before
+    out = iht_recover([[2.0]], [1.0], 1)
+    assert (out.reason, out.iterations) == (REASON_DIVERGED, 3)
 
 
 def test_iht_keeps_k_largest_each_step():

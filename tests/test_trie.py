@@ -10,6 +10,8 @@ from treepursuit.astar import PathState
 from treepursuit.linalg import IncrementalFactorization
 from treepursuit.trie import SearchTrie
 
+KMAX = 5  # longer than every path below except where a test says otherwise
+
 
 class FakePath:
     def __init__(self, support, cost=0.0):
@@ -37,7 +39,7 @@ def test_equal_sets_in_any_order_collide():
     a = PathState((2, 4, 1), (1.0,) * 4, 0.5, fact)
     b = PathState((4, 1, 2), (1.0,) * 4, 0.5, fact)
     assert a.canonical == b.canonical == (1, 2, 4)
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     trie.insert(a)
     with pytest.raises(ValueError):
         trie.insert(b)
@@ -47,24 +49,26 @@ def test_equal_sets_in_any_order_collide():
 
 
 def test_registry_never_writes_to_a_path():
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     a, b = SealedPath((3, 1), 1.0), SealedPath((0,), 2.0)
     trie.insert(a)
     trie.insert(b)
+    trie.close(b)
     trie.remove(a)
     assert trie.paths() == [b]
+    assert trie.cheapest_open() is None
     assert trie.has_equivalent((1, 3))
 
 
 def test_duplicate_live_support_rejected():
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     trie.insert(FakePath((0, 3)))
     with pytest.raises(ValueError):
         trie.insert(FakePath((3, 0)))
 
 
 def test_removed_path_still_counts_as_explored():
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     p = FakePath((1, 2))
     trie.insert(p)
     trie.remove(p)
@@ -77,13 +81,13 @@ def test_removed_path_still_counts_as_explored():
 
 def test_prefix_of_explored_path_is_not_equivalent():
     # (0, 1) is a prefix of the opened (0, 1, 2) but was never itself a path
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     trie.insert(FakePath((0, 1, 2)))
     assert not trie.has_equivalent((0, 1))
 
 
 def test_remove_requires_live_path():
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     p = FakePath((0,))
     with pytest.raises(ValueError):
         trie.remove(p)
@@ -94,7 +98,7 @@ def test_remove_requires_live_path():
 
 
 def test_paths_snapshot_does_not_alias():
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     a, b = FakePath((0,)), FakePath((1,))
     trie.insert(a)
     trie.insert(b)
@@ -113,7 +117,7 @@ def test_remove_drops_exactly_the_given_object():
     b = PathState((1,), (1.0, 0.5), 0.5, fact)
     twin = PathState((0,), (1.0, 0.5), 0.5, fact)
     assert a != twin
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     trie.insert(a)
     trie.insert(b)
     with pytest.raises(ValueError):
@@ -129,7 +133,7 @@ def test_remove_drops_exactly_the_given_object():
 def test_remove_after_a_cost_change_raises_and_keeps_the_registry():
     # the order holds the cost a path was inserted with; a path whose cost
     # changed while live is not found there, and no neighbour is dropped
-    trie = SearchTrie()
+    trie = SearchTrie(KMAX)
     a, b, c = FakePath((0,), 1.0), FakePath((1,), 2.0), FakePath((2,), 3.0)
     for p in (a, b, c):
         trie.insert(p)
@@ -148,17 +152,22 @@ def test_remove_after_a_cost_change_raises_and_keeps_the_registry():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_registry_keeps_cost_order_under_removals(data):
-    # model-based: the live paths, the removed paths and every support ever
-    # opened (as frozensets) against the registry, with each support drawn
-    # in a random atom order and each cost from a small set, so ties occur;
-    # the order, the cheapest and the costliest path against a brute-force sort
-    trie = SearchTrie()
-    live, dead, opened = [], [], set()
+    # model-based: the open, closed and removed paths and every support
+    # ever opened (as frozensets) against the registry, with each support
+    # drawn in a random atom order and each cost from a small set, so ties
+    # occur, and some paths long enough to be filed closed at insertion;
+    # the order, the cheapest open, the cheapest and the costliest path
+    # against a brute-force sort of the two sets
+    kmax = 3
+    trie = SearchTrie(kmax)
+    open_, closed, dead, opened = set(), set(), [], set()
     inserts = 0
+    ops = ["insert", "remove", "remove-dead", "close", "close-closed"]
     for _ in range(data.draw(st.integers(0, 60), label="steps")):
-        op = data.draw(st.sampled_from(["insert", "remove", "remove-dead"]), label="op")
-        atoms = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+        op = data.draw(st.sampled_from(ops), label="op")
+        atoms = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True))
         support = tuple(data.draw(st.permutations(atoms), label="support"))
+        live = _by_cost(open_ | closed)
         if op == "insert":
             path = FakePath(support, data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="cost"))
             if frozenset(support) in {frozenset(p.support) for p in live}:
@@ -166,30 +175,43 @@ def test_registry_keeps_cost_order_under_removals(data):
                     trie.insert(path)
             else:
                 trie.insert(path)
-                live.append(path)
+                (closed if len(support) >= kmax else open_).add(path)
                 opened.add(frozenset(support))
                 inserts += 1
         elif op == "remove" and live:
-            path = live.pop(data.draw(st.integers(0, len(live) - 1), label="pick"))
+            path = live[data.draw(st.integers(0, len(live) - 1), label="pick")]
             trie.remove(path)
-            assert path not in trie.paths()
+            open_.discard(path)
+            closed.discard(path)
             dead.append(path)
+        elif op == "close" and open_:
+            path = data.draw(st.sampled_from(_by_cost(open_)), label="pick")
+            trie.close(path)
+            open_.remove(path)
+            closed.add(path)
+        elif op == "close-closed" and closed:
+            # a closed path is not open, so it cannot be closed again
+            with pytest.raises(ValueError):
+                trie.close(data.draw(st.sampled_from(_by_cost(closed)), label="pick"))
         else:
             # a removed path, maybe sharing its support with a live one, or
             # a path never inserted
             path = data.draw(st.sampled_from(dead)) if dead else FakePath(support)
             with pytest.raises(ValueError):
                 trie.remove(path)
+            with pytest.raises(ValueError):
+                trie.close(path)
         assert trie.has_equivalent(tuple(sorted(support))) == (frozenset(support) in opened)
         got = trie.paths()
-        want = sorted(live, key=lambda p: (p.cost, len(p.support), tuple(sorted(p.support))))
-        assert len(got) == len(live) == trie.live_count
+        want = _by_cost(open_ | closed)
+        assert len(got) == len(want) == trie.live_count
         assert all(g is w for g, w in zip(got, want))
+        want_open = _by_cost(open_)
+        assert trie.cheapest_open() is (want_open[0] if want_open else None)
         assert trie.cheapest() is (want[0] if want else None)
         assert trie.costliest() is (want[-1] if want else None)
-        size = data.draw(st.integers(1, 4), label="accepted length")
-        accepted = [p for p in want if len(p.support) == size]
-        assert trie.cheapest(lambda p: len(p.support) == size) is (
-            accepted[0] if accepted else None
-        )
         assert trie.inserted_total == inserts
+
+
+def _by_cost(paths):
+    return sorted(paths, key=lambda p: (p.cost, len(p.support), tuple(sorted(p.support))))
