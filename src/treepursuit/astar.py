@@ -309,8 +309,11 @@ class PathState:
     def extended(self, j, phi, config, key=None):
         """The child path with atom j appended, keyed by `key` (by default
         `key_with(j)`); SingularSupportError when atom j lies numerically
-        in the span of the support."""
-        fact = self.fact.appended(j, phi[:, j])
+        in the span of the support.  The child is priced from this path's
+        correlations; its residue is formed at once only within twice the
+        residue threshold, so every termination test reads a formed one."""
+        limit = 2.0 * config.effective_epsilon() * self.norms[0]
+        fact = self.fact._priced(j, phi, limit)
         norms = self.norms + (fact.residue_norm,)
         if key is None:
             key = self.key_with(j)
@@ -391,10 +394,10 @@ def expand(trie, best, phi, y, config):
     must beat the worst live path by cost.  A path whose round accepts no
     child is closed: it stays live but is not expanded again.
     """
-    report = ExpansionReport()
     n = phi.shape[1]
-    # phi and the residue were checked when the search began
-    corr = np.abs(phi.T.dot(best.fact.residue))
+    # phi and the residue were checked when the search began; the
+    # children are priced from the same signed correlations
+    corr = np.abs(best.fact.signed_correlations(phi))
     if config.audit and best.support:
         held = float(np.max(corr[list(best.support)]))
         if held > 1e-10 * best.norms[0]:
@@ -402,41 +405,44 @@ def expand(trie, best, phi, y, config):
     width = min(config.branch, n - best.length)
     if width < 1:
         trie.close(best)
-        return report
+        return ExpansionReport()
     threshold = config.effective_epsilon() * best.norms[0]
+    terminated = None
+    consumed = False
+    accepted = evaluated = hits = singular = rejected = 0
     for j in _top_few(corr, width, best.support):
-        report.children_evaluated += 1
+        evaluated += 1
         key = best.key_with(j)
         if trie.has_equivalent(key):
-            report.equivalent_hits += 1
+            hits += 1
             continue
         try:
             child = best.extended(j, phi, config, key)
         except SingularSupportError:
-            report.singular_skips += 1
+            singular += 1
             continue
         if child.fact.residue_norm <= threshold:
-            report.terminated = child
-            return report
-        if not report.consumed:
+            terminated = child
+            break
+        if not consumed:
             trie.remove(best)
             trie.insert(child)
-            report.consumed = True
-            report.accepted += 1
+            consumed = True
+            accepted += 1
         elif trie.live_count < config.max_paths:
             trie.insert(child)
-            report.accepted += 1
+            accepted += 1
         else:
             worst = trie.costliest()
             if child.cost < worst.cost:
                 trie.remove(worst)
                 trie.insert(child)
-                report.accepted += 1
+                accepted += 1
             else:
-                report.cost_rejected += 1
-    if not report.consumed:
+                rejected += 1
+    if terminated is None and not consumed:
         trie.close(best)
-    return report
+    return ExpansionReport(terminated, consumed, accepted, evaluated, hits, singular, rejected)
 
 
 def _audit_trie(trie, config, checked):

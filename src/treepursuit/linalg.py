@@ -32,6 +32,13 @@ a reference to its parent plus its own new direction, one R column and
 one entry of Q^T y.  Materializing, which the next append needs, builds
 Q only; R and Q^T y are assembled from the kept columns when they are
 first read, which a solver does once, for the factorization it returns.
+The search ranks a path's children by a cost of their residue norms but
+reads the residue vector only of the children it expands later, so it
+prices each child from its parent's squared residue norm and signed
+correlations and forms the child's residue when first read
+(`IncrementalFactorization._priced`; the class docstring gives the rule
+and the three cases that form a child at once).  OMP and MMP-DF, which read
+every residue they build, keep `appended`.
 The records and counters around these kernels are lean too: the
 search's paths and expansion reports are slotted dataclasses, its
 counters are locals, and `results.finish` takes the residual norm with
@@ -215,28 +222,55 @@ class IncrementalFactorization:
     reference to its parent; `q` is assembled on first read, after which
     the parent reference is dropped, so at most one generation is held.
     `rmat` and `qty` are assembled from the kept columns on first read and
-    cached.  The residue and its norm are computed eagerly.
-    Orthogonalization is classical Gram-Schmidt, float64 only, with a
-    second pass only when the first leaves less than
+    cached.  Orthogonalization is classical Gram-Schmidt, float64 only,
+    with a second pass only when the first leaves less than
     REORTHOGONALIZE_TOL = 1/sqrt(2) of the column's norm (Daniel et al.
     1976); its correction is added to the R column at once.  Outputs
     are not byte-identical to those of the earlier rule that always ran
     the second pass; they differ at rounding level.
+
+    A factorization keeps its squared residue norm s (y.y for the empty
+    support) and, once a search asks for them, the signed correlations
+    g = phi^T r of its residue (`signed_correlations`), computed once;
+    assigning a residue clears g and takes s afresh.  `appended`, which
+    OMP and MMP-DF use, forms every child's residue at once.  The search
+    prices its children with `_priced` instead: after the same
+    Gram-Schmidt step, v = c - Q coef with nu = ||v||, the child's
+    projection is p = g_j / nu, which equals qhat.r in exact arithmetic
+    because r is orthogonal to span(Q), and its squared residue norm is
+    s' = s - p^2 (the QR update of Sturm & Christensen, EUSIPCO 2012), so
+    `residue_norm` = sqrt(s').  Its direction qhat = v / nu and its
+    residue r - p qhat are formed on the first read of `residue` or `q`,
+    and s is then retaken as the formed residue's r.r, so that pricing
+    errors do not add up along a path.  A child is built as `appended`
+    builds it, with p = qhat.r and s' = r'.r' from a formed residue,
+    whenever the shortcut could lose accuracy: when the second
+    Gram-Schmidt pass ran, when s' <= s / 4 (the subtraction cancels),
+    and when sqrt(s') <= `limit`, which the search sets to twice its
+    residue threshold, so every termination decision reads a formed
+    residue.  A priced child's norm, and so its path's cost, and its
+    entry of Q^T y differ from those of a formed child at rounding level.
     """
 
     __slots__ = (
-        "support", "residue", "residue_norm",
+        "support", "residue_norm",
         "_columns", "_q", "_parent", "_qhat", "_rmat", "_qty",
+        "_residue", "_sq", "_g", "_v", "_base",
     )
 
-    def __init__(self, support, columns, q, residue):
+    def __init__(self, support, columns, residue, sq, parent=None, qhat=None):
         self.support = support
-        self.residue = residue
-        self.residue_norm = _norm(residue)
         # per atom: its R column above the diagonal, R_ll and (Q^T y)_l
         self._columns = columns
-        self._q = q
-        self._parent = None
+        self._residue = residue  # None until a priced child forms it
+        self._sq = sq
+        self.residue_norm = math.sqrt(sq)
+        self._parent = parent
+        self._qhat = qhat
+        self._q = None
+        # the pending direction v and the parent's residue of a priced child
+        self._v = self._base = None
+        self._g = None
         self._rmat = self._qty = None
 
     @classmethod
@@ -245,7 +279,9 @@ class IncrementalFactorization:
         y = np.asarray(y, dtype=float)
         if y.ndim != 1:
             raise ValueError("y must be a vector")
-        fact = cls((), (), np.empty((y.shape[0], 0)), y.copy())
+        residue = y.copy()
+        fact = cls((), (), residue, float(residue.dot(residue)))
+        fact._q = np.empty((y.shape[0], 0))
         fact._rmat, fact._qty = np.empty((0, 0)), np.empty(0)
         return fact
 
@@ -254,12 +290,46 @@ class IncrementalFactorization:
         return len(self.support)
 
     @property
+    def residue(self):
+        if self._residue is None:
+            self._form()
+        return self._residue
+
+    @residue.setter
+    def residue(self, value):
+        if self._v is not None:
+            self._form()  # q still reads the direction
+        self._residue = value
+        self._sq = float(value.dot(value))
+        self._g = None
+
+    def _form(self):
+        # a priced child's direction and residue, by the arithmetic of an
+        # append with its priced projection
+        _, vnorm, proj = self._columns[-1]
+        qhat = self._v / vnorm
+        residue = self._base - proj * qhat
+        self._qhat, self._residue = qhat, residue
+        self._sq = float(residue.dot(residue))
+        self._v = self._base = None
+
+    def signed_correlations(self, phi):
+        """phi^T r for the residue r of this factorization, computed once;
+        phi is the matrix whose columns the support indexes."""
+        g = self._g
+        if g is None:
+            g = self._g = phi.T.dot(self.residue)
+        return g
+
+    @property
     def q(self):
         parent = self._parent
         if parent is not None:
+            if self._v is not None:
+                self._form()
             # the parent was materialized when this child was appended to it
             l = len(parent.support)
-            q = np.empty((self.residue.shape[0], l + 1))
+            q = np.empty((parent._q.shape[0], l + 1))
             q[:, :l] = parent._q
             q[:, l] = self._qhat
             self._q = q
@@ -289,15 +359,11 @@ class IncrementalFactorization:
             self._assemble()
         return self._qty
 
-    def appended(self, index, column):
-        """New factorization with `column` (atom `index`) appended.
-
-        Raises SingularSupportError when the column is numerically in the
-        span of the current support.
-        """
-        column = np.asarray(column, dtype=float)
-        if column.shape != self.residue.shape:
-            raise ValueError("column length must match the measurement size")
+    def _orthogonalized(self, index, column):
+        """The Gram-Schmidt step of every append: (coef, v, nu, twice) with
+        coef = Q^T c, v = c - Q coef, nu = ||v|| and whether the second
+        pass ran.  Raises SingularSupportError when the column is
+        numerically in the span of the support."""
         q = self.q
         qt = q.T
         v = column.copy()
@@ -305,7 +371,8 @@ class IncrementalFactorization:
         coef = qt.dot(v)
         v -= q.dot(coef)
         vnorm = _norm(v)
-        if vnorm < REORTHOGONALIZE_TOL * colnorm:
+        twice = vnorm < REORTHOGONALIZE_TOL * colnorm
+        if twice:
             # the first pass cancelled most of the column, so its rounding
             # error is a large share of v: a second pass removes it
             extra = qt.dot(v)
@@ -314,16 +381,54 @@ class IncrementalFactorization:
             vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
             raise SingularSupportError(int(index))
+        return coef, v, vnorm, twice
+
+    def _formed_child(self, index, coef, v, vnorm):
         qhat = v / vnorm
+        residue = self.residue
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
-        proj = float(qhat.dot(self.residue))
-        child = IncrementalFactorization(
-            self.support + (int(index),), self._columns + ((coef, vnorm, proj),), None,
-            self.residue - proj * qhat,
+        proj = float(qhat.dot(residue))
+        residue = residue - proj * qhat
+        return IncrementalFactorization(
+            self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
+            residue, float(residue.dot(residue)), self, qhat,
         )
-        child._parent = self
-        child._qhat = qhat
-        return child
+
+    def appended(self, index, column):
+        """New factorization with `column` (atom `index`) appended, its
+        residue formed.
+
+        Raises SingularSupportError when the column is numerically in the
+        span of the current support.
+        """
+        column = np.asarray(column, dtype=float)
+        if column.shape != self.residue.shape:
+            raise ValueError("column length must match the measurement size")
+        coef, v, vnorm, _ = self._orthogonalized(index, column)
+        return self._formed_child(index, coef, v, vnorm)
+
+    def _priced(self, index, phi, limit):
+        """The child with column `index` of phi appended, priced from this
+        factorization's correlations: its residue is formed only when read,
+        unless the second Gram-Schmidt pass ran, s' <= s / 4 or
+        sqrt(s') <= `limit`, where it is built as `appended` builds it.
+        Checks nothing: phi is the problem's matrix, checked at entry."""
+        coef, v, vnorm, twice = self._orthogonalized(index, phi[:, index])
+        if not twice:
+            g = self._g
+            if g is None:
+                g = self.signed_correlations(phi)  # forms this residue, and so s
+            proj = float(g[index]) / vnorm
+            sq = self._sq
+            rest = sq - proj * proj
+            if rest > 0.25 * sq and rest > limit * limit:
+                child = IncrementalFactorization(
+                    self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
+                    None, rest, self,
+                )
+                child._v, child._base = v, self._residue
+                return child
+        return self._formed_child(index, coef, v, vnorm)
 
     def coefficients(self):
         """Least-squares coefficients of y over the support, support order:

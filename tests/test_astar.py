@@ -453,15 +453,17 @@ def test_init_search_seeds_top_correlated_atoms():
 
 
 def _count_appends(monkeypatch):
-    """The atoms of every `IncrementalFactorization.appended` call from now on."""
+    """The atoms of every `IncrementalFactorization.appended` call, and of
+    every child the search prices with `_priced`, from now on."""
     atoms = []
-    real = IncrementalFactorization.appended
+    for name in ("appended", "_priced"):
+        real = getattr(IncrementalFactorization, name)
 
-    def counted(self, index, column):
-        atoms.append(index)
-        return real(self, index, column)
+        def counted(self, index, *args, real=real):
+            atoms.append(index)
+            return real(self, index, *args)
 
-    monkeypatch.setattr(IncrementalFactorization, "appended", counted)
+        monkeypatch.setattr(IncrementalFactorization, name, counted)
     return atoms
 
 
@@ -500,6 +502,44 @@ def test_a_support_opened_in_another_order_is_not_factorized(monkeypatch):
     assert (report.children_evaluated, report.equivalent_hits, report.accepted) == (2, 1, 1)
     assert report.terminated is None
     assert sorted(p.canonical for p in trie.paths()) == [(0, 1), (1, 2)]
+
+
+def test_a_child_never_expanded_never_forms_its_residue(monkeypatch):
+    # the search prices its children from their parent's correlations; a
+    # priced child's residue is formed when the child is expanded, and
+    # the children that are never expanded never form one
+    formed, expanded = [], []
+    real_form, real_expand = IncrementalFactorization._form, astar.expand
+
+    def form(self):
+        formed.append(self)
+        real_form(self)
+
+    def expand_and_note(trie, best, phi, y, config):
+        expanded.append(best.fact)
+        return real_expand(trie, best, phi, y, config)
+
+    monkeypatch.setattr(IncrementalFactorization, "_form", form)
+    monkeypatch.setattr(astar, "expand", expand_and_note)
+    atoms = _count_appends(monkeypatch)
+    ens, inst = gen_problem(40, 64, 12, "gaussian", 3)
+    out = aomp_recover(ens.phi, inst.y, AompConfig(kmax=20))
+    assert out.reason == REASON_RESIDUE
+    # only expanded paths formed a residue, and some built paths never were
+    assert formed and all(any(f is e for e in expanded) for f in formed)
+    assert out.iterations < len(atoms)
+
+
+@pytest.mark.parametrize("epsilon, formed", [(0.4, True), (0.1, False)])
+def test_children_within_twice_the_threshold_are_formed_at_once(epsilon, formed):
+    # atom 1 leaves a residue of norm sqrt(1.25) = 1.118 of ||y|| = 1.871:
+    # 1.5 times the threshold at epsilon 0.4, so formed at once, by the
+    # arithmetic of an append; 6 times it at epsilon 0.1, so priced
+    phi, y = np.eye(3), np.array([1.0, 1.5, 0.5])
+    config = AompConfig(kmax=3, epsilon=epsilon)
+    root = PathState((), (float(np.linalg.norm(y)),), 0.0, IncrementalFactorization.empty(y))
+    child = root.extended(1, phi, config)
+    assert (child.fact._residue is not None) == formed
 
 
 def test_hybrid_returns_first_stage_when_greedy_suffices():

@@ -359,6 +359,17 @@ def test_fbp_leaves_rounding_noise_out_of_the_support():
     assert np.count_nonzero(out.xhat) == 30
 
 
+def test_fbp_keeps_a_small_coefficient_above_its_noise_cut():
+    # y = e0 + 1e-8 e1 on orthonormal atoms: the forward step takes atoms
+    # 0, 1 and 2 (a zero correlation, first by index), the backward step
+    # drops atom 2, whose coefficient is 0, and the residue is then 0.  A
+    # coefficient of 1e-8 max|z| is signal, not rounding noise, so it stays
+    out = fbp_recover(np.eye(4), np.array([1.0, 1e-8, 0.0, 0.0]), alpha=3, beta=1)
+    assert out.reason == REASON_RESIDUE
+    assert list(out.support) == [0, 1]
+    assert out.xhat[1] == 1e-8
+
+
 # SP and FBP on desk-size instances (M=100, N=256), recorded when `project`
 # still rebuilt each support through the incremental factorization.  Keys
 # are (ensemble, K, seed); SP pins (reason, iterations, support digest),

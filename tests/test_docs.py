@@ -131,3 +131,24 @@ def test_output_digest_list_prints_every_solve_and_keeps_the_digest(monkeypatch)
     expected = [(name, label) for name, *_ in tool.problems() for label in SOLVERS]
     heads = [line.split(": ", 1) for line in lines]
     assert [(name, head.split()[0]) for name, head in heads] == expected
+
+
+def test_pool_records_prints_every_solve_of_a_desk_item(monkeypatch):
+    # the pool-comparison tool README names runs the benchmark's own desk
+    # op on one pool item and prints one record line per solve
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "tools" / "pool_records.py"
+    spec = importlib.util.spec_from_file_location("pool_records", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = list(tool.pool_lines("desk", 1, items=1))
+    assert [line.split()[:2] for line in lines] == [
+        ["0", label] for label in ("amul-aompe", "hybrid", "omp", "sp")
+    ]
+    for line in lines:
+        assert re.fullmatch(
+            r"0 [\w-]+ \[[\d, ]*\] \w+ stage=\w* iterations=\d+ nodes_expanded=\d+ "
+            r"paths_opened=\d+ equivalent_hits=\d+ singular_skips=\d+", line)
+    assert list(tool.pool_lines("desk", 1, items=1)) == lines

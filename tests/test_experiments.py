@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treepursuit import experiments
 from treepursuit.astar import AompConfig
 from treepursuit.experiments import (
     EXACT_RTOL,
     SOLVERS,
+    _logistic_mle,
     anmse,
     fit_rho_star,
     make_solver,
@@ -274,6 +276,26 @@ def test_fit_rho_star_logistic_data():
     star, censored = fit_rho_star(rhos, succ, [trials] * 13)
     assert censored is None
     assert abs(star - 0.37) < 0.03
+
+
+def test_logistic_fit_takes_a_steep_but_finite_slope():
+    # rates drawn exactly from a logistic of slope -500 around 0.3, on 1000
+    # trials a point: the fit converges to a slope of about -500, which is
+    # steep but far from the runaway slopes of separated data
+    rhos = [0.296, 0.298, 0.300, 0.302, 0.304]
+    successes, trials = [881, 731, 500, 269, 119], [1000] * 5
+    theta = _logistic_mle(rhos, successes, trials)
+    assert theta is not None
+    assert -510.0 < theta[1] < -490.0
+    assert fit_rho_star(rhos, successes, trials) == (-theta[0] / theta[1], None)
+
+
+@pytest.mark.parametrize("theta, star", [((0.1, -1.0), 0.1), ((0.3, -1.0), 0.3)])
+def test_fit_rho_star_takes_a_crossing_at_either_end_of_the_grid(monkeypatch, theta, star):
+    # a logistic crossing that falls exactly on the first or the last rho
+    # tested lies inside the grid, so it is returned uncensored
+    monkeypatch.setattr(experiments, "_logistic_mle", lambda *args: np.array(theta))
+    assert fit_rho_star([0.1, 0.2, 0.3], [20, 10, 0], [20] * 3) == (star, None)
 
 
 def test_fit_rho_star_censoring():

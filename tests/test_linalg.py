@@ -4,6 +4,8 @@ The projection oracle is numpy's own dense least squares; the incremental
 factorization must agree with it to tight tolerance on every prefix.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from treepursuit.baselines import _augmented, _project
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
+    _norm,
     _top_few,
     check_problem,
     correlations,
@@ -507,3 +510,124 @@ def test_check_problem_rejects_bad_input():
         check_problem(phi, np.ones(4))
     with pytest.raises(ValueError, match="length M"):
         check_problem(np.ones(3), y)
+
+
+@st.composite
+def priced_chains(draw):
+    """(phi, y, support, limit): a Gaussian, integer or twin-column phi and
+    the atoms of a chain of priced children along it."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "integer", "twins"]))
+    if kind == "integer":
+        phi = rng.integers(-3, 4, size=(m, n)).astype(float)
+    else:
+        phi = rng.normal(size=(m, n))
+    if kind == "twins":
+        phi = np.repeat(phi, 2, axis=1)[:, :n]
+    if kind == "integer" and draw(st.booleans()):
+        y = phi @ rng.integers(-2, 3, size=n).astype(float)
+    else:
+        y = rng.normal(size=m)
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=m, unique=True))
+    limit = draw(st.sampled_from([0.0, 1e-6, 0.5])) * np.linalg.norm(y)
+    return phi, y, support, limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(priced_chains())
+def test_priced_children_agree_with_a_whole_support_projection(case):
+    # each child is priced from its parent's correlations and squared
+    # norm, its residue formed only when read; along the chain its norm,
+    # its formed residue and its coefficients are those of a projection of
+    # y on the whole support
+    phi, y, support, limit = case
+    ynorm = np.linalg.norm(y)
+    fact = IncrementalFactorization.empty(y)
+    for j in support:
+        try:
+            fact = fact._priced(j, phi, limit)
+        except SingularSupportError:
+            break
+        sub = phi[:, list(fact.support)]
+        z, r = project(y, phi, list(fact.support))
+        ref = np.linalg.norm(r)
+        # a residue at rounding level has no relative accuracy to keep
+        floor = 1e-15 * np.linalg.cond(sub) * ynorm
+        assert abs(fact.residue_norm - ref) <= 1e-12 * ref + floor
+        assert np.linalg.norm(fact.residue - r) <= 1e-12 * ynorm + floor
+        z_ref, *_ = np.linalg.lstsq(sub, y, rcond=None)
+        tol = 1e-12 * np.linalg.cond(sub) * max(1.0, float(np.linalg.norm(z_ref)))
+        assert np.linalg.norm(fact.coefficients() - z_ref) <= tol
+
+
+def _built_formed(parent, j, phi, limit):
+    """The child `_priced` builds, after checking that it was formed at
+    once, by the arithmetic of `appended`, bit for bit."""
+    child = parent._priced(j, phi, limit)
+    assert child._residue is not None
+    reference = parent.appended(j, phi[:, j])
+    assert np.array_equal(child.residue, reference.residue)
+    assert child.qty.tobytes() == reference.qty.tobytes()
+    assert child.residue_norm == reference.residue_norm == _norm(child.residue)
+    return child
+
+
+def test_a_second_gram_schmidt_pass_builds_a_formed_child():
+    # atom 1 lies 1e-3 of its norm from atom 0, so its first pass leaves
+    # 1e-3 of the column; its residue drop (0.01 of 1.01) and the limit 0
+    # would have allowed a priced child
+    phi = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
+    y = np.array([0.0, 0.1, 1.0])
+    first = IncrementalFactorization.empty(y)._priced(0, phi, 0.0)
+    assert first._residue is None
+    _built_formed(first, 1, phi, 0.0)
+
+
+def test_a_residue_drop_below_half_builds_a_formed_child():
+    # on orthonormal atoms, atom 1 takes the squared norm from 1.05 to 0.05,
+    # below a quarter of it, where s - p^2 cancels
+    phi = np.eye(3)
+    y = np.array([0.1, 1.0, 0.2])
+    _built_formed(IncrementalFactorization.empty(y), 1, phi, 0.0)
+
+
+def test_a_residue_near_the_limit_builds_a_formed_child():
+    # atom 1 takes the squared norm from 3.5 to 1.25, so the child's norm
+    # is 1.118: within a limit of 2 it is formed at once, past a limit of 1
+    # it is priced and its residue waits for its first read
+    phi = np.eye(3)
+    y = np.array([1.0, 1.5, 0.5])
+    root = IncrementalFactorization.empty(y)
+    _built_formed(root, 1, phi, 2.0)
+    priced = root._priced(1, phi, 1.0)
+    assert priced._residue is None
+    assert priced.residue_norm == math.sqrt(1.25)
+    assert np.array_equal(priced.residue, [1.0, 0.0, 0.5])
+
+
+def test_a_long_priced_chain_keeps_its_norms_to_rounding():
+    # orthonormal atoms and y_i = 0.6^i: each atom takes the squared norm
+    # down by 0.36, so every child is priced, and after 30 atoms it is
+    # 1e-13 of where it began.  Each expanded parent's s is its formed
+    # residue's r.r, so no subtraction error carries down the chain
+    phi = np.eye(40)
+    y = 0.6 ** np.arange(40)
+    fact = IncrementalFactorization.empty(y)
+    for j in range(30):
+        fact = fact._priced(j, phi, 0.0)
+        assert fact._residue is None
+        exact = np.linalg.norm(y[j + 1:])
+        assert abs(fact.residue_norm - exact) <= 1e-14 * exact
+
+
+def test_assigning_a_residue_reprices_the_children():
+    # an assigned residue replaces the correlations and the squared norm
+    # the children are priced from
+    phi = np.eye(3)
+    fact = IncrementalFactorization.empty(np.array([1.0, 1.5, 0.5]))
+    assert fact._priced(1, phi, 0.0).residue_norm == math.sqrt(1.25)
+    fact.residue = np.array([2.0, 2.0, 1.0])
+    assert np.array_equal(fact.signed_correlations(phi), [2.0, 2.0, 1.0])
+    assert fact._priced(0, phi, 0.0).residue_norm == math.sqrt(5.0)
