@@ -27,8 +27,6 @@ from .linalg import (
     SingularSupportError,
     _top_few,
     check_problem,
-    correlations,
-    top_indices,
 )
 from .results import (
     REASON_ALL_COMPLETE,
@@ -281,7 +279,7 @@ class PathState:
     norms[0] is ||y||; norms[i] is the residue norm after the first i
     atoms.  canonical, the support in ascending atom order and the path's
     registry key, is derived once, when the path is built: a child's is
-    its parent's with the new atom inserted (`key_with`), and a path built
+    its parent's with the new atom inserted (`_with_atom`), and a path built
     without one sorts its support.  Paths compare by identity, so the trie
     can tell a live path from an equal-valued copy.
     """
@@ -300,24 +298,32 @@ class PathState:
     def length(self):
         return len(self.support)
 
-    def key_with(self, j):
-        """The registry key of the child with atom j appended."""
-        key = self.canonical
-        i = bisect(key, j)
-        return key[:i] + (j,) + key[i:]
-
     def extended(self, j, phi, config, key=None):
         """The child path with atom j appended, keyed by `key` (by default
-        `key_with(j)`); SingularSupportError when atom j lies numerically
+        its sorted support); SingularSupportError when atom j lies numerically
         in the span of the support.  The child is priced from this path's
         correlations; its residue is formed at once only within twice the
         residue threshold, so every termination test reads a formed one."""
-        limit = 2.0 * config.effective_epsilon() * self.norms[0]
-        fact = self.fact._priced(j, phi, limit)
-        norms = self.norms + (fact.residue_norm,)
         if key is None:
-            key = self.key_with(j)
-        return PathState(fact.support, norms, config.path_cost(norms), fact, key)
+            key = _with_atom(self.canonical, j)
+        norms = self.norms
+        limit = 2.0 * config.effective_epsilon() * norms[0]
+        return _child(self.fact, norms, j, phi, limit, config.path_cost, key)
+
+
+def _with_atom(key, j):
+    """The registry key `key`, a sorted support, with atom j inserted."""
+    i = bisect(key, j)
+    return key[:i] + (j,) + key[i:]
+
+
+def _child(parent, norms, j, phi, limit, path_cost, key):
+    """The path with atom j appended to the path of factorization `parent`
+    and residue norms `norms`: the one builder of `PathState.extended` and
+    of `expand`, which reads its other arguments once per expansion."""
+    fact = parent._priced(j, phi, limit)
+    norms = norms + (fact.residue_norm,)
+    return PathState(fact.support, norms, path_cost(norms), fact, key)
 
 
 @dataclass(slots=True)
@@ -336,8 +342,10 @@ class ExpansionReport:
 def init_search(phi, y, config):
     """Seed the trie with the best single-atom paths.
 
-    The initial_paths atoms maximizing |<phi_j, y>| extend the root path
-    over the empty support into length-1 paths with projected residues.
+    The initial_paths atoms maximizing |<phi_j, y>| (ties by ascending
+    index) extend the root path over the empty support into length-1
+    paths with projected residues.  They are ranked from the root's own
+    signed correlations phi^T y, the product that prices them.
     Returns (trie, done) where done is a path that already meets the
     residue criterion (the root itself for y = 0) or None.
     """
@@ -345,16 +353,19 @@ def init_search(phi, y, config):
     y = np.asarray(y, dtype=float)
     _check_fits(config, phi.shape[0])
     n = phi.shape[1]
-    corr = correlations(phi, y)
     trie = SearchTrie(config.kmax)
-    ynorm = float(np.linalg.norm(y))
+    fact = IncrementalFactorization.empty(y)
+    # sqrt(y.y) of the root's contiguous copy of y: np.linalg.norm(y) bit for bit
+    ynorm = fact.residue_norm
     # the root is never ranked, so its cost is a placeholder
-    root = PathState((), (ynorm,), 0.0, IncrementalFactorization.empty(y))
+    root = PathState((), (ynorm,), 0.0, fact)
     if ynorm == 0.0:
         return trie, root
     threshold = config.effective_epsilon() * ynorm
     done = None
-    for j in top_indices(corr, min(config.initial_paths, n)):
+    # the seeds are ranked from the correlations that price them
+    corr = np.abs(fact.signed_correlations(phi))
+    for j in _top_few(corr, min(config.initial_paths, n), ()):
         try:
             path = root.extended(j, phi, config)
         except SingularSupportError:
@@ -394,30 +405,34 @@ def expand(trie, best, phi, y, config):
     must beat the worst live path by cost.  A path whose round accepts no
     child is closed: it stays live but is not expanded again.
     """
-    n = phi.shape[1]
+    # what every child reads of its parent, and below of the config, is
+    # read once per round
+    fact, norms, canonical = best.fact, best.norms, best.canonical
     # phi and the residue were checked when the search began; the
     # children are priced from the same signed correlations
-    corr = np.abs(best.fact.signed_correlations(phi))
-    if config.audit and best.support:
-        held = float(np.max(corr[list(best.support)]))
-        if held > 1e-10 * best.norms[0]:
+    corr = np.abs(fact.signed_correlations(phi))
+    if config.audit and canonical:
+        held = float(np.max(corr[list(canonical)]))
+        if held > 1e-10 * norms[0]:
             raise AuditError("expansion candidates overlap the path support")
-    width = min(config.branch, n - best.length)
+    width = min(config.branch, phi.shape[1] - len(canonical))
     if width < 1:
         trie.close(best)
         return ExpansionReport()
-    threshold = config.effective_epsilon() * best.norms[0]
+    threshold = config.effective_epsilon() * norms[0]
+    limit = 2.0 * threshold
+    path_cost = config.path_cost
     terminated = None
     consumed = False
     accepted = evaluated = hits = singular = rejected = 0
     for j in _top_few(corr, width, best.support):
         evaluated += 1
-        key = best.key_with(j)
+        key = _with_atom(canonical, j)
         if trie.has_equivalent(key):
             hits += 1
             continue
         try:
-            child = best.extended(j, phi, config, key)
+            child = _child(fact, norms, j, phi, limit, path_cost, key)
         except SingularSupportError:
             singular += 1
             continue

@@ -38,7 +38,12 @@ prices each child from its parent's squared residue norm and signed
 correlations and forms the child's residue when first read
 (`IncrementalFactorization._priced`; the class docstring gives the rule
 and the three cases that form a child at once).  OMP and MMP-DF, which read
-every residue they build, keep `appended`.
+every residue they build, keep `appended`.  Both go through one
+Gram-Schmidt step, which on the empty support forms no product, since
+v = c and ||v|| = ||c|| exactly.  A search tree takes the norm of each
+column it appends once: its factorizations share one list of column
+norms, made by the root's first priced child and kept no longer than
+the search.
 The records and counters around these kernels are lean too: the
 search's paths and expansion reports are slotted dataclasses, its
 counters are locals, and `results.finish` takes the residual norm with
@@ -210,6 +215,11 @@ def _top_few(scores, count, exclude):
     return picked
 
 
+# the R column above the diagonal of a support's first atom
+_NO_COEF = np.empty(0)
+_NO_COEF.flags.writeable = False
+
+
 class IncrementalFactorization:
     """QR factorization of phi restricted to an ordered support, together
     with the residue of y against that support.
@@ -250,15 +260,22 @@ class IncrementalFactorization:
     residue threshold, so every termination decision reads a formed
     residue.  A priced child's norm, and so its path's cost, and its
     entry of Q^T y differ from those of a formed child at rounding level.
+
+    The Gram-Schmidt step needs ||c|| for its two tests.  `appended` takes
+    it afresh; `_priced` reads it from a list of N column norms, indexed
+    by atom, that the root makes at its first `_priced` and hands by
+    reference to every factorization built from it, so a search takes
+    each norm once, by the same `_norm` of the contiguous column copy.
+    The list belongs to one tree: a new search starts from a new root.
     """
 
     __slots__ = (
         "support", "residue_norm",
         "_columns", "_q", "_parent", "_qhat", "_rmat", "_qty",
-        "_residue", "_sq", "_g", "_v", "_base",
+        "_residue", "_sq", "_g", "_v", "_base", "_colnorms",
     )
 
-    def __init__(self, support, columns, residue, sq, parent=None, qhat=None):
+    def __init__(self, support, columns, residue, sq, parent=None, qhat=None, colnorms=None):
         self.support = support
         # per atom: its R column above the diagonal, R_ll and (Q^T y)_l
         self._columns = columns
@@ -268,6 +285,8 @@ class IncrementalFactorization:
         self._parent = parent
         self._qhat = qhat
         self._q = None
+        # ||phi_j|| by atom, shared by every factorization of a search tree
+        self._colnorms = colnorms
         # the pending direction v and the parent's residue of a priced child
         self._v = self._base = None
         self._g = None
@@ -359,15 +378,20 @@ class IncrementalFactorization:
             self._assemble()
         return self._qty
 
-    def _orthogonalized(self, index, column):
+    def _orthogonalized(self, index, v, colnorm):
         """The Gram-Schmidt step of every append: (coef, v, nu, twice) with
         coef = Q^T c, v = c - Q coef, nu = ||v|| and whether the second
-        pass ran.  Raises SingularSupportError when the column is
+        pass ran.  `v` is a fresh contiguous copy of the column c, which
+        the step consumes, and `colnorm` = ||c||, the `_norm` of that copy.
+        On the empty support v = c and nu = ||c|| exactly, so neither
+        product runs.  Raises SingularSupportError when the column is
         numerically in the span of the support."""
-        q = self.q
+        if not self.support:
+            if colnorm == 0.0:
+                raise SingularSupportError(int(index))
+            return _NO_COEF, v, colnorm, False
+        q = self.q if self._q is None else self._q
         qt = q.T
-        v = column.copy()
-        colnorm = _norm(v)
         coef = qt.dot(v)
         v -= q.dot(coef)
         vnorm = _norm(v)
@@ -391,7 +415,7 @@ class IncrementalFactorization:
         residue = residue - proj * qhat
         return IncrementalFactorization(
             self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
-            residue, float(residue.dot(residue)), self, qhat,
+            residue, float(residue.dot(residue)), self, qhat, self._colnorms,
         )
 
     def appended(self, index, column):
@@ -404,7 +428,8 @@ class IncrementalFactorization:
         column = np.asarray(column, dtype=float)
         if column.shape != self.residue.shape:
             raise ValueError("column length must match the measurement size")
-        coef, v, vnorm, _ = self._orthogonalized(index, column)
+        v = column.copy()
+        coef, v, vnorm, _ = self._orthogonalized(index, v, _norm(v))
         return self._formed_child(index, coef, v, vnorm)
 
     def _priced(self, index, phi, limit):
@@ -412,8 +437,17 @@ class IncrementalFactorization:
         factorization's correlations: its residue is formed only when read,
         unless the second Gram-Schmidt pass ran, s' <= s / 4 or
         sqrt(s') <= `limit`, where it is built as `appended` builds it.
-        Checks nothing: phi is the problem's matrix, checked at entry."""
-        coef, v, vnorm, twice = self._orthogonalized(index, phi[:, index])
+        ||phi_index|| comes from the tree's column-norm list, which the
+        root's first call makes and every child shares.  Checks nothing:
+        phi is the problem's matrix, checked at entry."""
+        colnorms = self._colnorms
+        if colnorms is None:
+            colnorms = self._colnorms = [None] * phi.shape[1]
+        v = phi[:, index].copy()
+        colnorm = colnorms[index]
+        if colnorm is None:
+            colnorm = colnorms[index] = _norm(v)
+        coef, v, vnorm, twice = self._orthogonalized(index, v, colnorm)
         if not twice:
             g = self._g
             if g is None:
@@ -424,7 +458,7 @@ class IncrementalFactorization:
             if rest > 0.25 * sq and rest > limit * limit:
                 child = IncrementalFactorization(
                     self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
-                    None, rest, self,
+                    None, rest, self, None, colnorms,
                 )
                 child._v, child._base = v, self._residue
                 return child

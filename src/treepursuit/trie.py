@@ -10,7 +10,11 @@ equivalence test costs one hash lookup.  Live paths sit in two lists kept
 in cost order by bisection: open paths, which the search may still expand,
 and closed ones, which have kmax atoms or whose round kept no child.  The
 search expands the head of the open list and reads its cheapest and
-costliest live path off the heads and the tails of both.
+costliest live path off the heads and the tails of both.  Removing or
+closing a path that sits at the head or the tail of its list, as the
+expanded and the displaced path do, pops it without a search; any other
+is found by bisection on its key.  Either way a path whose cost changed
+since its insertion is refused.
 """
 
 from bisect import bisect_left, insort
@@ -20,7 +24,9 @@ __all__ = ["SearchTrie"]
 
 
 class SearchTrie:
-    """Live paths in cost order, open or closed, one per support set, and every set opened."""
+    """Live paths in cost order, open or closed, one per support set, and
+    every set opened.  The paths the search removes or closes leave from
+    an end of their list, without a search."""
 
     def __init__(self, kmax):
         self._kmax = kmax
@@ -33,7 +39,8 @@ class SearchTrie:
     def _key(path):
         """The cost order: (cost at insertion, length, canonical support).
         Ties break toward the shorter path, then the smaller support, which
-        is unique among live paths, so two entries never compare their paths."""
+        is unique among live paths, so two entries never compare their
+        paths.  An entry is the key followed by its path."""
         return (path.cost, len(path.canonical), path.canonical)
 
     @property
@@ -64,11 +71,13 @@ class SearchTrie:
 
     def insert(self, path):
         """Store a live path under its canonical key, closed when it has kmax atoms."""
-        if self._paths.get(path.canonical) is not None:
+        canonical = path.canonical
+        if self._paths.get(canonical) is not None:
             raise ValueError("a live path with this support already exists")
-        self._paths[path.canonical] = path
-        order = self._closed if len(path.canonical) >= self._kmax else self._open
-        insort(order, self._key(path) + (path,))
+        self._paths[canonical] = path
+        length = len(canonical)
+        order = self._closed if length >= self._kmax else self._open
+        insort(order, (path.cost, length, canonical, path))
         self.inserted_total += 1
 
     def _take(self, path, orders):
@@ -76,6 +85,13 @@ class SearchTrie:
         it still has the cost it was inserted with; returns its entry."""
         if self._paths.get(path.canonical) is not path:
             raise ValueError("path is not live in this trie")
+        # the search takes the open head (the path it expands) or a tail
+        # (the costliest path it displaces): those need no search
+        cost = path.cost
+        for order in orders:
+            for end in (0, -1):
+                if order and order[end][-1] is path and order[end][0] == cost:
+                    return order.pop(end)
         key = self._key(path)
         for order in orders:
             i = bisect_left(order, key)

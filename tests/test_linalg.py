@@ -631,3 +631,67 @@ def test_assigning_a_residue_reprices_the_children():
     fact.residue = np.array([2.0, 2.0, 1.0])
     assert np.array_equal(fact.signed_correlations(phi), [2.0, 2.0, 1.0])
     assert fact._priced(0, phi, 0.0).residue_norm == math.sqrt(5.0)
+
+
+@st.composite
+def tied_problems(draw):
+    """A small integer or Gaussian phi, with twin and zero columns, and a
+    y; integer entries make correlations exact, so ties are exact."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        phi = rng.integers(-2, 3, size=(m, n)).astype(float)
+        y = rng.integers(-3, 4, size=m).astype(float)
+    else:
+        phi = rng.normal(size=(m, n))
+        y = rng.normal(size=m)
+    columns = st.integers(0, n - 1)
+    for source, target in draw(st.lists(st.tuples(columns, columns), max_size=3)):
+        phi[:, target] = phi[:, source]
+    for j in draw(st.lists(columns, max_size=2)):
+        phi[:, j] = 0.0
+    return phi, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_problems(), st.data())
+def test_seeds_by_repeated_argmax_are_the_checked_ranking(case, data):
+    # the search ranks its seeds with _top_few on the root's own signed
+    # correlations: the picks of the checked kernels, ties included, in
+    # ascending index order
+    phi, y = case
+    count = data.draw(st.integers(1, phi.shape[1]), label="count")
+    assert _top_few(np.abs(phi.T.dot(y)), count, ()) == top_indices(correlations(phi, y), count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_problems())
+def test_every_step_of_a_priced_tree_is_the_appended_step(case):
+    # a search tree shares one list of column norms, looked up by atom:
+    # each child of one root, and each of their children, takes the
+    # Gram-Schmidt step of a lone append bit for bit (direction, R column
+    # and diagonal), or is singular where the append is
+    phi, y = case
+    n = phi.shape[1]
+
+    def step(parent, alone, j):
+        try:
+            child = parent._priced(j, phi, 0.0)
+        except SingularSupportError:
+            with pytest.raises(SingularSupportError):
+                alone.appended(j, phi[:, j])
+            return None, None
+        reference = alone.appended(j, phi[:, j])
+        assert child.q.tobytes() == reference.q.tobytes()
+        (coef, diagonal, _), (ref_coef, ref_diagonal, _) = child._columns[-1], reference._columns[-1]
+        assert coef.tobytes() == ref_coef.tobytes() and diagonal == ref_diagonal
+        return child, reference
+
+    root = IncrementalFactorization.empty(y)
+    for a in range(n):
+        child, reference = step(root, IncrementalFactorization.empty(y), a)
+        if child is not None:
+            for b in range(n):
+                if b != a:
+                    step(child, reference, b)

@@ -149,6 +149,28 @@ def test_remove_after_a_cost_change_raises_and_keeps_the_registry():
     assert trie.paths() == [a, c]
 
 
+def test_a_head_or_tail_is_taken_only_at_its_inserted_cost():
+    # the open head and the tails are taken without a search, but only
+    # while their cost is the one they were inserted with
+    trie = SearchTrie(KMAX)
+    head, tail, closed = FakePath((0,), 1.0), FakePath((1,), 3.0), FakePath(range(KMAX), 2.0)
+    for p in (head, tail, closed):
+        trie.insert(p)
+    for path in (head, tail, closed):
+        path.cost += 0.5
+        with pytest.raises(ValueError, match="cost changed"):
+            trie.remove(path)
+        assert trie.live_count == 3
+        path.cost -= 0.5
+    trie.close(head)
+    trie.remove(tail)
+    assert trie.paths() == [head, closed]
+    assert trie.cheapest_open() is None
+    trie.remove(closed)
+    trie.remove(head)
+    assert trie.live_count == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_registry_keeps_cost_order_under_removals(data):
