@@ -112,17 +112,17 @@ def _project(aug, colnorms, support):
 
 
 def _project_independent(aug, colnorms, support):
-    """`_project` on `support` less every atom it finds dependent on the
-    atoms before it; returns (kept, z, r), kept in support order.  One
-    factorization marks all of them: dropping a column in the span of the
-    columns before it leaves the span of every later prefix unchanged."""
+    """`_project` on `support` less every atom that lies in the span of the
+    atoms before it; returns (kept, z, r), kept in support order.  Each
+    factorization drops the first dependent atom it names: the Householder
+    step of a dependent column still takes a row, so the diagonal of R
+    past it no longer measures distances to the span."""
     kept = list(support)
     while True:
         try:
             return (kept, *_project(aug, colnorms, kept))
         except SingularSupportError as err:
-            dependent = set(err.dependent)
-            kept = [j for j in kept if j not in dependent]
+            kept.remove(err.atom)
 
 
 def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):

@@ -1,26 +1,29 @@
-"""OMP and MMP-DF against plain references written from their rules.
+"""OMP, MMP-DF, SP and FBP against plain references written from their rules.
 
 Each reference takes every residue from numpy's dense least squares
 (`np.linalg.lstsq` on the whole support) and every ranking from `sorted`
 on (-|<phi_j, r>|, j), so it shares no kernel with the library: neither
 the incremental Gram-Schmidt step that OMP, MMP-DF and the tree search
-share, nor `_top_few`.  Agreement on support, reason and work counters
+share, the Householder least squares of SP and FBP, nor `_top_few`.  Agreement on support, reason and work counters
 checks the selection rule, the dependency test and the stopping rules.
 
 The two sides round differently, so a decision whose margin is within
 rounding (two different columns correlated alike, a residue at the
-threshold, two complete paths with one residue) may go either way; the
-reference raises `Ambiguous` there and the draw is discarded.  Identical
+threshold, two complete paths with one residue, two coefficients alike
+at a pruning edge) may go either way; the reference raises `Ambiguous`
+there and the draw is discarded.  Identical
 columns tie exactly in exact arithmetic, but a matrix-vector product may
 round their two scores differently, so supports are compared with each
 atom mapped to the first column identical to it.
 """
 
+from itertools import combinations
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treepursuit.baselines import mmp_df_recover, omp_recover
+from treepursuit.baselines import fbp_recover, mmp_df_recover, omp_recover, sp_recover
 from treepursuit.results import REASON_MAX_ITER, REASON_RESIDUE, REASON_STALLED
 
 EPSILON = 1e-6
@@ -79,22 +82,62 @@ class Reference:
     def twins(self, a, b):
         return np.array_equal(self.phi[:, a], self.phi[:, b])
 
+    def scores(self, r, support):
+        """The atoms outside the support by descending |<phi_j, r>|, ties
+        by ascending index, and their scores."""
+        free = [j for j in range(self.n) if j not in support]
+        score = {j: abs(float(self.phi[:, j] @ r)) for j in free}
+        return sorted(free, key=lambda j: (-score[j], j)), score
+
+    def tied(self, score, a, others):
+        """Whether an atom of `others`, not a twin of a, scores within
+        rounding of a."""
+        return any(abs(score[a] - score[b]) <= self.noise and not self.twins(a, b)
+                   for b in others)
+
     def ranked(self, r, support, width):
         """The width atoms outside the support best correlated with r,
         ties by ascending index."""
-        free = [j for j in range(self.n) if j not in support]
-        score = {j: abs(float(self.phi[:, j] @ r)) for j in free}
-        order = sorted(free, key=lambda j: (-score[j], j))
-        for a, b in zip(order, order[1:width + 1]):
-            both_noise = score[a] <= self.noise and score[b] <= self.noise
-            if score[a] - score[b] <= self.noise and not both_noise and not self.twins(a, b):
-                raise Ambiguous("two columns correlated alike")
+        order, score = self.scores(r, support)
         picks = order[:width]
+        for i, a in enumerate(picks):
+            if score[a] > self.noise and self.tied(score, a, order[i + 1:]):
+                raise Ambiguous("two columns correlated alike")
         if any(score[j] <= self.noise for j in picks):
             # rounding orders these; it matters not if all are dependent
-            if not all(self.dependent(support, j) for j in free if score[j] <= self.noise):
+            if not all(self.dependent(support, j) for j in order if score[j] <= self.noise):
                 raise Ambiguous("an independent column with a rounding-level score")
         return picks
+
+    def picked(self, r, support, width):
+        """The set of width atoms that `ranked` takes, for the solvers that
+        take many at once, sorted; Ambiguous when rounding could change the
+        set, including an arbitrary choice among rounding-level scores."""
+        order, score = self.scores(r, support)
+        if any(self.tied(score, a, order[width:]) for a in order[:width]):
+            raise Ambiguous("two columns correlated alike at the edge of the set")
+        return sorted(order[:width])
+
+    def independent(self, support):
+        """The support less every atom in the span of the atoms before it."""
+        kept = []
+        for j in support:
+            if not self.dependent(kept, j):
+                kept.append(j)
+        return kept
+
+    def coefficients(self, support):
+        return np.linalg.lstsq(self.phi[:, support], self.y, rcond=None)[0]
+
+
+def largest(z, count):
+    """Positions of the count largest |z|, sorted; Ambiguous when the
+    edge of the set lies within rounding."""
+    size = np.abs(z)
+    order = sorted(range(len(z)), key=lambda i: (-size[i], i))
+    if 0 < count < len(z) and size[order[count - 1]] - size[order[count]] <= TOL * size.max():
+        raise Ambiguous("two coefficients alike at the edge of the set")
+    return sorted(order[:count])
 
 
 def omp_reference(phi, y):
@@ -159,6 +202,80 @@ def mmp_df_reference(phi, y, k, branching, max_paths):
     return canonical(phi, hit), reason, count
 
 
+def sp_reference(phi, y, k):
+    """(support, reason, iterations) of subspace pursuit with its default
+    settings."""
+    ref = Reference(phi, y)
+    if ref.ynorm == 0.0:
+        return (), REASON_RESIDUE, 0
+    support = ref.independent(ref.picked(y, [], k))
+    best = float(np.linalg.norm(ref.residue(support)))
+    reason = REASON_STALLED
+    for iterations in range(1, 101):
+        width = min(k, ref.n - len(support))
+        if width < 1:
+            break
+        if best <= TOL * ref.ynorm:
+            # every score is rounding, so the picks are arbitrary: SP stalls
+            # unless some pick could change the support it prunes back to
+            largest(np.append(ref.coefficients(support), 0.0), len(support))
+            free = [j for j in range(ref.n) if j not in support]
+            for picks in combinations(free, width):
+                union = ref.independent(sorted(support + list(picks)))
+                if union != support and not (len(support) == k and set(support) <= set(union)):
+                    raise Ambiguous("an arbitrary pick could change the support")
+            break
+        union = ref.independent(sorted(support + ref.picked(ref.residue(support), support, width)))
+        new = union if len(union) <= k else [union[i] for i in largest(ref.coefficients(union), k)]
+        if new == support:
+            break
+        res = float(np.linalg.norm(ref.residue(new)))
+        if abs(res - best) <= TOL * ref.ynorm:
+            raise Ambiguous("a residue as small as the best so far")
+        if res > best:
+            break
+        support, best = new, res
+    else:
+        reason = REASON_MAX_ITER
+    if ref.met(ref.residue(support)):
+        reason = REASON_RESIDUE
+    return canonical(phi, support), reason, iterations
+
+
+def fbp_reference(phi, y):
+    """(support, reason, iterations) of forward-backward pursuit with its
+    default settings."""
+    ref = Reference(phi, y)
+    m = phi.shape[0]
+    alpha = max(2, round(0.2 * m))
+    if ref.ynorm == 0.0:
+        return (), REASON_RESIDUE, 0
+    support, reason, iterations = [], REASON_MAX_ITER, 0
+    for iterations in range(1, m + 1):
+        width = min(alpha, ref.n - len(support))
+        if width < 1 or len(support) + width > m:
+            reason = REASON_STALLED
+            break
+        expanded = sorted(support + ref.picked(ref.residue(support), support, width))
+        kept = ref.independent(expanded)
+        if not kept:
+            reason = REASON_STALLED
+            break
+        count = min(alpha - 1, len(expanded)) - (len(expanded) - len(kept))
+        support = [kept[i] for i in largest(ref.coefficients(kept), len(kept) - max(count, 0))]
+        if ref.met(ref.residue(support)):
+            break
+    z = ref.coefficients(support) if support else np.empty(0)
+    size = np.abs(z) / max(np.abs(z).max(initial=0.0), 1e-300)
+    if np.any((size > 1e-12) & (size < 1e-8)):
+        raise Ambiguous("a coefficient near the noise cut")
+    keep = size > 1e-10
+    final = [j for j, kept in zip(support, keep) if kept]
+    if ref.met(y - phi[:, final] @ z[keep]):
+        reason = REASON_RESIDUE
+    return canonical(phi, final), reason, iterations
+
+
 @st.composite
 def problems(draw):
     """An integer or Gaussian phi with twin and zero columns, and a y that
@@ -211,3 +328,24 @@ def test_mmp_df_matches_the_reference(case, data):
     out = mmp_df_recover(phi, y, k, branching=branching, max_paths=max_paths)
     assert (canonical(phi, out.support), out.reason) == (support, reason)
     assert {name: getattr(out, name) for name in count} == count
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(), st.data())
+def test_sp_matches_the_reference(case, data):
+    phi, y = case
+    k = data.draw(st.integers(1, min(phi.shape[0] // 2, phi.shape[1])), label="k")
+    support, reason, iterations = check(sp_reference, phi, y, k)
+    out = sp_recover(phi, y, k)
+    assert (sorted(canonical(phi, out.support)), out.reason, out.iterations) == (
+        sorted(support), reason, iterations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_fbp_matches_the_reference(case):
+    phi, y = case
+    support, reason, iterations = check(fbp_reference, phi, y)
+    out = fbp_recover(phi, y)
+    assert (sorted(canonical(phi, out.support)), out.reason, out.iterations) == (
+        sorted(support), reason, iterations)

@@ -186,34 +186,39 @@ def test_sp_and_fbp_loops_run_no_checked_kernel(monkeypatch):
     assert calls == {}
 
 
-def test_one_factorization_marks_every_dependent_atom(monkeypatch):
-    # with every column twice, a selection holding twins is factored once
-    # to mark every later twin and once more without them
-    factorizations = []  # per selection of SP or FBP
+def test_each_factorization_drops_one_dependent_atom(monkeypatch):
+    # with every column twice, a selection holding d later twins is
+    # factored d + 1 times: each factorization drops the first dependent
+    # atom it names, since the Householder step of a dependent column
+    # takes a row and the diagonal of R past it measures no distance
+    drops = []  # per selection of SP or FBP: [atoms dropped, factorizations]
     selecting = []
     real_kernel, real_select = baselines._lstsq, baselines._project_independent
 
     def kernel(*args):
         if selecting:
-            factorizations[-1] += 1
+            drops[-1][1] += 1
         return real_kernel(*args)
 
-    def select(*args):
-        factorizations.append(0)
+    def select(aug, colnorms, support):
+        drops.append([0, 0])
         selecting.append(True)
         try:
-            return real_select(*args)
+            kept, z, r = real_select(aug, colnorms, support)
         finally:
             selecting.pop()
+        drops[-1][0] = len(support) - len(kept)
+        return kept, z, r
 
     monkeypatch.setattr(baselines, "_lstsq", kernel)
     monkeypatch.setattr(baselines, "_project_independent", select)
     ens, inst = gen_problem(20, 30, 4, "gaussian", 3)
     phi = np.hstack([ens.phi, ens.phi])
     for solve in (lambda: sp_recover(phi, inst.y, 4), lambda: fbp_recover(phi, inst.y)):
-        factorizations.clear()
+        drops.clear()
         assert solve().reason == REASON_RESIDUE
-        assert max(factorizations) == 2, factorizations
+        assert all(count == dropped + 1 for dropped, count in drops), drops
+        assert max(dropped for dropped, _ in drops) >= 2, drops
 
 
 def test_sp_exact_recovery_and_preconditions():
