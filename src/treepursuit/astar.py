@@ -22,12 +22,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .baselines import omp_recover
-from .linalg import (
-    IncrementalFactorization,
-    SingularSupportError,
-    _top_few,
-    check_problem,
-)
+from .linalg import IncrementalFactorization, SingularSupportError, _top_few, check_problem
 from .results import (
     REASON_ALL_COMPLETE,
     REASON_BUDGET,
@@ -48,8 +43,6 @@ __all__ = [
     "AompConfig",
     "PathState",
     "AuditError",
-    "cost_mul",
-    "cost_amul",
     "init_search",
     "select_best_incomplete",
     "expand",
@@ -73,21 +66,7 @@ class AuditError(AssertionError):
     """A search invariant was violated (only raised with audit enabled)."""
 
 
-# the range each decay factor lies in, as its message prints it and as a test
-_ALPHA_RANGES = {
-    "alpha_mul": ("(0, 1)", lambda alpha: 0.0 < alpha < 1.0),
-    "alpha_amul": ("(0, 1]", lambda alpha: 0.0 < alpha <= 1.0),
-}
-
-
-def _check_alpha(key, alpha):
-    text, holds = _ALPHA_RANGES[key]
-    if not holds(alpha):
-        raise ValueError("%s must lie in %s" % (key, text))
-
-
-# the two cost formulas, unchecked: cost_mul, cost_amul and
-# AompConfig.path_cost all evaluate them
+# the two cost formulas of `AompConfig.path_cost`
 def _mul_cost(norms, kmax, alpha):
     length = len(norms) - 1
     return alpha ** (kmax - length) * norms[-1]
@@ -99,35 +78,6 @@ def _amul_cost(norms, kmax, alpha):
     if prev == 0.0:
         return 0.0
     return (alpha * cur / prev) ** (kmax - length) * cur
-
-
-def cost_mul(norms, kmax, alpha_mul):
-    """Fixed-decay path cost: alpha^(kmax - l) * ||r_l||.
-
-    norms is the residue-norm history of the path (norms[0] = ||y||), so
-    the path length l is len(norms) - 1.  Unexplored positions are assumed
-    to shrink the residue by the constant factor alpha_mul per atom.
-    """
-    _check_alpha("alpha_mul", alpha_mul)
-    if len(norms) - 1 > kmax:
-        raise ValueError("path longer than kmax")
-    return _mul_cost(norms, kmax, alpha_mul)
-
-
-def cost_amul(norms, kmax, alpha_amul):
-    """Adaptive-decay path cost: (alpha * ||r_l|| / ||r_{l-1}||)^(kmax - l) * ||r_l||.
-
-    The expected per-atom decay is taken from the path's own last step, so
-    a path needs at least one selected atom.  A zero previous residue means
-    the path already hit the signal exactly; its cost is zero.
-    """
-    _check_alpha("alpha_amul", alpha_amul)
-    length = len(norms) - 1
-    if length < 1:
-        raise ValueError("adaptive cost needs at least one selected atom")
-    if length > kmax:
-        raise ValueError("path longer than kmax")
-    return _amul_cost(norms, kmax, alpha_amul)
 
 
 @dataclass(frozen=True)
@@ -175,9 +125,10 @@ class AompConfig:
             raise ValueError("unknown cost model %r" % (self.cost_model,))
         if self.termination not in TERMINATIONS:
             raise ValueError("unknown termination rule %r" % (self.termination,))
-        _check_alpha("alpha_amul", self.alpha_amul)
-        if self.cost_model == COST_MUL:
-            _check_alpha("alpha_mul", self.alpha_mul)
+        if not 0.0 < self.alpha_amul <= 1.0:
+            raise ValueError("alpha_amul must lie in (0, 1]")
+        if self.cost_model == COST_MUL and not 0.0 < self.alpha_mul < 1.0:
+            raise ValueError("alpha_mul must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -208,9 +159,15 @@ class AompConfig:
         return self.epsilon
 
     def path_cost(self, norms):
-        """`cost_mul` or `cost_amul` of a path of length 1..kmax, without
-        their checks: `validate` checked alpha, and the search builds no
-        path longer than kmax."""
+        """The cost of a path of length l = len(norms) - 1, 1 <= l <= kmax,
+        whose residue-norm history is `norms` (norms[0] = ||y||).
+
+        mul: alpha_mul^(kmax - l) * ||r_l||, a fixed decay per unexplored
+        position.  amul: (alpha_amul * ||r_l|| / ||r_{l-1}||)^(kmax - l) *
+        ||r_l||, the decay of the path's own last step; zero when
+        ||r_{l-1}|| = 0, a path that already met y exactly.  Checks nothing:
+        `validate` checked alpha, and the search builds no path outside
+        1..kmax."""
         if self.cost_model == COST_MUL:
             return _mul_cost(norms, self.kmax, self.alpha_mul)
         return _amul_cost(norms, self.kmax, self.alpha_amul)
@@ -347,10 +304,9 @@ def init_search(phi, y, config):
     paths with projected residues.  They are ranked from the root's own
     signed correlations phi^T y, the product that prices them.
     Returns (trie, done) where done is a path that already meets the
-    residue criterion (the root itself for y = 0) or None.
+    residue criterion (the root itself for y = 0) or None.  phi and y are
+    those of a checked `Problem`.
     """
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
     _check_fits(config, phi.shape[0])
     n = phi.shape[1]
     trie = SearchTrie(config.kmax)
@@ -500,7 +456,8 @@ def aomp_recover(phi, y, config=None):
     t0 = time.perf_counter()
     if config is None:
         config = AompConfig()
-    phi, y = check_problem(phi, y)
+    problem = check_problem(phi, y)
+    phi, y = problem.phi, problem.y
     trie, done = init_search(phi, y, config)
     iterations = nodes_expanded = equivalent_hits = singular_skips = 0
     checked = {}
@@ -530,7 +487,7 @@ def aomp_recover(phi, y, config=None):
     if chosen is not None:
         support, values = chosen.support, chosen.fact.coefficients()
     return finish(
-        phi, y, support, values, config.effective_epsilon(), reason, "aomp", t0,
+        problem, support, values, config.effective_epsilon(), reason, "aomp", t0,
         paths_opened=trie.inserted_total, iterations=iterations, nodes_expanded=nodes_expanded,
         equivalent_hits=equivalent_hits, singular_skips=singular_skips,
     )
@@ -545,7 +502,8 @@ def hybrid_recover(phi, y, config, k):
     same config (stage "astar").
     """
     t0 = time.perf_counter()
-    phi, y = check_problem(phi, y)
+    problem = check_problem(phi, y)
+    phi, y = problem.phi, problem.y
     if not 1 <= k <= phi.shape[0]:
         raise ValueError("k must satisfy 1 <= k <= M")
     _check_fits(config, phi.shape[0])

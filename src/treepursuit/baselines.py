@@ -12,7 +12,7 @@ import numpy as np
 from .linalg import (
     IncrementalFactorization,
     SingularSupportError,
-    _lstsq,
+    _project,
     _top_few,
     _top_sorted,
     check_problem,
@@ -88,39 +88,14 @@ def check_settings(name, **settings):
         raise SettingsError("%s needs alpha > beta >= 1" % name)
 
 
-def _prep(phi, y):
-    phi, y = check_problem(phi, y)
-    return phi, y, float(np.linalg.norm(y))
-
-
-def _augmented(phi, y):
-    """[phi | y] and the column norms of phi, built once per solve.  The
-    block is in Fortran order, so gathering a support copies whole columns
-    and phi's column norms equal, bit for bit, those of any gathered
-    support, which `project` computes."""
-    m, n = phi.shape
-    aug = np.empty((m, n + 1), order="F")
-    aug[:, :n] = phi
-    aug[:, n] = y
-    return aug, np.linalg.norm(aug[:, :n], axis=0)
-
-
-def _project(aug, colnorms, support):
-    """`project(y, phi, support)` on a prepared problem, unchecked: one
-    gather of `[phi_S | y]` for `_lstsq`.  `support` is a list."""
-    return _lstsq(aug[:, support + [aug.shape[1] - 1]], colnorms[support], support)
-
-
-def _project_independent(aug, colnorms, support):
+def _project_independent(problem, support):
     """`_project` on `support` less every atom that lies in the span of the
     atoms before it; returns (kept, z, r), kept in support order.  Each
-    factorization drops the first dependent atom it names: the Householder
-    step of a dependent column still takes a row, so the diagonal of R
-    past it no longer measures distances to the span."""
+    factorization drops the one atom it names."""
     kept = list(support)
     while True:
         try:
-            return (kept, *_project(aug, colnorms, kept))
+            return (kept, *_project(problem, kept))
         except SingularSupportError as err:
             kept.remove(err.atom)
 
@@ -135,15 +110,16 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     support turns rank deficient or no atom is left outside it.
     """
     t0 = time.perf_counter()
-    phi, y, ynorm = _prep(phi, y)
+    problem = check_problem(phi, y)
+    phi = problem.phi
     m, n = phi.shape
     if max_iter is None:
         max_iter = min(m, n)
     check_settings("omp", epsilon=epsilon, max_iter=max_iter)
     if max_iter > m:
         raise SettingsError("max_iter must satisfy 1 <= max_iter <= M")
-    threshold = epsilon * ynorm
-    fact = IncrementalFactorization.empty(y)
+    threshold = epsilon * problem.ynorm
+    fact = IncrementalFactorization.empty(problem.y)
     reason = REASON_MAX_ITER
     while fact.residue_norm > threshold and fact.length < max_iter:
         if fact.length == n:
@@ -156,7 +132,7 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
             reason = REASON_STALLED
             break
     return finish(
-        phi, y, fact.support, fact.coefficients(), epsilon, reason, "omp", t0,
+        problem, fact.support, fact.coefficients(), epsilon, reason, "omp", t0,
         iterations=fact.length,
     )
 
@@ -175,16 +151,16 @@ def sp_recover(phi, y, k, max_iter=100):
     the atoms before it in a support is dropped from that support.
     """
     t0 = time.perf_counter()
-    phi, y, ynorm = _prep(phi, y)
+    problem = check_problem(phi, y)
+    phi = problem.phi
     check_settings("sp", max_iter=max_iter)
     m, n = phi.shape
     if not 1 <= k <= min(m // 2, n):
         raise ValueError("sp_recover needs 1 <= k <= min(M/2, N)")
-    if ynorm == 0.0:
-        return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
-    aug, colnorms = _augmented(phi, y)
-    first = sorted(top_indices(correlations(phi, y), k))
-    support, z, r = _project_independent(aug, colnorms, first)
+    if problem.ynorm == 0.0:
+        return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
+    first = sorted(top_indices(correlations(phi, problem.y), k))
+    support, z, r = _project_independent(problem, first)
     best_res = float(np.linalg.norm(r))
     reason = REASON_MAX_ITER
     iterations = 0
@@ -195,7 +171,7 @@ def sp_recover(phi, y, k, max_iter=100):
             reason = REASON_STALLED
             break
         cand = _top_sorted(np.abs(phi.T.dot(r)), width, support)
-        union, z_new, r_new = _project_independent(aug, colnorms, sorted(support + cand))
+        union, z_new, r_new = _project_independent(problem, sorted(support + cand))
         new_support = union
         if len(union) > k:
             new_support = sorted(union[i] for i in _top_sorted(np.abs(z_new), k, ()))
@@ -203,13 +179,13 @@ def sp_recover(phi, y, k, max_iter=100):
                 # projecting the same support again would leave the same residue
                 reason = REASON_STALLED
                 break
-            z_new, r_new = _project(aug, colnorms, new_support)
+            z_new, r_new = _project(problem, new_support)
         res_new = float(np.linalg.norm(r_new))
         if res_new >= best_res:
             reason = REASON_STALLED
             break
         support, z, r, best_res = new_support, z_new, r_new, res_new
-    return finish(phi, y, support, z, DEFAULT_EPSILON, reason, "sp", t0, iterations=iterations)
+    return finish(problem, support, z, DEFAULT_EPSILON, reason, "sp", t0, iterations=iterations)
 
 
 def _hard_threshold(v, k):
@@ -229,13 +205,14 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     number > 0.
     """
     t0 = time.perf_counter()
-    phi, y, ynorm = _prep(phi, y)
+    problem = check_problem(phi, y)
+    phi, y, ynorm = problem.phi, problem.y, problem.ynorm
     check_settings("iht", step=step, max_iter=max_iter)
     n = phi.shape[1]
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= N")
     if ynorm == 0.0:
-        return finish(phi, y, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
+        return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
     x = np.zeros(n)
     r = y.copy()
     reason = REASON_MAX_ITER
@@ -257,7 +234,7 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
         prev = rn
     support = np.flatnonzero(x)
     return finish(
-        phi, y, support, x[support], DEFAULT_EPSILON, reason, "iht", t0, iterations=iterations
+        problem, support, x[support], DEFAULT_EPSILON, reason, "iht", t0, iterations=iterations
     )
 
 
@@ -275,7 +252,8 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     and are left out of the returned support.
     """
     t0 = time.perf_counter()
-    phi, y, ynorm = _prep(phi, y)
+    problem = check_problem(phi, y)
+    phi = problem.phi
     m, n = phi.shape
     if alpha is None:
         alpha = max(2, round(0.2 * m))
@@ -284,13 +262,12 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     check_settings("fbp", alpha=alpha, beta=beta, epsilon=epsilon, max_iter=max_iter)
     if beta is None:
         beta = alpha - 1
-    if ynorm == 0.0:
-        return finish(phi, y, (), (), epsilon, REASON_RESIDUE, "fbp", t0)
-    threshold = epsilon * ynorm
-    aug, colnorms = _augmented(phi, y)
+    if problem.ynorm == 0.0:
+        return finish(problem, (), (), epsilon, REASON_RESIDUE, "fbp", t0)
+    threshold = epsilon * problem.ynorm
     support = []
     z = np.empty(0)
-    r = y.copy()
+    r = problem.y
     reason = REASON_MAX_ITER
     iterations = 0
     for _ in range(max_iter):
@@ -301,7 +278,7 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
             break
         fwd = _top_sorted(np.abs(phi.T.dot(r)), width, support)
         expanded = sorted(support + fwd)
-        kept, z_exp, _ = _project_independent(aug, colnorms, expanded)
+        kept, z_exp, _ = _project_independent(problem, expanded)
         if not kept:
             reason = REASON_STALLED  # every atom offered is a zero column
             break
@@ -311,12 +288,12 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         drop = _top_sorted(-np.abs(z_exp), count, ()) if count > 0 else ()
         dropped = {kept[i] for i in drop}
         support = [j for j in kept if j not in dropped]
-        z, r = _project(aug, colnorms, support)
+        z, r = _project(problem, support)
         if float(np.linalg.norm(r)) <= threshold:
             break
     keep = np.abs(z) > 1e-10 * np.abs(z).max(initial=0.0)
     support, z = [j for j, kept in zip(support, keep) if kept], z[keep]
-    return finish(phi, y, support, z, epsilon, reason, "fbp", t0, iterations=iterations)
+    return finish(problem, support, z, epsilon, reason, "fbp", t0, iterations=iterations)
 
 
 def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILON):
@@ -330,12 +307,13 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     the minimum-residue complete path seen.
     """
     t0 = time.perf_counter()
-    phi, y, ynorm = _prep(phi, y)
+    problem = check_problem(phi, y)
+    phi = problem.phi
     check_settings("mmp-df", branching=branching, max_paths=max_paths, epsilon=epsilon)
     m, n = phi.shape
     if not 1 <= k <= m:
         raise ValueError("k must satisfy 1 <= k <= M")
-    threshold = epsilon * ynorm
+    threshold = epsilon * problem.ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 
     def dfs(fact):
@@ -364,7 +342,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
                 return hit
         return None
 
-    hit = dfs(IncrementalFactorization.empty(y))
+    hit = dfs(IncrementalFactorization.empty(problem.y))
     if hit is None:
         hit = state["best"]
     if hit is None:
@@ -372,7 +350,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     else:
         support, values, reason = hit.support, hit.coefficients(), REASON_MAX_ITER
     return finish(
-        phi, y, support, values, epsilon, reason, "mmp-df", t0,
+        problem, support, values, epsilon, reason, "mmp-df", t0,
         paths_opened=state["complete"], nodes_expanded=state["nodes"],
         singular_skips=state["singular"],
     )

@@ -1,57 +1,28 @@
-"""Dense linear-algebra kernel shared by every solver.
+"""Dense linear-algebra kernel shared by every solver, on numpy alone.
 
-Input validation, correlation scores, deterministic top-k selection, and
-least-squares projection, on numpy alone.  The public kernels check their
-inputs on every call.  A solver checks its problem once, at entry
-(`check_problem`); the inner loops of the tree search and of every
-greedy baseline but IHT then score correlations as the bare
-`np.abs(phi.T.dot(r))` and pick their atoms with `_top_few` (a few, by
-repeated argmax) or `_top_sorted` (many, by a stable sort), none of
-which checks anything.  `ndarray.dot` calls the same matrix-vector
-product as the `@` ufunc, bit for bit, with less dispatch per call, and
-`_top_few` masks the excluded support only when an excluded index wins
-an argmax pass, which leaves its picks unchanged.  Least squares on a
-whole support is one Householder QR of `[phi_S | y]` in LAPACK's raw form
-(`np.linalg.qr(..., mode="raw")`): R is the leading block and Q^T y the
-last column, so no Q is formed.  The private kernel `_lstsq` does it on
-a gathered block and checks nothing; the public `project` is its checks
-plus that gather.  SP and FBP, which rebuild their support every round,
-prepare `[phi | y]` and the column norms of phi once per solve and
-gather each support with one fancy index, so their loops reach `_lstsq`
-directly.  The solvers that extend a support one atom at a time (OMP,
-MMP-DF and the tree search) keep an incremental QR factorization
-instead, so search paths that share a prefix can branch cheaply:
-appending one atom costs O(M*l) and copies nothing of the parent's
-factorization.  It is classical Gram-Schmidt with a second pass only
-when the first leaves less than 1/sqrt(2) of the column's norm
-(Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976), which keeps Q
-orthonormal to working precision while most appends take one pass.
-Outputs therefore differ from those of the earlier rule, which always
-ran the second pass, at rounding level, not bit for bit.  A child keeps
-a reference to its parent plus its own new direction, one R column and
-one entry of Q^T y.  Materializing, which the next append needs, builds
-Q only; R and Q^T y are assembled from the kept columns when they are
-first read, which a solver does once, for the factorization it returns.
-The search ranks a path's children by a cost of their residue norms but
-reads the residue vector only of the children it expands later, so it
-prices each child from its parent's squared residue norm and signed
-correlations and forms the child's residue when first read
-(`IncrementalFactorization._priced`; the class docstring gives the rule
-and the three cases that form a child at once).  OMP and MMP-DF, which read
-every residue they build, keep `appended`.  Both go through one
-Gram-Schmidt step, which on the empty support forms no product, since
-v = c and ||v|| = ||c|| exactly.  A search tree takes the norm of each
-column it appends once: its factorizations share one list of column
-norms, made by the root's first priced child and kept no longer than
-the search.
-The records and counters around these kernels are lean too: the
-search's paths and expansion reports are slotted dataclasses, its
-counters are locals, and `results.finish` takes the residual norm with
-`_norm`.
-Both solve the square upper-triangular system R z = Q^T y with
-`np.linalg.solve`: every diagonal entry of R has passed the
-DEPENDENCY_TOL test and everything below it is zero, so partial
-pivoting swaps no rows and the LU solve is the back-substitution.
+A solver checks its problem once, at entry: `check_problem` returns a
+`Problem`, and the solver's loops run on unchecked kernels that read it.
+The public `correlations`, `top_indices` and `project` check their
+arguments on every call.
+
+- Correlations are `phi.T.dot(r)`; `ndarray.dot` calls the same product as
+  `@`, bit for bit, with less dispatch.  The prepared phi is C-ordered,
+  so the product, and every output bit, is the same for any layout of
+  the caller's phi.
+- Selection is deterministic: the largest scores first, ties by
+  ascending index.  `_top_sorted` takes many by a stable sort,
+  `_top_few` a few by repeated argmax.
+- Least squares on a whole support (`_project`, for SP and FBP) is one
+  Householder QR of the gathered block `[phi_S | y]` in LAPACK's raw
+  form: R is its leading block and Q^T y its last column, so no Q is
+  formed.
+- A support grown one atom at a time (OMP, MMP-DF, the tree search) keeps
+  an `IncrementalFactorization`: appending an atom costs O(M l) and
+  copies nothing of its parent's.
+- Both solve the upper-triangular R z = Q^T y with `np.linalg.solve`:
+  every diagonal entry of R has passed the DEPENDENCY_TOL test and
+  everything below it is zero, so partial pivoting swaps no rows and the
+  LU solve is the back-substitution.
 """
 
 import math
@@ -60,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "SingularSupportError",
+    "Problem",
     "check_problem",
     "problem_shape",
     "correlations",
@@ -81,46 +53,75 @@ REORTHOGONALIZE_TOL = 1.0 / math.sqrt(2.0)
 
 class SingularSupportError(Exception):
     """The requested support set is numerically rank deficient; `atom` is
-    the first atom that lies in the span of the atoms before it, and
-    `dependent` lists every such atom the one factorization found: all of
-    them for a whole-support projection, the appended atom for `appended`."""
+    the first atom that lies in the span of the atoms before it."""
 
-    def __init__(self, atom, dependent=None):
+    def __init__(self, atom):
         super().__init__(atom)
         self.atom = atom
-        self.dependent = [atom] if dependent is None else dependent
 
     def __str__(self):
         return "atom %d is linearly dependent on the current support" % self.atom
 
 
-def _real_finite(x, name):
-    if np.iscomplexobj(x):
-        raise ValueError("%s must be real, got a complex array" % name)
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("%s contains NaN or infinite entries" % name)
-    return x
+class Problem:
+    """A checked recovery problem, the input every solver reads.
+
+    `phi` is a float64 (M, N) matrix in C order, `y` a contiguous float64
+    vector of length M and `ynorm` = ||y||.  `aug`, the Fortran-order
+    block [phi | y], and `colnorms`, the column norms of phi taken from
+    it, are built on first read: a support gathered from `aug` copies whole
+    columns, and its column norms are those of `colnorms`, bit for bit.
+    Built by `check_problem`.
+    """
+
+    __slots__ = ("phi", "y", "ynorm", "_aug", "_colnorms")
+
+    def __init__(self, phi, y):
+        self.phi, self.y = phi, y
+        self.ynorm = _norm(y)
+        self._aug = self._colnorms = None
+
+    @property
+    def aug(self):
+        if self._aug is None:
+            m, n = self.phi.shape
+            self._aug = np.empty((m, n + 1), order="F")
+            self._aug[:, :n] = self.phi
+            self._aug[:, n] = self.y
+        return self._aug
+
+    @property
+    def colnorms(self):
+        if self._colnorms is None:
+            self._colnorms = np.linalg.norm(self.aug[:, :-1], axis=0)
+        return self._colnorms
 
 
 def check_problem(phi, y):
-    """Validate a recovery problem; returns (phi, y) as float arrays.
+    """Validate a recovery problem; returns it as a `Problem`.
 
     phi must be a real (M, N) matrix with M, N >= 1 and y a real vector
     of length M, both free of NaN and infinite entries.  Raises ValueError
-    otherwise.
+    otherwise.  phi is copied only when it is not C-ordered float64, y
+    only when it is not contiguous float64.
     """
-    phi = _real_finite(phi, "phi")
-    y = _real_finite(y, "y")
-    problem_shape(phi, y)
-    return phi, y
+    arrays = []
+    for x, name in ((phi, "phi"), (y, "y")):
+        if np.iscomplexobj(x):
+            raise ValueError("%s must be real, got a complex array" % name)
+        x = np.ascontiguousarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("%s contains NaN or infinite entries" % name)
+        arrays.append(x)
+    problem_shape(*arrays)
+    return Problem(*arrays)
 
 
 def problem_shape(phi, y):
     """The shape half of `check_problem`: returns (M, N) after checking
     that phi is an (M, N) matrix with M, N >= 1 and y a vector of length
     M.  It reads no entry, so a caller that hands the problem on to a
-    solver leaves the finiteness check to that solver."""
+    solver leaves the rest of the check to that solver."""
     phi_shape, y_shape = np.shape(phi), np.shape(y)
     if len(phi_shape) != 2 or len(y_shape) != 1 or phi_shape[0] != y_shape[0]:
         raise ValueError("phi must be (M, N) and y length M")
@@ -222,51 +223,36 @@ _NO_COEF.flags.writeable = False
 
 class IncrementalFactorization:
     """QR factorization of phi restricted to an ordered support, together
-    with the residue of y against that support.
+    with the residue r of y against that support.
 
-    `appended` returns a new factorization and leaves the original intact,
-    so paths that share a prefix branch without aliasing.  Each
-    factorization keeps, per support atom, one R column above the
-    diagonal, its diagonal entry and its entry of Q^T y, shared with its
-    ancestors.  A child stores its new orthonormal direction plus a
-    reference to its parent; `q` is assembled on first read, after which
-    the parent reference is dropped, so at most one generation is held.
-    `rmat` and `qty` are assembled from the kept columns on first read and
-    cached.  Orthogonalization is classical Gram-Schmidt, float64 only,
-    with a second pass only when the first leaves less than
-    REORTHOGONALIZE_TOL = 1/sqrt(2) of the column's norm (Daniel et al.
-    1976); its correction is added to the R column at once.  Outputs
-    are not byte-identical to those of the earlier rule that always ran
-    the second pass; they differ at rounding level.
-
-    A factorization keeps its squared residue norm s (y.y for the empty
-    support) and, once a search asks for them, the signed correlations
-    g = phi^T r of its residue (`signed_correlations`), computed once;
-    assigning a residue clears g and takes s afresh.  `appended`, which
-    OMP and MMP-DF use, forms every child's residue at once.  The search
-    prices its children with `_priced` instead: after the same
-    Gram-Schmidt step, v = c - Q coef with nu = ||v||, the child's
-    projection is p = g_j / nu, which equals qhat.r in exact arithmetic
-    because r is orthogonal to span(Q), and its squared residue norm is
-    s' = s - p^2 (the QR update of Sturm & Christensen, EUSIPCO 2012), so
-    `residue_norm` = sqrt(s').  Its direction qhat = v / nu and its
-    residue r - p qhat are formed on the first read of `residue` or `q`,
-    and s is then retaken as the formed residue's r.r, so that pricing
-    errors do not add up along a path.  A child is built as `appended`
-    builds it, with p = qhat.r and s' = r'.r' from a formed residue,
-    whenever the shortcut could lose accuracy: when the second
-    Gram-Schmidt pass ran, when s' <= s / 4 (the subtraction cancels),
-    and when sqrt(s') <= `limit`, which the search sets to twice its
-    residue threshold, so every termination decision reads a formed
-    residue.  A priced child's norm, and so its path's cost, and its
-    entry of Q^T y differ from those of a formed child at rounding level.
-
-    The Gram-Schmidt step needs ||c|| for its two tests.  `appended` takes
-    it afresh; `_priced` reads it from a list of N column norms, indexed
-    by atom, that the root makes at its first `_priced` and hands by
-    reference to every factorization built from it, so a search takes
-    each norm once, by the same `_norm` of the contiguous column copy.
-    The list belongs to one tree: a new search starts from a new root.
+    - Immutable branching: `appended` and `_priced` return a new
+      factorization and leave this one intact.  Each keeps, per support
+      atom, its R column above the diagonal, its diagonal entry and its
+      entry of Q^T y, shared with its ancestors.  A child holds its new
+      direction and a reference to its parent; `q` is assembled on first
+      read and then drops the parent, and `rmat` and `qty` are assembled
+      from the kept columns on first read.
+    - Gram-Schmidt: classical, float64, with a second pass only when the
+      first leaves less than REORTHOGONALIZE_TOL = 1/sqrt(2) of the
+      column's norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).
+      A column whose orthogonalized norm falls below DEPENDENCY_TOL of its
+      norm raises SingularSupportError.
+    - Residues: `appended` (OMP, MMP-DF) forms the child's residue.
+      `_priced` (the search) prices it from this factorization's squared
+      residue norm s and signed correlations g = phi^T r
+      (`signed_correlations`, computed once): with v = c - Q coef and
+      nu = ||v||, the child's projection is p = g_j / nu and its squared
+      residue norm s - p^2 (Sturm & Christensen, EUSIPCO 2012).  Its
+      direction and residue are formed on first read, and s is then
+      retaken from the formed residue, so pricing errors do not add up
+      along a path.  A child is formed at once, as `appended` forms it,
+      when the second pass ran, when s - p^2 <= s / 4 (the subtraction
+      cancels) and when its norm is within `limit`, which the search sets
+      to twice its residue threshold, so every termination decision reads
+      a formed residue.
+    - Column norms: `_priced` reads ||phi_j|| from a list of N norms that
+      the root makes at its first `_priced` and every factorization built
+      from it shares, so a search tree takes each norm once.
     """
 
     __slots__ = (
@@ -313,14 +299,6 @@ class IncrementalFactorization:
         if self._residue is None:
             self._form()
         return self._residue
-
-    @residue.setter
-    def residue(self, value):
-        if self._v is not None:
-            self._form()  # q still reads the direction
-        self._residue = value
-        self._sq = float(value.dot(value))
-        self._g = None
 
     def _form(self):
         # a priced child's direction and residue, by the arithmetic of an
@@ -488,55 +466,39 @@ def _upper(k):
     return upper[:k, :k]
 
 
-def _lstsq(block, colnorms, support):
-    """Least squares of the last column of `block` = [phi_S | y] on the
-    others; returns (z, r) with r = y - phi_S z.  `colnorms` are the
-    column norms of phi_S.  Raises SingularSupportError naming the first
-    atom of `support` whose column is zero or lies within DEPENDENCY_TOL
-    of the span of the columns before it, and in `dependent` every such
-    atom.  Checks nothing: `project` checks its arguments, and SP and FBP
-    gather their blocks from a problem checked at entry."""
+def _project(problem, support):
+    """Least squares of y on the columns `support` (a list) of the
+    prepared problem; returns (z, r) with z in support order and
+    r = y - phi_S z.  One Householder QR of `[phi_S | y]`, gathered from
+    `problem.aug`.  Raises SingularSupportError naming the first atom
+    whose column is zero or lies within DEPENDENCY_TOL of the span of the
+    columns before it: past a dependent column the diagonal of R measures
+    no distance, since its Householder step still takes a row.  Checks
+    nothing; `project` is its checked form."""
+    aug = problem.aug
     k = len(support)
+    block = aug[:, support + [aug.shape[1] - 1]]
     # raw mode returns the factored matrix transposed: R is the upper
     # triangle of h.T, below it lie the Householder vectors
     h, _ = np.linalg.qr(block, mode="raw")
     rmat = h[:k, :k].T * _upper(k)
-    # |R_ii| is the distance of column i from the span of columns 0..i-1
+    colnorms = problem.colnorms[support]
     dependent = (colnorms == 0.0) | (np.abs(rmat.diagonal()) < DEPENDENCY_TOL * colnorms)
     if dependent.any():
-        atoms = [support[i] for i in np.flatnonzero(dependent)]
-        raise SingularSupportError(atoms[0], atoms)
+        raise SingularSupportError(support[int(dependent.argmax())])
     z = np.linalg.solve(rmat, h[k, :k])
     return z, block[:, k] - block[:, :k] @ z
 
 
-def project(y, phi, support):
-    """Least-squares projection of y onto the given columns of phi.
-
-    Returns (z, r) with z the coefficients in support order and
-    r = y - phi[:, support] @ z.  It checks its arguments, stacks
-    `[phi_S | y]` and hands it to `_lstsq`, the kernel that SP and FBP
-    call directly on supports gathered from a problem they prepared once
-    per solve.  One Householder QR of the block in raw form
-    (`np.linalg.qr(..., mode="raw")`) gives R as its leading block and
-    Q^T y as the top of its last column, so Q is never formed;
-    `np.linalg.solve` on R z = Q^T y solves it.  The incremental
-    factorization serves only the solvers that extend a support one atom
-    at a time.  Raises SingularSupportError when a column is zero or lies
-    numerically in the span of the columns before it, ValueError on
-    dimension mismatch.
-    """
-    phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if phi.ndim != 2 or y.ndim != 1 or phi.shape[0] != y.shape[0]:
-        raise ValueError("phi must be (M, N) and y length M")
+def project(problem, support):
+    """Least-squares projection of y onto the columns `support` of a
+    checked `Problem`: `_project` after checking the support.  Raises
+    ValueError on an index out of range or a support larger than M."""
     support = [int(j) for j in support]
-    if len(support) > phi.shape[0]:
+    m, n = problem.phi.shape
+    if len(support) > m:
         raise ValueError("support larger than the measurement size")
     for j in support:
-        if not 0 <= j < phi.shape[1]:
+        if not 0 <= j < n:
             raise ValueError("support index %d out of range" % j)
-    if not support:
-        return np.empty(0), y.copy()
-    sub = phi[:, support]
-    return _lstsq(np.column_stack([sub, y]), np.linalg.norm(sub, axis=0), support)
+    return _project(problem, support)

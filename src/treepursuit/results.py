@@ -113,20 +113,22 @@ class RecoveryOutput:
         return d
 
 
-def finish(phi, y, support, values, epsilon, reason, solver, t0, **counters):
+def finish(problem, support, values, epsilon, reason, solver, t0, **counters):
     """The RecoveryOutput of every solver: one rule for residual and reason.
 
-    `values` are the coefficients of `support`, in its order.  The residual
-    is recomputed as ||y - phi @ xhat||; the reason is residue_met exactly
-    when it is at most epsilon * ||y||, and otherwise the `reason` the
-    solver passed for stopping short.  `counters` are RecoveryOutput fields
-    (iterations, paths_opened, ...); t0 is the solver's perf_counter start.
+    `problem` is the solver's checked `linalg.Problem` and `values` are the
+    coefficients of `support`, in its order.  The residual is recomputed
+    as ||y - phi @ xhat||; the reason is residue_met exactly when it is at
+    most epsilon * ||y||, and otherwise the `reason` the solver passed for
+    stopping short.  `counters` are RecoveryOutput fields (iterations,
+    paths_opened, ...); t0 is the solver's perf_counter start.
     """
+    phi = problem.phi
     xhat = np.zeros(phi.shape[1])
     support = tuple(int(j) for j in support)
     xhat[list(support)] = values
-    residual = _norm(y - phi.dot(xhat))
-    if residual <= epsilon * float(np.linalg.norm(y)):
+    residual = _norm(problem.y - phi.dot(xhat))
+    if residual <= epsilon * problem.ynorm:
         reason = REASON_RESIDUE
     return RecoveryOutput(
         n=xhat.size,

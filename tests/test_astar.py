@@ -13,8 +13,6 @@ from treepursuit.astar import (
     AuditError,
     PathState,
     aomp_recover,
-    cost_amul,
-    cost_mul,
     expand,
     hybrid_recover,
     init_search,
@@ -27,29 +25,34 @@ from treepursuit.siggen import derive_seed, gen_problem
 from treepursuit.trie import SearchTrie
 
 
+def mul_cost(norms, kmax, alpha):
+    return AompConfig(kmax=kmax, cost_model="mul", alpha_mul=alpha).path_cost(norms)
+
+
+def amul_cost(norms, kmax, alpha):
+    return AompConfig(kmax=kmax, cost_model="amul", alpha_amul=alpha).path_cost(norms)
+
+
 # fixed-decay cost: alpha^(kmax-l) * ||r_l||, here 0.8^(10-8) * 1.0
 def test_cost_mul_frozen_value():
     norms = (4.0,) + (1.0,) * 8
-    assert cost_mul(norms, 10, 0.8) == pytest.approx(0.64, abs=1e-15)
+    assert mul_cost(norms, 10, 0.8) == pytest.approx(0.64, abs=1e-15)
 
 
 # adaptive decay: (alpha * 0.4 / 0.5)^(6-4) * 0.4
 def test_cost_amul_frozen_value():
     norms = (1.0, 0.9, 0.7, 0.5, 0.4)
-    assert cost_amul(norms, 6, 0.97) == pytest.approx(0.2408704, abs=1e-12)
+    assert amul_cost(norms, 6, 0.97) == pytest.approx(0.2408704, abs=1e-12)
 
 
 def test_cost_model_domains():
-    with pytest.raises(ValueError):
-        cost_mul((1.0, 0.5), 5, 1.0)
-    with pytest.raises(ValueError):
-        cost_mul((1.0,) * 7, 5, 0.8)  # path longer than kmax
-    with pytest.raises(ValueError):
-        cost_amul((1.0,), 5, 0.97)  # needs one selected atom
-    with pytest.raises(ValueError):
-        cost_amul((1.0, 0.5), 5, 1.5)
+    with pytest.raises(ValueError, match=r"alpha_mul must lie in \(0, 1\)"):
+        mul_cost((1.0, 0.5), 5, 1.0)
+    with pytest.raises(ValueError, match=r"alpha_amul must lie in \(0, 1\]"):
+        amul_cost((1.0, 0.5), 5, 1.5)
+    assert amul_cost((1.0, 0.5), 5, 1.0) == 0.5 ** 5
     # a path that already annihilated the residue costs nothing
-    assert cost_amul((1.0, 0.0, 0.0), 5, 0.97) == 0.0
+    assert amul_cost((1.0, 0.0, 0.0), 5, 0.97) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -59,7 +62,7 @@ def test_cost_model_domains():
     alpha=st.floats(1e-3, 1.0, exclude_max=True),
     data=st.data(),
 )
-def test_path_cost_equals_the_checked_cost_bit_for_bit(model, kmax, alpha, data):
+def test_path_cost_evaluates_the_cost_formulas_bit_for_bit(model, kmax, alpha, data):
     length = data.draw(st.integers(1, kmax))
     # a residue history never rises along a path
     norms = sorted(data.draw(st.lists(
@@ -69,18 +72,18 @@ def test_path_cost_equals_the_checked_cost_bit_for_bit(model, kmax, alpha, data)
         norms[-2:] = [0.0, 0.0]  # a path that already met the signal exactly
     norms = tuple(norms)
     if model == "mul":
-        config = AompConfig(kmax=kmax, cost_model=model, alpha_mul=alpha)
-        checked = cost_mul(norms, kmax, alpha)
+        got = mul_cost(norms, kmax, alpha)
+        want = alpha ** (kmax - length) * norms[-1]
     else:
-        config = AompConfig(kmax=kmax, cost_model=model, alpha_amul=alpha)
-        checked = cost_amul(norms, kmax, alpha)
-    assert config.path_cost(norms).hex() == float(checked).hex()
+        got = amul_cost(norms, kmax, alpha)
+        want = 0.0 if norms[-2] == 0.0 else (alpha * norms[-1] / norms[-2]) ** (kmax - length) * norms[-1]
+    assert got.hex() == float(want).hex()
 
 
 def test_cost_prefers_shorter_when_equal_norms():
     # same residue norm, longer path -> smaller lookahead discount -> costlier
-    short = cost_mul((1.0, 0.5), 10, 0.8)
-    long = cost_mul((1.0, 0.8, 0.5), 10, 0.8)
+    short = mul_cost((1.0, 0.5), 10, 0.8)
+    long = mul_cost((1.0, 0.8, 0.5), 10, 0.8)
     assert short < long
 
 
@@ -296,7 +299,8 @@ def _residue_off_by_a_support_column(trie, y, config):
     # would; the norms and cost stay as they were
     for path in trie.paths():
         fact = path.fact
-        fact.residue = fact.residue + 1e-6 * np.linalg.norm(y) * fact.q[:, 0]
+        residue = fact.residue + 1e-6 * np.linalg.norm(y) * fact.q[:, 0]
+        fact._residue, fact._g = residue, None  # the next expansion correlates it
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -593,27 +597,33 @@ def test_column_norms_are_not_shared_between_searches():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_input_layout_keeps_every_decision(seed):
-    # a strided y gives the outputs of its contiguous copy bit for bit: the
-    # search reads y through the root's copy of it.  A Fortran-order phi
-    # keeps every decision, but its phi^T r runs another BLAS kernel, so
-    # the Q^T y entries priced from it, and with them xhat, may differ
-    # in the last bits
+    # every solver reads a checked problem whose phi is C-ordered and whose
+    # y is contiguous, so a Fortran-order or strided phi and a strided y
+    # give the outputs of the contiguous arrays bit for bit
     ens, inst = gen_problem(24, 48, 6, "gaussian", derive_seed(4, "layout", seed))
     phi, y, k = np.ascontiguousarray(ens.phi), inst.y.copy(), inst.k
-    wide = np.zeros(2 * y.size)
-    wide[::2] = y
-    strided = wide[::2]
+    wide = np.zeros((phi.shape[0], 2 * phi.shape[1]))
+    wide[:, ::2] = phi
+    column = np.zeros((y.size, 2))
+    column[:, 0] = y
+    layouts = [(np.asfortranarray(phi), y), (wide[:, ::2], y), (phi, column[:, 0])]
     config = AompConfig(kmax=14)
-    for solve in (lambda p, v: aomp_recover(p, v, config),
-                  lambda p, v: hybrid_recover(p, v, config, k)):
+    solvers = {
+        "aomp": lambda p, v: aomp_recover(p, v, config),
+        "hybrid": lambda p, v: hybrid_recover(p, v, config, k),
+        "omp": omp_recover,
+        "sp": lambda p, v: baselines.sp_recover(p, v, k),
+        "fbp": baselines.fbp_recover,
+        "iht": lambda p, v: baselines.iht_recover(p, v, k),
+        "mmp-df": lambda p, v: mmp_df_recover(p, v, k),
+    }
+    for name, solve in solvers.items():
         want = solve(phi, y)
-        got = solve(phi, strided)
-        assert _decisions(got) == _decisions(want)
-        assert got.xhat.tobytes() == want.xhat.tobytes()
-        assert got.residual_norm == want.residual_norm
-        fortran = solve(np.asfortranarray(phi), y)
-        assert _decisions(fortran) == _decisions(want)
-        assert np.allclose(fortran.xhat, want.xhat, rtol=1e-12, atol=1e-12)
+        for layout in layouts:
+            got = solve(*layout)
+            assert _decisions(got) == _decisions(want), name
+            assert got.xhat.tobytes() == want.xhat.tobytes(), name
+            assert got.residual_norm == want.residual_norm, name
 
 
 def test_hybrid_returns_first_stage_when_greedy_suffices():

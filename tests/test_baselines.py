@@ -145,13 +145,13 @@ def test_sp_projects_no_support_twice(monkeypatch):
     # which SP keeps with the projection it already has.  Every projection
     # of SP factors through the least-squares kernel.
     projected = []
-    real = baselines._lstsq
+    real = baselines._project
 
-    def recorded(block, colnorms, support):
+    def recorded(problem, support):
         projected.append(tuple(support))
-        return real(block, colnorms, support)
+        return real(problem, support)
 
-    monkeypatch.setattr(baselines, "_lstsq", recorded)
+    monkeypatch.setattr(baselines, "_project", recorded)
     instances = []
     for t in range(20):
         ens, inst = gen_problem(24, 48, 6, "gaussian", derive_seed(5, "sp", t))
@@ -193,24 +193,24 @@ def test_each_factorization_drops_one_dependent_atom(monkeypatch):
     # takes a row and the diagonal of R past it measures no distance
     drops = []  # per selection of SP or FBP: [atoms dropped, factorizations]
     selecting = []
-    real_kernel, real_select = baselines._lstsq, baselines._project_independent
+    real_kernel, real_select = baselines._project, baselines._project_independent
 
     def kernel(*args):
         if selecting:
             drops[-1][1] += 1
         return real_kernel(*args)
 
-    def select(aug, colnorms, support):
+    def select(problem, support):
         drops.append([0, 0])
         selecting.append(True)
         try:
-            kept, z, r = real_select(aug, colnorms, support)
+            kept, z, r = real_select(problem, support)
         finally:
             selecting.pop()
         drops[-1][0] = len(support) - len(kept)
         return kept, z, r
 
-    monkeypatch.setattr(baselines, "_lstsq", kernel)
+    monkeypatch.setattr(baselines, "_project", kernel)
     monkeypatch.setattr(baselines, "_project_independent", select)
     ens, inst = gen_problem(20, 30, 4, "gaussian", 3)
     phi = np.hstack([ens.phi, ens.phi])

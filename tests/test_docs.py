@@ -1,6 +1,7 @@
 """The README's imports and the quick demos keep working."""
 
 import argparse
+import importlib
 import importlib.util
 import io
 import os
@@ -22,6 +23,16 @@ def test_readme_top_level_imports_resolve():
     assert lines
     for line in lines:
         exec(line, {})
+
+
+def test_every_exported_name_resolves():
+    # a name left in a module's __all__ after its definition went (a stale
+    # export) fails `from module import *`
+    for path in sorted((ROOT / "src" / "treepursuit").glob("*.py")):
+        name = "treepursuit" if path.stem == "__init__" else "treepursuit." + path.stem
+        module = importlib.import_module(name)
+        for exported in module.__all__:
+            assert hasattr(module, exported), (name, exported)
 
 
 def test_readme_flag_table_matches_the_parser():

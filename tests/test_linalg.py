@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treepursuit.baselines import _augmented, _project
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
     _norm,
+    _project,
     _top_few,
     check_problem,
     correlations,
@@ -132,15 +132,16 @@ def test_project_matches_lstsq_and_validates():
     phi = rng.normal(size=(9, 14))
     y = rng.normal(size=9)
     support = [3, 7, 1]
-    z, r = project(y, phi, support)
+    problem = check_problem(phi, y)
+    z, r = project(problem, support)
     z_ref, *_ = np.linalg.lstsq(phi[:, support], y, rcond=None)
     assert np.allclose(z, z_ref, atol=1e-9)
     assert np.allclose(r, y - phi[:, support] @ z_ref, atol=1e-9)
     with pytest.raises(ValueError):
-        project(y, phi, [99])
+        project(problem, [99])
     with pytest.raises(ValueError):
-        project(y, phi, list(range(10)))
-    z, r = project(y, phi, [])
+        project(problem, list(range(10)))
+    z, r = project(problem, [])
     assert z.size == 0
     assert np.array_equal(r, y) and r is not y
 
@@ -403,12 +404,12 @@ def test_dependency_tolerance_is_relative_1e12(seed):
         support = list(range(length + 1))
         if independent:
             assert fact.appended(length, phi[:, length]).length == length + 1
-            assert project(y, phi, support)[0].shape == (length + 1,)
+            assert project(check_problem(phi, y), support)[0].shape == (length + 1,)
             continue
         with pytest.raises(SingularSupportError):
             fact.appended(length, phi[:, length])
         with pytest.raises(SingularSupportError, match="atom %d" % length):
-            project(y, phi, support)
+            project(check_problem(phi, y), support)
 
 
 @settings(max_examples=40, deadline=None)
@@ -436,7 +437,7 @@ def test_project_agrees_with_lstsq_and_the_incremental_factorization(seed, m, da
     phi = rng.normal(size=(m, n))
     y = rng.normal(size=m)
     support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=m - 1, unique=True))
-    z, r = project(y, phi, support)
+    z, r = project(check_problem(phi, y), support)
     sub = phi[:, support]
     z_ref, *_ = np.linalg.lstsq(sub, y, rcond=None)
     tol = 1e-9 * np.linalg.cond(sub) * max(1.0, float(np.linalg.norm(z_ref)))
@@ -448,15 +449,15 @@ def test_project_agrees_with_lstsq_and_the_incremental_factorization(seed, m, da
 
     # a repeated atom, a zero column anywhere, a combination of earlier columns
     with pytest.raises(SingularSupportError):
-        project(y, phi, support + [data.draw(st.sampled_from(support))])
+        project(check_problem(phi, y), support + [data.draw(st.sampled_from(support))])
     zeroed = np.column_stack([phi, np.zeros(m)])
     at = data.draw(st.integers(0, len(support)))
     with pytest.raises(SingularSupportError, match="atom %d" % n) as err:
-        project(y, zeroed, support[:at] + [n] + support[at:])
+        project(check_problem(zeroed, y), support[:at] + [n] + support[at:])
     assert err.value.atom == n
     combined = np.column_stack([phi, sub @ rng.normal(size=len(support))])
     with pytest.raises(SingularSupportError, match="atom %d" % n) as err:
-        project(y, combined, support + [n])
+        project(check_problem(combined, y), support + [n])
     assert err.value.atom == n
 
 
@@ -468,8 +469,11 @@ def test_project_agrees_with_lstsq_and_the_incremental_factorization(seed, m, da
     data=st.data(),
 )
 def test_prepared_projection_equals_project_bit_for_bit(seed, m, integer, data):
-    # SP and FBP project on [phi | y] gathered from a problem prepared once
-    # per solve; twin and zero columns make many supports dependent
+    # SP and FBP call `_project` on one problem per solve, whose block and
+    # column norms are built once; twin and zero columns make many
+    # supports dependent.  The checked `project` on a fresh problem gives
+    # the same bits and names the same atom, whatever the layout of the
+    # arrays the problems were checked from
     rng = np.random.default_rng(seed)
     n = m + 5
     phi = rng.integers(-2, 3, size=(m, n)).astype(float) if integer else rng.normal(size=(m, n))
@@ -478,26 +482,35 @@ def test_prepared_projection_equals_project_bit_for_bit(seed, m, integer, data):
                                               max_size=len(twins)))]
     phi[:, data.draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
     y = rng.normal(size=m)
-    support = data.draw(st.lists(st.integers(0, n - 1), max_size=m, unique=True))
-    aug, colnorms = _augmented(phi, y)
-    try:
-        z, r = project(y, phi, support)
-    except SingularSupportError as err:
-        with pytest.raises(SingularSupportError) as prepared:
-            _project(aug, colnorms, support)
-        assert (prepared.value.atom, prepared.value.dependent) == (err.atom, err.dependent)
-        assert err.atom == err.dependent[0]
-    else:
-        z_prep, r_prep = _project(aug, colnorms, support)
-        assert z_prep.tobytes() == z.tobytes()
-        assert r_prep.tobytes() == r.tobytes()
+    wide = np.zeros((m, 2))
+    wide[:, 0] = y
+    prepared = check_problem(np.asfortranarray(phi), wide[:, 0])
+    for _ in range(2):  # the second pass reads the block and norms the first built
+        support = data.draw(st.lists(st.integers(0, n - 1), max_size=m, unique=True))
+        try:
+            z, r = project(check_problem(phi, y), support)
+        except SingularSupportError as err:
+            with pytest.raises(SingularSupportError) as again:
+                _project(prepared, support)
+            assert again.value.atom == err.atom
+        else:
+            z_again, r_again = _project(prepared, support)
+            assert z_again.tobytes() == z.tobytes()
+            assert r_again.tobytes() == r.tobytes()
 
 
 def test_check_problem_rejects_bad_input():
     phi = np.eye(3)
     y = np.ones(3)
-    got_phi, got_y = check_problem(phi.tolist(), y.tolist())
-    assert got_phi.dtype == float and got_y.dtype == float
+    problem = check_problem(phi.tolist(), y.tolist())
+    assert problem.phi.dtype == float and problem.y.dtype == float
+    assert problem.ynorm == math.sqrt(3.0)
+    # a C-ordered float64 phi and a contiguous y are not copied; any other
+    # layout is, to C order
+    problem = check_problem(phi, y)
+    assert problem.phi is phi and problem.y is y
+    strided = check_problem(np.asfortranarray(phi[:, ::-1]), np.ones(6)[::2])
+    assert strided.phi.flags.c_contiguous and strided.y.flags.c_contiguous
     with pytest.raises(ValueError, match="NaN"):
         check_problem(phi, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ValueError, match="phi contains"):
@@ -551,7 +564,7 @@ def test_priced_children_agree_with_a_whole_support_projection(case):
         except SingularSupportError:
             break
         sub = phi[:, list(fact.support)]
-        z, r = project(y, phi, list(fact.support))
+        z, r = project(check_problem(phi, y), list(fact.support))
         ref = np.linalg.norm(r)
         # a residue at rounding level has no relative accuracy to keep
         floor = 1e-15 * np.linalg.cond(sub) * ynorm
@@ -620,17 +633,6 @@ def test_a_long_priced_chain_keeps_its_norms_to_rounding():
         assert fact._residue is None
         exact = np.linalg.norm(y[j + 1:])
         assert abs(fact.residue_norm - exact) <= 1e-14 * exact
-
-
-def test_assigning_a_residue_reprices_the_children():
-    # an assigned residue replaces the correlations and the squared norm
-    # the children are priced from
-    phi = np.eye(3)
-    fact = IncrementalFactorization.empty(np.array([1.0, 1.5, 0.5]))
-    assert fact._priced(1, phi, 0.0).residue_norm == math.sqrt(1.25)
-    fact.residue = np.array([2.0, 2.0, 1.0])
-    assert np.array_equal(fact.signed_correlations(phi), [2.0, 2.0, 1.0])
-    assert fact._priced(0, phi, 0.0).residue_norm == math.sqrt(5.0)
 
 
 @st.composite

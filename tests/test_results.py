@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treepursuit.experiments import SOLVERS, make_solver
+from treepursuit.linalg import check_problem
 from treepursuit.results import (
     REASON_ALL_COMPLETE,
     REASON_BUDGET,
@@ -54,15 +55,14 @@ def test_to_dict_stores_support_aligned_coefficients():
 
 
 def test_finish_decides_the_reason_from_the_recomputed_residual():
-    phi = np.eye(3)
-    y = np.array([1.0, 2.0, 0.0])
-    met = finish(phi, y, [1, 0], [2.0, 1.0], 1e-6, REASON_MAX_ITER, "omp", 0.0, iterations=2)
+    problem = check_problem(np.eye(3), np.array([1.0, 2.0, 0.0]))
+    met = finish(problem, [1, 0], [2.0, 1.0], 1e-6, REASON_MAX_ITER, "omp", 0.0, iterations=2)
     assert (met.reason, met.residual_norm, met.iterations) == (REASON_RESIDUE, 0.0, 2)
     assert met.support == (1, 0) and list(met.xhat) == [1.0, 2.0, 0.0]
-    short = finish(phi, y, [1], [2.0], 1e-6, REASON_BUDGET, "aomp", 0.0)
+    short = finish(problem, [1], [2.0], 1e-6, REASON_BUDGET, "aomp", 0.0)
     assert (short.reason, short.residual_norm, short.converged) == (REASON_BUDGET, 1.0, False)
     with pytest.raises(TypeError):
-        finish(phi, y, [1], [2.0], 1e-6, REASON_MAX_ITER, "omp", 0.0, iteration=1)
+        finish(problem, [1], [2.0], 1e-6, REASON_MAX_ITER, "omp", 0.0, iteration=1)
 
 
 @st.composite

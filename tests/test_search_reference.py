@@ -16,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepursuit.astar import COST_MODELS, TERMINATIONS, AompConfig, PathState, aomp_recover
-from treepursuit.linalg import IncrementalFactorization, SingularSupportError, correlations
+from treepursuit.linalg import (
+    IncrementalFactorization,
+    SingularSupportError,
+    check_problem,
+    correlations,
+)
 from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, finish
 
 COUNTERS = ("iterations", "nodes_expanded", "equivalent_hits", "singular_skips", "paths_opened")
@@ -92,7 +97,7 @@ def reference_search(phi, y, config, key=full_key):
         chosen = min(live, key=key)
     support = chosen.support if chosen is not None else ()
     values = chosen.fact.coefficients() if chosen is not None else ()
-    out = finish(phi, y, support, values, config.effective_epsilon(), reason, "reference", 0.0)
+    out = finish(check_problem(phi, y), support, values, config.effective_epsilon(), reason, "reference", 0.0)
     return out, count
 
 
