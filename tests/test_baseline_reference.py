@@ -217,7 +217,9 @@ def sp_reference(phi, y, k):
             break
         if best <= TOL * ref.ynorm:
             # every score is rounding, so the picks are arbitrary: SP stalls
-            # unless some pick could change the support it prunes back to
+            # unless some pick could change the support it prunes back to.
+            # The picks' coefficients are zero, so pruning keeps the support
+            # when its own stand clear of zero
             largest(np.append(ref.coefficients(support), 0.0), len(support))
             free = [j for j in range(ref.n) if j not in support]
             for picks in combinations(free, width):
