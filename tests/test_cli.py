@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, run directories, manifests, replay."""
 
+import argparse
 import json
 import re
 from datetime import datetime, timezone
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from treepursuit.astar import AompConfig, aomp_recover
-from treepursuit.cli import EXIT_ERROR, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from treepursuit.cli import EXIT_ERROR, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from treepursuit.siggen import gen_problem
 
 
@@ -352,3 +353,89 @@ def test_usage_errors_do_not_crash():
 def test_version_flag_exits_cleanly(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "treepursuit" in capsys.readouterr().out
+
+
+SOLVER_CHOICES = [
+    "aomp", "amul-aompe", "mul-aompe", "mul-aompk", "amul-aompk",
+    "hybrid", "omp", "sp", "iht", "fbp", "mmp-df",
+]
+ENSEMBLE_CHOICES = ("gaussian", "uniform", "cars")
+COMMON_FLAGS = [("--seed", 0, int, None), ("--out", "runs", None, None)]
+SEARCH_FLAGS = [
+    ("--config", None, None, None),
+    ("--initial-paths", None, int, None),
+    ("--branch", None, int, None),
+    ("--max-paths", None, int, None),
+    ("--kmax", None, int, None),
+    ("--epsilon", None, float, None),
+    ("--cost-model", None, str, ("mul", "amul")),
+    ("--alpha-mul", None, float, None),
+    ("--alpha-amul", None, float, None),
+    ("--termination", None, str, ("residue", "sparsity")),
+    ("--audit", None, None, None),
+    ("--max-iterations", None, int, None),
+]
+# per subcommand: its help line, then (flag, default, type, choices) in
+# declaration order
+PARSER = {
+    "recover": ("recover a single synthetic instance", COMMON_FLAGS + [
+        ("--n", 256, int, None),
+        ("--m", 100, int, None),
+        ("--k", 20, int, None),
+        ("--ensemble", "gaussian", None, ENSEMBLE_CHOICES),
+        ("--solver", "aomp", None, SOLVER_CHOICES),
+    ] + SEARCH_FLAGS),
+    "sweep": ("exact-recovery rate versus sparsity for several solvers", COMMON_FLAGS + [
+        ("--jobs", 1, int, None),
+        ("--n", 256, int, None),
+        ("--m", 100, int, None),
+        ("--k-values", "10,20,30", None, None),
+        ("--ensemble", "gaussian", None, ENSEMBLE_CHOICES),
+        ("--trials", 50, int, None),
+        ("--solvers", "amul-aompe,omp,sp", None, None),
+    ]),
+    "phase": ("empirical phase-transition curve", COMMON_FLAGS + [
+        ("--jobs", 1, int, None),
+        ("--n", 64, int, None),
+        ("--lambdas", "0.2,0.4,0.6,0.8", None, None),
+        ("--rhos", "0.1,0.2,0.3,0.4,0.5,0.6", None, None),
+        ("--trials", 30, int, None),
+        ("--ensemble", "gaussian", None, ENSEMBLE_CHOICES),
+        ("--solver", "amul-aompe", None, SOLVER_CHOICES),
+    ]),
+    "image": ("block-sparse image recovery", COMMON_FLAGS + [
+        ("--input", None, None, None),
+        ("--k", 12, int, None),
+        ("--m", 32, int, None),
+        ("--solver", "aomp", None, SOLVER_CHOICES),
+    ] + SEARCH_FLAGS),
+    "rip": ("restricted-isometry constants and recovery conditions", COMMON_FLAGS + [
+        ("--n", 12, int, None),
+        ("--m", 8, int, None),
+        ("--k", 2, int, None),
+        ("--branch", 2, int, None),
+        ("--kmax", 6, int, None),
+        ("--levels", 4, int, None),
+    ]),
+}
+
+
+def test_every_subcommand_keeps_its_flags_defaults_types_and_choices():
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    assert list(commands.choices) == list(PARSER)
+    for name, sub in commands.choices.items():
+        help_line, flags = PARSER[name]
+        assert helps[name] == help_line
+        declared = [
+            (a.option_strings[0], a.default, a.type,
+             None if a.choices is None else list(a.choices))
+            for a in sub._actions if a.option_strings != ["-h", "--help"]
+        ]
+        expected = [
+            (flag, default, kind, None if choices is None else list(choices))
+            for flag, default, kind, choices in flags
+        ]
+        assert declared == expected, name
