@@ -55,6 +55,23 @@ SOLVER_NAMES = ["aomp", *SOLVERS]
 IMAGE_DEFAULTS = {"kmax": 20, "alpha_amul": 0.85}
 
 
+# type, choices and help of the flags that several subcommands share
+SHARED_FLAGS = {
+    "n": {"type": int},
+    "m": {"type": int},
+    "k": {"type": int},
+    "ensemble": {"choices": ENSEMBLES},
+    "trials": {"type": int},
+    "jobs": {"type": int, "help": "worker processes for batches"},
+    "solver": {"choices": SOLVER_NAMES},
+}
+
+
+def _flag(name, default, **spec):
+    """A subcommand's `--name` flag; a shared one starts from SHARED_FLAGS."""
+    return "--" + name, {**SHARED_FLAGS.get(name, {}), **spec, "default": default}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="treepursuit",
@@ -62,60 +79,15 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_line, run, flags, search) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(run=run)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", default="runs", help="parent directory for run outputs")
-
-    p = sub.add_parser("recover", help="recover a single synthetic instance")
-    common(p)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
-    p.add_argument("--solver", default="aomp", choices=SOLVER_NAMES)
-    _search_flags(p)
-
-    p = sub.add_parser("sweep", help="exact-recovery rate versus sparsity for several solvers")
-    common(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for batches")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--k-values", default="10,20,30",
-                   help="comma-separated sparsity levels")
-    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--solvers", default="amul-aompe,omp,sp",
-                   help="comma-separated solver names: %s" % ", ".join(SOLVER_NAMES))
-
-    p = sub.add_parser("phase", help="empirical phase-transition curve")
-    common(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for batches")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--lambdas", default="0.2,0.4,0.6,0.8")
-    p.add_argument("--rhos", default="0.1,0.2,0.3,0.4,0.5,0.6")
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--ensemble", default="gaussian", choices=ENSEMBLES)
-    p.add_argument("--solver", default="amul-aompe", choices=SOLVER_NAMES)
-
-    p = sub.add_parser("image", help="block-sparse image recovery")
-    common(p)
-    p.add_argument("--input", default=None, help="PGM image; omit for a synthetic one")
-    p.add_argument("--k", type=int, default=12, help="coefficients kept per 8x8 block")
-    p.add_argument("--m", type=int, default=32, help="measurements per block")
-    p.add_argument("--solver", default="aomp", choices=SOLVER_NAMES)
-    _search_flags(p)
-
-    p = sub.add_parser("rip", help="restricted-isometry constants and recovery conditions")
-    common(p)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--branch", type=int, default=2)
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--levels", type=int, default=4,
-                   help="largest support size whose constant is computed")
-
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
+        if search:
+            _search_flags(p)
     return parser
 
 
@@ -309,12 +281,36 @@ def _cmd_rip(args):
     return EXIT_NO_CONVERGENCE
 
 
-_COMMANDS = {
-    "recover": _cmd_recover,
-    "sweep": _cmd_sweep,
-    "phase": _cmd_phase,
-    "image": _cmd_image,
-    "rip": _cmd_rip,
+# per subcommand: its help line, the function that runs it, its flags in
+# order and whether it takes the search flags
+SUBCOMMANDS = {
+    "recover": ("recover a single synthetic instance", _cmd_recover, [
+        _flag("n", 256), _flag("m", 100), _flag("k", 20),
+        _flag("ensemble", "gaussian"), _flag("solver", "aomp"),
+    ], True),
+    "sweep": ("exact-recovery rate versus sparsity for several solvers", _cmd_sweep, [
+        _flag("jobs", 1), _flag("n", 256), _flag("m", 100),
+        _flag("k-values", "10,20,30", help="comma-separated sparsity levels"),
+        _flag("ensemble", "gaussian"), _flag("trials", 50),
+        _flag("solvers", "amul-aompe,omp,sp",
+              help="comma-separated solver names: %s" % ", ".join(SOLVER_NAMES)),
+    ], False),
+    "phase": ("empirical phase-transition curve", _cmd_phase, [
+        _flag("jobs", 1), _flag("n", 64),
+        _flag("lambdas", "0.2,0.4,0.6,0.8"), _flag("rhos", "0.1,0.2,0.3,0.4,0.5,0.6"),
+        _flag("trials", 30), _flag("ensemble", "gaussian"), _flag("solver", "amul-aompe"),
+    ], False),
+    "image": ("block-sparse image recovery", _cmd_image, [
+        _flag("input", None, help="PGM image; omit for a synthetic one"),
+        _flag("k", 12, help="coefficients kept per 8x8 block"),
+        _flag("m", 32, help="measurements per block"),
+        _flag("solver", "aomp"),
+    ], True),
+    "rip": ("restricted-isometry constants and recovery conditions", _cmd_rip, [
+        _flag("n", 12), _flag("m", 8), _flag("k", 2),
+        _flag("branch", 2, type=int), _flag("kmax", 6, type=int),
+        _flag("levels", 4, type=int, help="largest support size whose constant is computed"),
+    ], False),
 }
 
 
@@ -329,7 +325,7 @@ def main(argv=None):
     args.argv = argv  # recorded verbatim in every manifest
     args.started = _now()
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
