@@ -244,7 +244,8 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     Each iteration adds the alpha best-correlated new atoms, projects,
     drops the beta smallest-magnitude coefficients (ties by ascending
     index), and projects again, so the support grows by alpha - beta per
-    round.  Defaults: alpha = round(0.2 M), beta = alpha - 1.  Terminates
+    round.  With width < alpha atoms left outside the support, a round
+    adds them all and drops at most width - 1.  Defaults: alpha = round(0.2 M), beta = alpha - 1.  Terminates
     on the residue criterion, when the expanded support would exceed M, or
     after max_iter rounds (default M).  An atom that lies in the span of
     the atoms before it in the expanded support is dropped and counts
@@ -282,9 +283,10 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
         if not kept:
             reason = REASON_STALLED  # every atom offered is a zero column
             break
-        # with fewer than alpha atoms left, fewer than beta may be expanded;
-        # atoms found dependent count toward the beta dropped
-        count = min(beta, len(expanded)) - (len(expanded) - len(kept))
+        # with fewer than alpha atoms left, a round drops at most width - 1
+        # so the support still grows; atoms found dependent count toward
+        # the atoms dropped
+        count = min(beta, width - 1) - (len(expanded) - len(kept))
         drop = _top_sorted(-np.abs(z_exp), count, ()) if count > 0 else ()
         dropped = {kept[i] for i in drop}
         support = [j for j in kept if j not in dropped]

@@ -263,7 +263,7 @@ def fbp_reference(phi, y):
         if not kept:
             reason = REASON_STALLED
             break
-        count = min(alpha - 1, len(expanded)) - (len(expanded) - len(kept))
+        count = min(alpha - 1, width - 1) - (len(expanded) - len(kept))
         support = [kept[i] for i in largest(ref.coefficients(kept), len(kept) - max(count, 0))]
         if ref.met(ref.residue(support)):
             break

@@ -375,6 +375,16 @@ def test_fbp_keeps_a_small_coefficient_above_its_noise_cut():
     assert out.xhat[1] == 1e-8
 
 
+def test_fbp_takes_the_last_atoms_of_a_narrow_dictionary():
+    # fewer than alpha atoms are left outside the support, so a round may
+    # drop at most one fewer than it added, or the support stops growing
+    phi = np.random.default_rng(0).normal(size=(10, 3))
+    out = fbp_recover(phi, phi @ np.array([1.0, 2.0, 3.0]))
+    assert (out.support, out.reason) == ((0, 1, 2), REASON_RESIDUE)
+    out = fbp_recover(np.ones((3, 1)), np.ones(3))
+    assert (out.support, out.reason) == ((0,), REASON_RESIDUE)
+
+
 # SP and FBP on desk-size instances (M=100, N=256), recorded when `project`
 # still rebuilt each support through the incremental factorization.  Keys
 # are (ensemble, K, seed); SP pins (reason, iterations, support digest),
