@@ -156,7 +156,7 @@ def sp_recover(phi, y, k, max_iter=100):
     check_settings("sp", max_iter=max_iter)
     m, n = phi.shape
     if not 1 <= k <= min(m // 2, n):
-        raise ValueError("sp_recover needs 1 <= k <= min(M/2, N)")
+        raise SettingsError("sp_recover needs 1 <= k <= min(M/2, N)")
     if problem.ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
     first = sorted(top_indices(correlations(phi, problem.y), k))
@@ -210,7 +210,7 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     check_settings("iht", step=step, max_iter=max_iter)
     n = phi.shape[1]
     if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= N")
+        raise SettingsError("k must satisfy 1 <= k <= N")
     if ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
     x = np.zeros(n)
@@ -314,7 +314,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     check_settings("mmp-df", branching=branching, max_paths=max_paths, epsilon=epsilon)
     m, n = phi.shape
     if not 1 <= k <= m:
-        raise ValueError("k must satisfy 1 <= k <= M")
+        raise SettingsError("k must satisfy 1 <= k <= M")
     threshold = epsilon * problem.ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 

@@ -174,6 +174,16 @@ def test_sweep_rejects_duplicate_k_values(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def test_sweep_rejects_a_k_the_solver_cannot_take(tmp_path):
+    # SP needs K <= M/2: a batch of failures would pass for a recovery rate
+    code = main([
+        "sweep", "--solvers", "sp", "--n", "40", "--m", "20", "--k-values", "15",
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_ERROR
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rejects_unknown_solver_label(tmp_path):
     code = main([
         "sweep", "--solvers", "omp,nope", "--out", str(tmp_path / "runs"),

@@ -198,12 +198,18 @@ def test_parallel_batch_matches_serial():
     assert [r.rel_err for r in serial.records] == [r.rel_err for r in parallel.records]
 
 
-def test_solver_errors_become_failed_trials():
-    # subspace pursuit requires k <= M/2; these trials all raise inside
-    batch = run_batch(make_solver("sp"), 20, 10, 6, "gaussian", 3, 1)
-    assert all(r.failed for r in batch.records)
-    assert all(r.rel_err == 1.0 for r in batch.records)
-    assert batch.rate == 0.0
+def test_a_k_the_solver_cannot_take_aborts_the_batch():
+    # every trial would fail alike, so it is an error, not a failed recovery
+    with pytest.raises(SettingsError, match="min"):
+        run_batch(make_solver("sp"), 20, 10, 6, "gaussian", 3, 1)  # K > M/2
+    for name in ("hybrid", "mmp-df"):
+        with pytest.raises(SettingsError, match="<= M"):
+            run_batch(make_solver(name), 30, 10, 12, "gaussian", 2, 1)
+    with pytest.raises(SettingsError, match="<= N"):
+        make_solver("iht").run(np.eye(4), np.ones(4), 5)
+    # a phase cell at K = 13 > M/2 = 8 is not a cell SP failed to recover
+    with pytest.raises(SettingsError, match="min"):
+        phase_transition(make_solver("sp"), 32, [0.5], [0.3, 0.8], 2, 1)
 
 
 def test_record_files_round_trip(tmp_path):
