@@ -104,17 +104,22 @@ def test_importing_the_package_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def load_tool(name, monkeypatch):
+    """Import tools/<name>.py; the sys.path entries it adds end with the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / (name + ".py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_output_digest_covers_every_label_and_repeats(monkeypatch):
     # the byte-identity tool README names runs on the current API: on its
     # smallest shape it solves every problem and its twin-column variant
     # with every label, and repeats its digest
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    path = ROOT / "tools" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("output_digest", monkeypatch)
     monkeypatch.setattr(tool, "SHAPES", tool.SHAPES[:1])
     value, solves = tool.digest()
     assert solves == 2 * len(tool.ENSEMBLES) * len(tool.SEEDS) * len(SOLVERS)
@@ -127,11 +132,7 @@ def test_output_digest_list_prints_every_solve_and_keeps_the_digest(monkeypatch)
     # head, and hashes exactly what the plain digest hashes
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    path = ROOT / "tools" / "output_digest.py"
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("output_digest", monkeypatch)
     monkeypatch.setattr(tool, "SHAPES", tool.SHAPES[:1])
     monkeypatch.setattr(tool, "ENSEMBLES", tool.ENSEMBLES[:1])
     listing = io.StringIO()
@@ -149,11 +150,7 @@ def test_pool_records_prints_every_solve_of_a_desk_item(monkeypatch):
     # op on one pool item and prints one record line per solve
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    path = ROOT / "tools" / "pool_records.py"
-    spec = importlib.util.spec_from_file_location("pool_records", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("pool_records", monkeypatch)
     lines = list(tool.pool_lines("desk", 1, items=1))
     assert [line.split()[:2] for line in lines] == [
         ["0", label] for label in ("amul-aompe", "hybrid", "omp", "sp")
@@ -163,3 +160,46 @@ def test_pool_records_prints_every_solve_of_a_desk_item(monkeypatch):
             r"0 [\w-]+ \[[\d, ]*\] \w+ stage=\w* iterations=\d+ nodes_expanded=\d+ "
             r"paths_opened=\d+ equivalent_hits=\d+ singular_skips=\d+", line)
     assert list(tool.pool_lines("desk", 1, items=1)) == lines
+
+
+def test_ab_pairs_summarizes_paired_runs(monkeypatch):
+    tool = load_tool("ab_pairs", monkeypatch)
+    end_to_end = [
+        {"name": "op_ref_p50", "better": "lower", "bound": 0.25},
+        {"name": "exact_rate", "better": "higher", "bound": 0.05},
+    ]
+    parent = [{"op_ref_p50": v, "exact_rate": 1.0} for v in (10, 11, 12, 13, 14)]
+    change = [
+        {"op_ref_p50": v, "exact_rate": e}
+        for v, e in zip((9, 12, 11, 12, 13), (0.9, 0.9, 0.9, 1.0, 1.0))
+    ]
+    time_row, exact_row = tool.summarize(parent, change, end_to_end)
+    # quartiles 11 and 13 of the parent; the change wins four of five pairs
+    assert time_row == {
+        "name": "op_ref_p50", "parent": 12, "change": 12, "spread": 2, "wins": 4,
+        "pairs": 5, "ratio": 1.0, "bound": 0.25, "worse": False,
+    }
+    # ties win nothing; a median 10% lower is worse than a 5% bound
+    assert (exact_row["wins"], exact_row["spread"], exact_row["worse"]) == (0, 0.0, True)
+    assert exact_row["ratio"] == pytest.approx(0.9)
+    assert tool.format_rows([time_row, exact_row]).splitlines()[2].endswith("worse")
+
+
+def test_ab_pairs_alternates_sides_and_stops_on_a_failed_run(monkeypatch, capsys):
+    tool = load_tool("ab_pairs", monkeypatch)
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(checkout.name)
+        if checkout.name == "broken":
+            raise RuntimeError("broken: correct=False, 1 failed ops")
+        return {m: 1.0 for m in ("op_ref_p50", "ops_per_kref", "exact_rate",
+                                 "peak_rss_mb", "setup_s")}
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    assert tool.main(["a", "b", "--workload", "desk", "--pairs", "3", "--seconds", "1"]) == 0
+    assert calls == ["a", "b", "b", "a", "a", "b"]
+    assert "op_ref_p50" in capsys.readouterr().out
+    calls.clear()
+    assert tool.main(["a", "broken", "--workload", "desk", "--pairs", "3"]) == 1
+    assert calls == ["a", "broken"]
