@@ -505,7 +505,7 @@ def hybrid_recover(phi, y, config, k):
     problem = check_problem(phi, y)
     phi, y = problem.phi, problem.y
     if not 1 <= k <= phi.shape[0]:
-        raise SettingsError("k must satisfy 1 <= k <= M")
+        raise SettingsError("k must satisfy 1 <= k <= M, got k = %s, M = %d" % (k, phi.shape[0]))
     _check_fits(config, phi.shape[0])
     out = omp_recover(phi, y, epsilon=config.effective_epsilon(), max_iter=k)
     out.hybrid_stage = "omp"

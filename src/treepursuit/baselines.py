@@ -156,7 +156,9 @@ def sp_recover(phi, y, k, max_iter=100):
     check_settings("sp", max_iter=max_iter)
     m, n = phi.shape
     if not 1 <= k <= min(m // 2, n):
-        raise SettingsError("sp_recover needs 1 <= k <= min(M/2, N)")
+        raise SettingsError(
+            "sp_recover needs 1 <= k <= min(M/2, N), got k = %s, M = %d, N = %d" % (k, m, n)
+        )
     if problem.ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
     first = sorted(top_indices(correlations(phi, problem.y), k))
@@ -210,7 +212,7 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     check_settings("iht", step=step, max_iter=max_iter)
     n = phi.shape[1]
     if not 1 <= k <= n:
-        raise SettingsError("k must satisfy 1 <= k <= N")
+        raise SettingsError("k must satisfy 1 <= k <= N, got k = %s, N = %d" % (k, n))
     if ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
     x = np.zeros(n)
@@ -245,12 +247,13 @@ def fbp_recover(phi, y, alpha=None, beta=None, epsilon=DEFAULT_EPSILON, max_iter
     drops the beta smallest-magnitude coefficients (ties by ascending
     index), and projects again, so the support grows by alpha - beta per
     round.  With width < alpha atoms left outside the support, a round
-    adds them all and drops at most width - 1.  Defaults: alpha = round(0.2 M), beta = alpha - 1.  Terminates
-    on the residue criterion, when the expanded support would exceed M, or
-    after max_iter rounds (default M).  An atom that lies in the span of
-    the atoms before it in the expanded support is dropped and counts
-    toward the beta.  Atoms with |z_j| <= 1e-10 max|z| are rounding noise
-    and are left out of the returned support.
+    adds them all and drops at most width - 1.  Defaults: alpha =
+    round(0.2 M), beta = alpha - 1.  Terminates on the residue criterion,
+    when the expanded support would exceed M, or after max_iter rounds
+    (default M).  An atom that lies in the span of the atoms before it in
+    the expanded support is dropped and counts toward the atoms dropped.
+    Atoms with |z_j| <= 1e-10 max|z| are rounding noise and are left out
+    of the returned support.
     """
     t0 = time.perf_counter()
     problem = check_problem(phi, y)
@@ -314,7 +317,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     check_settings("mmp-df", branching=branching, max_paths=max_paths, epsilon=epsilon)
     m, n = phi.shape
     if not 1 <= k <= m:
-        raise SettingsError("k must satisfy 1 <= k <= M")
+        raise SettingsError("k must satisfy 1 <= k <= M, got k = %s, M = %d" % (k, m))
     threshold = epsilon * problem.ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 
