@@ -6,9 +6,8 @@ iteration shows which path was chosen, how the residue fell and how many
 paths stayed alive under the replacement rules.
 """
 
-import numpy as np
-
 from treepursuit.astar import AompConfig, expand, init_search, select_best_incomplete
+from treepursuit.linalg import check_problem
 from treepursuit.siggen import gen_problem
 
 M, N, K, SEED = 24, 64, 8, 11
@@ -17,20 +16,21 @@ M, N, K, SEED = 24, 64, 8, 11
 def main():
     ens, inst = gen_problem(M, N, K, "gaussian", SEED)
     cfg = AompConfig(initial_paths=3, branch=2, max_paths=30, kmax=16, audit=True)
-    trie, done = init_search(ens.phi, inst.y, cfg)
-    ynorm = float(np.linalg.norm(inst.y))
+    problem = check_problem(ens.phi, inst.y)
+    trie, done = init_search(problem, cfg)
+    ynorm = problem.ynorm
     print("true support:", sorted(inst.support))
     print("seeded %d single-atom paths, ||y|| = %.4f" % (trie.live_count, ynorm))
 
     it = 0
     while done is None:
         it += 1
-        best = select_best_incomplete(trie, cfg)
+        best = select_best_incomplete(trie)
         if best is None:
             print("every live path closed, no solution at the residue target")
             return
         residue = best.norms[-1] / ynorm
-        report = expand(trie, best, ens.phi, inst.y, cfg)
+        report = expand(trie, best, cfg)
         print(
             "iter %2d: extend %-28s residue %.2e  live %2d  "
             "accepted %d  equivalent-hits %d"

@@ -255,7 +255,7 @@ class PathState:
     def length(self):
         return len(self.support)
 
-    def extended(self, j, phi, config, key=None):
+    def extended(self, j, config, key=None):
         """The child path with atom j appended, keyed by `key` (by default
         its sorted support); SingularSupportError when atom j lies numerically
         in the span of the support.  The child is priced from this path's
@@ -265,7 +265,7 @@ class PathState:
             key = _with_atom(self.canonical, j)
         norms = self.norms
         limit = 2.0 * config.effective_epsilon() * norms[0]
-        return _child(self.fact, norms, j, phi, limit, config.path_cost, key)
+        return _child(self.fact, norms, j, limit, config.path_cost, key)
 
 
 def _with_atom(key, j):
@@ -274,11 +274,11 @@ def _with_atom(key, j):
     return key[:i] + (j,) + key[i:]
 
 
-def _child(parent, norms, j, phi, limit, path_cost, key):
+def _child(parent, norms, j, limit, path_cost, key):
     """The path with atom j appended to the path of factorization `parent`
     and residue norms `norms`: the one builder of `PathState.extended` and
     of `expand`, which reads its other arguments once per expansion."""
-    fact = parent._priced(j, phi, limit)
+    fact = parent._priced(j, limit)
     norms = norms + (fact.residue_norm,)
     return PathState(fact.support, norms, path_cost(norms), fact, key)
 
@@ -296,23 +296,21 @@ class ExpansionReport:
     cost_rejected: int = 0
 
 
-def init_search(phi, y, config):
-    """Seed the trie with the best single-atom paths.
+def init_search(problem, config):
+    """Seed the trie with the best single-atom paths of a checked `Problem`.
 
     The initial_paths atoms maximizing |<phi_j, y>| (ties by ascending
     index) extend the root path over the empty support into length-1
     paths with projected residues.  They are ranked from the root's own
     signed correlations phi^T y, the product that prices them.
     Returns (trie, done) where done is a path that already meets the
-    residue criterion (the root itself for y = 0) or None.  phi and y are
-    those of a checked `Problem`.
+    residue criterion (the root itself for y = 0) or None.
     """
-    _check_fits(config, phi.shape[0])
-    n = phi.shape[1]
+    m, n = problem.phi.shape
+    _check_fits(config, m)
     trie = SearchTrie(config.kmax)
-    fact = IncrementalFactorization.empty(y)
-    # sqrt(y.y) of the root's contiguous copy of y: np.linalg.norm(y) bit for bit
-    ynorm = fact.residue_norm
+    fact = IncrementalFactorization.empty(problem)
+    ynorm = problem.ynorm
     # the root is never ranked, so its cost is a placeholder
     root = PathState((), (ynorm,), 0.0, fact)
     if ynorm == 0.0:
@@ -320,10 +318,10 @@ def init_search(phi, y, config):
     threshold = config.effective_epsilon() * ynorm
     done = None
     # the seeds are ranked from the correlations that price them
-    corr = np.abs(fact.signed_correlations(phi))
+    corr = np.abs(fact.signed_correlations())
     for j in _top_few(corr, min(config.initial_paths, n), ()):
         try:
-            path = root.extended(j, phi, config)
+            path = root.extended(j, config)
         except SingularSupportError:
             continue
         trie.insert(path)
@@ -340,13 +338,13 @@ def _check_fits(config, m):
         )
 
 
-def select_best_incomplete(trie, config):
+def select_best_incomplete(trie):
     """Minimum-cost open path, ties broken by the trie's cost order; None
     when every live path is closed (kmax atoms, or its round kept no child)."""
     return trie.cheapest_open()
 
 
-def expand(trie, best, phi, y, config):
+def expand(trie, best, config):
     """One expansion round: evaluate the branch best-correlated children.
 
     Candidates are taken in descending-correlation order (ties ascending
@@ -364,14 +362,13 @@ def expand(trie, best, phi, y, config):
     # what every child reads of its parent, and below of the config, is
     # read once per round
     fact, norms, canonical = best.fact, best.norms, best.canonical
-    # phi and the residue were checked when the search began; the
-    # children are priced from the same signed correlations
-    corr = np.abs(fact.signed_correlations(phi))
+    # the children are priced from the same signed correlations
+    corr = np.abs(fact.signed_correlations())
     if config.audit and canonical:
         held = float(np.max(corr[list(canonical)]))
         if held > 1e-10 * norms[0]:
             raise AuditError("expansion candidates overlap the path support")
-    width = min(config.branch, phi.shape[1] - len(canonical))
+    width = min(config.branch, fact.problem.phi.shape[1] - len(canonical))
     if width < 1:
         trie.close(best)
         return ExpansionReport()
@@ -388,7 +385,7 @@ def expand(trie, best, phi, y, config):
             hits += 1
             continue
         try:
-            child = _child(fact, norms, j, phi, limit, path_cost, key)
+            child = _child(fact, norms, j, limit, path_cost, key)
         except SingularSupportError:
             singular += 1
             continue
@@ -457,22 +454,21 @@ def aomp_recover(phi, y, config=None):
     if config is None:
         config = AompConfig()
     problem = check_problem(phi, y)
-    phi, y = problem.phi, problem.y
-    trie, done = init_search(phi, y, config)
+    trie, done = init_search(problem, config)
     iterations = nodes_expanded = equivalent_hits = singular_skips = 0
     checked = {}
     chosen = done
     reason = REASON_ALL_COMPLETE
     if chosen is None:
         while True:
-            best = select_best_incomplete(trie, config)
+            best = select_best_incomplete(trie)
             if best is None:
                 break
             if iterations >= config.max_iterations:
                 reason = REASON_BUDGET
                 break
             iterations += 1
-            report = expand(trie, best, phi, y, config)
+            report = expand(trie, best, config)
             nodes_expanded += report.children_evaluated
             equivalent_hits += report.equivalent_hits
             singular_skips += report.singular_skips

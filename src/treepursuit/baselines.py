@@ -119,13 +119,13 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     if max_iter > m:
         raise SettingsError("max_iter must satisfy 1 <= max_iter <= M")
     threshold = epsilon * problem.ynorm
-    fact = IncrementalFactorization.empty(problem.y)
+    fact = IncrementalFactorization.empty(problem)
     reason = REASON_MAX_ITER
     while fact.residue_norm > threshold and fact.length < max_iter:
         if fact.length == n:
             reason = REASON_STALLED  # no atom left outside the support
             break
-        j = _top_few(np.abs(phi.T.dot(fact.residue)), 1, fact.support)[0]
+        j = _top_few(np.abs(fact.signed_correlations()), 1, fact.support)[0]
         try:
             fact = fact.appended(j, phi[:, j])
         except SingularSupportError:
@@ -331,7 +331,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
                 state["best"] = fact
                 state["best_res"] = fact.residue_norm
             return None
-        corr = np.abs(phi.T.dot(fact.residue))
+        corr = np.abs(fact.signed_correlations())
         width = min(branching, n - fact.length)
         for j in _top_few(corr, width, fact.support):
             if state["complete"] >= max_paths:
@@ -347,7 +347,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
                 return hit
         return None
 
-    hit = dfs(IncrementalFactorization.empty(problem.y))
+    hit = dfs(IncrementalFactorization.empty(problem))
     if hit is None:
         hit = state["best"]
     if hit is None:

@@ -17,8 +17,10 @@ arguments on every call.
   form: R is its leading block and Q^T y its last column, so no Q is
   formed.
 - A support grown one atom at a time (OMP, MMP-DF, the tree search) keeps
-  an `IncrementalFactorization`: appending an atom costs O(M l) and
-  copies nothing of its parent's.
+  an `IncrementalFactorization` of its `Problem`: appending an atom costs
+  O(M l) and copies nothing of its parent's.
+- Column norms have one store, `Problem.colnorms`, taken once per problem:
+  `_project` and the search's `_priced` read it.
 - Both solve the upper-triangular R z = Q^T y with `np.linalg.solve`:
   every diagonal entry of R has passed the DEPENDENCY_TOL test and
   everything below it is zero, so partial pivoting swaps no rows and the
@@ -68,10 +70,8 @@ class Problem:
 
     `phi` is a float64 (M, N) matrix in C order, `y` a contiguous float64
     vector of length M and `ynorm` = ||y||.  `aug`, the Fortran-order
-    block [phi | y], and `colnorms`, the column norms of phi taken from
-    it, are built on first read: a support gathered from `aug` copies whole
-    columns, and its column norms are those of `colnorms`, bit for bit.
-    Built by `check_problem`.
+    block [phi | y] a support is gathered from, and `colnorms`, the column
+    norms of phi, are built on first read.  Built by `check_problem`.
     """
 
     __slots__ = ("phi", "y", "ynorm", "_aug", "_colnorms")
@@ -93,7 +93,7 @@ class Problem:
     @property
     def colnorms(self):
         if self._colnorms is None:
-            self._colnorms = np.linalg.norm(self.aug[:, :-1], axis=0)
+            self._colnorms = np.linalg.norm(self.phi, axis=0)
         return self._colnorms
 
 
@@ -222,8 +222,10 @@ _NO_COEF.flags.writeable = False
 
 
 class IncrementalFactorization:
-    """QR factorization of phi restricted to an ordered support, together
-    with the residue r of y against that support.
+    """QR factorization of the columns of a checked `Problem`'s phi on an
+    ordered support, together with the residue r of y against that
+    support.  Every factorization built from a root keeps the root's
+    `problem`.
 
     - Immutable branching: `appended` and `_priced` return a new
       factorization and leave this one intact.  Each keeps, per support
@@ -250,18 +252,20 @@ class IncrementalFactorization:
       cancels) and when its norm is within `limit`, which the search sets
       to twice its residue threshold, so every termination decision reads
       a formed residue.
-    - Column norms: `_priced` reads ||phi_j|| from a list of N norms that
-      the root makes at its first `_priced` and every factorization built
-      from it shares, so a search tree takes each norm once.
+    - Column norms: `_priced` reads ||phi_j|| from `problem.colnorms`, the
+      one store of the problem.  The first atom of a path takes the `_norm`
+      of its own column copy, the value `appended` takes, since it becomes
+      R's first diagonal entry.
     """
 
     __slots__ = (
-        "support", "residue_norm",
+        "problem", "support", "residue_norm",
         "_columns", "_q", "_parent", "_qhat", "_rmat", "_qty",
-        "_residue", "_sq", "_g", "_v", "_base", "_colnorms",
+        "_residue", "_sq", "_g", "_v", "_base",
     )
 
-    def __init__(self, support, columns, residue, sq, parent=None, qhat=None, colnorms=None):
+    def __init__(self, problem, support, columns, residue, sq, parent=None, qhat=None):
+        self.problem = problem
         self.support = support
         # per atom: its R column above the diagonal, R_ll and (Q^T y)_l
         self._columns = columns
@@ -271,22 +275,18 @@ class IncrementalFactorization:
         self._parent = parent
         self._qhat = qhat
         self._q = None
-        # ||phi_j|| by atom, shared by every factorization of a search tree
-        self._colnorms = colnorms
         # the pending direction v and the parent's residue of a priced child
         self._v = self._base = None
         self._g = None
         self._rmat = self._qty = None
 
     @classmethod
-    def empty(cls, y):
-        """Factorization over the empty support; the residue is y itself."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1:
-            raise ValueError("y must be a vector")
-        residue = y.copy()
-        fact = cls((), (), residue, float(residue.dot(residue)))
-        fact._q = np.empty((y.shape[0], 0))
+    def empty(cls, problem):
+        """Factorization of a checked `Problem` over the empty support; the
+        residue is y itself."""
+        residue = problem.y.copy()
+        fact = cls(problem, (), (), residue, float(residue.dot(residue)))
+        fact._q = np.empty((residue.shape[0], 0))
         fact._rmat, fact._qty = np.empty((0, 0)), np.empty(0)
         return fact
 
@@ -310,12 +310,11 @@ class IncrementalFactorization:
         self._sq = float(residue.dot(residue))
         self._v = self._base = None
 
-    def signed_correlations(self, phi):
-        """phi^T r for the residue r of this factorization, computed once;
-        phi is the matrix whose columns the support indexes."""
+    def signed_correlations(self):
+        """phi^T r for the residue r of this factorization, computed once."""
         g = self._g
         if g is None:
-            g = self._g = phi.T.dot(self.residue)
+            g = self._g = self.problem.phi.T.dot(self.residue)
         return g
 
     @property
@@ -392,8 +391,8 @@ class IncrementalFactorization:
         proj = float(qhat.dot(residue))
         residue = residue - proj * qhat
         return IncrementalFactorization(
-            self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
-            residue, float(residue.dot(residue)), self, qhat, self._colnorms,
+            self.problem, self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
+            residue, float(residue.dot(residue)), self, qhat,
         )
 
     def appended(self, index, column):
@@ -410,33 +409,28 @@ class IncrementalFactorization:
         coef, v, vnorm, _ = self._orthogonalized(index, v, _norm(v))
         return self._formed_child(index, coef, v, vnorm)
 
-    def _priced(self, index, phi, limit):
-        """The child with column `index` of phi appended, priced from this
+    def _priced(self, index, limit):
+        """The child with atom `index` appended, priced from this
         factorization's correlations: its residue is formed only when read,
         unless the second Gram-Schmidt pass ran, s' <= s / 4 or
         sqrt(s') <= `limit`, where it is built as `appended` builds it.
-        ||phi_index|| comes from the tree's column-norm list, which the
-        root's first call makes and every child shares.  Checks nothing:
-        phi is the problem's matrix, checked at entry."""
-        colnorms = self._colnorms
-        if colnorms is None:
-            colnorms = self._colnorms = [None] * phi.shape[1]
-        v = phi[:, index].copy()
-        colnorm = colnorms[index]
-        if colnorm is None:
-            colnorm = colnorms[index] = _norm(v)
+        Checks nothing: the problem was checked at entry."""
+        problem = self.problem
+        v = problem.phi[:, index].copy()
+        # a first atom's norm is R's diagonal entry: that of its own copy
+        colnorm = problem.colnorms.item(index) if self.support else _norm(v)
         coef, v, vnorm, twice = self._orthogonalized(index, v, colnorm)
         if not twice:
             g = self._g
             if g is None:
-                g = self.signed_correlations(phi)  # forms this residue, and so s
+                g = self.signed_correlations()  # forms this residue, and so s
             proj = float(g[index]) / vnorm
             sq = self._sq
             rest = sq - proj * proj
             if rest > 0.25 * sq and rest > limit * limit:
                 child = IncrementalFactorization(
-                    self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
-                    None, rest, self, None, colnorms,
+                    problem, self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
+                    None, rest, self,
                 )
                 child._v, child._base = v, self._residue
                 return child

@@ -19,7 +19,7 @@ from treepursuit.astar import (
     select_best_incomplete,
 )
 from treepursuit.baselines import mmp_df_recover, omp_recover
-from treepursuit.linalg import IncrementalFactorization
+from treepursuit.linalg import IncrementalFactorization, check_problem
 from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, REASON_RESIDUE
 from treepursuit.siggen import derive_seed, gen_problem
 from treepursuit.trie import SearchTrie
@@ -240,13 +240,13 @@ def test_every_built_path_is_keyed_by_its_sorted_support(monkeypatch):
     tries, ends = [], []
     real_init, real_expand = astar.init_search, astar.expand
 
-    def init_and_keep(phi, y, config):
-        trie, done = real_init(phi, y, config)
+    def init_and_keep(problem, config):
+        trie, done = real_init(problem, config)
         tries.append(trie)
         return trie, done
 
-    def expand_and_keep(trie, best, phi, y, config):
-        report = real_expand(trie, best, phi, y, config)
+    def expand_and_keep(trie, best, config):
+        report = real_expand(trie, best, config)
         ends.append(report.terminated)
         return report
 
@@ -261,22 +261,22 @@ def test_every_built_path_is_keyed_by_its_sorted_support(monkeypatch):
         assert path.canonical == tuple(sorted(path.support))
 
 
-def _stale_cost(trie, y, config):
+def _stale_cost(trie, problem, config):
     trie.paths()[0].cost += 1.0
 
 
-def _rising_residue(trie, y, config):
+def _rising_residue(trie, problem, config):
     path = trie.paths()[0]
     path.norms = path.norms[:-1] + (2.0 * path.norms[-2],)
     path.cost = config.path_cost(path.norms)  # fresh, so only the history is wrong
 
 
-def _shared_support(trie, y, config):
+def _shared_support(trie, problem, config):
     first, second = trie.paths()[:2]
     second.canonical = first.canonical
 
 
-def _over_the_cap(trie, y, config):
+def _over_the_cap(trie, problem, config):
     first = trie.paths()[0]
     norms = first.norms[:2]
     j = 0
@@ -286,20 +286,20 @@ def _over_the_cap(trie, y, config):
         j += 1
 
 
-def _overlapping_candidates(trie, y, config):
+def _overlapping_candidates(trie, problem, config):
     # the empty support's factorization leaves y, which every atom of the
     # path still correlates with, as the residue
     for path in trie.paths():
-        path.fact = IncrementalFactorization.empty(y)
+        path.fact = IncrementalFactorization.empty(problem)
 
 
-def _residue_off_by_a_support_column(trie, y, config):
+def _residue_off_by_a_support_column(trie, problem, config):
     # a residue that keeps 1e-6 ||y|| along a unit-norm support column, the
     # first column of Q, as an orthogonalization that lost orthogonality
     # would; the norms and cost stay as they were
     for path in trie.paths():
         fact = path.fact
-        residue = fact.residue + 1e-6 * np.linalg.norm(y) * fact.q[:, 0]
+        residue = fact.residue + 1e-6 * np.linalg.norm(problem.y) * fact.q[:, 0]
         fact._residue, fact._g = residue, None  # the next expansion correlates it
 
 
@@ -314,9 +314,9 @@ def _residue_off_by_a_support_column(trie, y, config):
 def test_audit_catches_a_corrupted_search(monkeypatch, corrupt, message):
     real_expand = astar.expand
 
-    def expand_then_corrupt(trie, best, phi, y, config):
-        report = real_expand(trie, best, phi, y, config)
-        corrupt(trie, y, config)
+    def expand_then_corrupt(trie, best, config):
+        report = real_expand(trie, best, config)
+        corrupt(trie, best.fact.problem, config)
         return report
 
     monkeypatch.setattr(astar, "expand", expand_then_corrupt)
@@ -345,8 +345,8 @@ def test_audit_rechecks_a_path_changed_after_it_passed(monkeypatch, corrupt, mes
     real_expand = astar.expand
     audited = []
 
-    def expand_then_corrupt(trie, best, phi, y, config):
-        report = real_expand(trie, best, phi, y, config)
+    def expand_then_corrupt(trie, best, config):
+        report = real_expand(trie, best, config)
         passed = [p for p in trie.paths() if any(p is q for q in audited)]
         if passed:
             corrupt(passed[-1], config)
@@ -416,17 +416,17 @@ def test_expansion_round_post_conditions():
     for (initial, branch), seed in product(((2, 3), (3, 1)), range(20)):
         ens, inst = gen_problem(18, 40, 6, "gaussian", derive_seed(31, "exp", seed))
         cfg = AompConfig(kmax=10, initial_paths=initial, branch=branch, max_paths=4)
-        trie, done = init_search(ens.phi, inst.y, cfg)
+        trie, done = init_search(check_problem(ens.phi, inst.y), cfg)
         if done is not None:
             continue
         closed = []
         for _ in range(12):
-            best = select_best_incomplete(trie, cfg)
+            best = select_best_incomplete(trie)
             if best is None:
                 break
             assert all(best is not p for p in closed)
             before = trie.live_count
-            report = expand(trie, best, ens.phi, inst.y, cfg)
+            report = expand(trie, best, cfg)
             assert trie.live_count <= cfg.max_paths
             if report.terminated is not None:
                 break
@@ -444,7 +444,7 @@ def test_expansion_round_post_conditions():
 def test_init_search_seeds_top_correlated_atoms():
     ens, inst = gen_problem(20, 40, 5, "gaussian", 77)
     cfg = AompConfig(kmax=8, initial_paths=3)
-    trie, done = init_search(ens.phi, inst.y, cfg)
+    trie, done = init_search(check_problem(ens.phi, inst.y), cfg)
     scores = np.abs(ens.phi.T @ inst.y)
     want = set(np.argsort(-scores)[:3])
     got = {p.support[0] for p in trie.paths()}
@@ -493,13 +493,14 @@ def test_a_support_opened_in_another_order_is_not_factorized(monkeypatch):
     phi = np.eye(4)
     y = np.array([3.0, 2.0, 1.0, 0.5])
     cfg = AompConfig(kmax=3, initial_paths=1, branch=2, max_paths=5)
-    root = PathState((), (float(np.linalg.norm(y)),), 0.0, IncrementalFactorization.empty(y))
+    root = PathState((), (float(np.linalg.norm(y)),), 0.0,
+                     IncrementalFactorization.empty(check_problem(phi, y)))
     trie = SearchTrie(cfg.kmax)
-    trie.insert(root.extended(0, phi, cfg).extended(1, phi, cfg))
-    best = root.extended(1, phi, cfg)
+    trie.insert(root.extended(0, cfg).extended(1, cfg))
+    best = root.extended(1, cfg)
     trie.insert(best)
     atoms = _count_appends(monkeypatch)
-    report = expand(trie, best, phi, y, cfg)
+    report = expand(trie, best, cfg)
     assert atoms == [2]
     assert (report.children_evaluated, report.equivalent_hits, report.accepted) == (2, 1, 1)
     assert report.terminated is None
@@ -517,9 +518,9 @@ def test_a_child_never_expanded_never_forms_its_residue(monkeypatch):
         formed.append(self)
         real_form(self)
 
-    def expand_and_note(trie, best, phi, y, config):
+    def expand_and_note(trie, best, config):
         expanded.append(best.fact)
-        return real_expand(trie, best, phi, y, config)
+        return real_expand(trie, best, config)
 
     monkeypatch.setattr(IncrementalFactorization, "_form", form)
     monkeypatch.setattr(astar, "expand", expand_and_note)
@@ -539,8 +540,9 @@ def test_children_within_twice_the_threshold_are_formed_at_once(epsilon, formed)
     # arithmetic of an append; 6 times it at epsilon 0.1, so priced
     phi, y = np.eye(3), np.array([1.0, 1.5, 0.5])
     config = AompConfig(kmax=3, epsilon=epsilon)
-    root = PathState((), (float(np.linalg.norm(y)),), 0.0, IncrementalFactorization.empty(y))
-    child = root.extended(1, phi, config)
+    root = PathState((), (float(np.linalg.norm(y)),), 0.0,
+                     IncrementalFactorization.empty(check_problem(phi, y)))
+    child = root.extended(1, config)
     assert (child.fact._residue is not None) == formed
 
 
@@ -553,28 +555,38 @@ def _decisions(out):
 
 
 def test_a_search_takes_each_column_norm_once(monkeypatch):
-    # the column norms live in one list per search tree, which every child
-    # inherits: a column appended on many paths has its norm taken once
-    # per search, and the next search takes it afresh
-    real_norm = linalg._norm
-    taken = []
+    # the column norms have one store, the problem's, filled by one product
+    # per problem; a column copy's own norm is taken only for the seeds,
+    # whose norm is R's first diagonal entry, though columns are appended
+    # on many paths
+    real_norm, real_colnorms = linalg._norm, linalg.Problem.colnorms.fget
+    taken, stores = [], []
 
     def counted(v):
         taken.extend(np.flatnonzero((phi == v[:, None]).all(axis=0)).tolist())
         return real_norm(v)
 
+    def colnorms(problem):
+        if problem._colnorms is None:
+            stores.append(problem)
+        return real_colnorms(problem)
+
     monkeypatch.setattr(linalg, "_norm", counted)
+    monkeypatch.setattr(linalg.Problem, "colnorms", property(colnorms))
     atoms = _count_appends(monkeypatch)
+    config = AompConfig(kmax=16, branch=3)
     for seed in range(3):
         ens, inst = gen_problem(20, 48, 7, "gaussian", derive_seed(8, "norms", seed))
         phi = ens.phi
         taken.clear()
         atoms.clear()
-        out = aomp_recover(phi, inst.y, AompConfig(kmax=16, branch=3))
+        stores.clear()
+        out = aomp_recover(phi, inst.y, config)
         assert out.iterations > 3
-        # columns were appended on several paths, and each norm taken once
+        # columns were appended on several paths
         assert len(atoms) > len(set(atoms))
-        assert sorted(taken) == sorted(set(atoms))
+        assert len(stores) == 1
+        assert sorted(taken) == sorted(atoms[:config.initial_paths])
 
 
 def test_column_norms_are_not_shared_between_searches():

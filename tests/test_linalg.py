@@ -72,7 +72,7 @@ def test_incremental_matches_dense_least_squares_on_every_prefix():
         phi = rng.normal(size=(m, n))
         y = rng.normal(size=m)
         support = rng.choice(n, size=8, replace=False)
-        fact = IncrementalFactorization.empty(y)
+        fact = IncrementalFactorization.empty(check_problem(phi, y))
         for depth, j in enumerate(support, start=1):
             fact = fact.appended(j, phi[:, j])
             sub = phi[:, support[:depth]]
@@ -90,7 +90,7 @@ def test_incremental_q_orthonormal_and_residue_orthogonal():
     for trial in range(10):
         phi = rng.normal(size=(16, 24))
         y = rng.normal(size=16)
-        fact = IncrementalFactorization.empty(y)
+        fact = IncrementalFactorization.empty(check_problem(phi, y))
         for j in rng.choice(24, size=10, replace=False):
             fact = fact.appended(j, phi[:, j])
         q = fact.q
@@ -104,7 +104,7 @@ def test_appended_leaves_parent_untouched():
     rng = np.random.default_rng(9)
     phi = rng.normal(size=(8, 6))
     y = rng.normal(size=8)
-    parent = IncrementalFactorization.empty(y).appended(0, phi[:, 0])
+    parent = IncrementalFactorization.empty(check_problem(phi, y)).appended(0, phi[:, 0])
     frozen_support = parent.support
     frozen_residue = parent.residue.copy()
     left = parent.appended(1, phi[:, 1])
@@ -119,7 +119,7 @@ def test_dependent_column_raises():
     phi = rng.normal(size=(10, 4))
     phi[:, 3] = 2.0 * phi[:, 0] - phi[:, 1]
     y = rng.normal(size=10)
-    fact = IncrementalFactorization.empty(y)
+    fact = IncrementalFactorization.empty(check_problem(phi, y))
     fact = fact.appended(0, phi[:, 0]).appended(1, phi[:, 1])
     with pytest.raises(SingularSupportError):
         fact.appended(3, phi[:, 3])
@@ -148,7 +148,7 @@ def test_project_matches_lstsq_and_validates():
 
 def test_empty_factorization_residue_is_y():
     y = np.array([1.0, -2.0, 3.0])
-    fact = IncrementalFactorization.empty(y)
+    fact = IncrementalFactorization.empty(check_problem(np.eye(3), y))
     assert fact.length == 0
     assert np.array_equal(fact.residue, y)
     assert fact.coefficients().size == 0
@@ -219,7 +219,7 @@ def test_top_few_fallback_cases():
 
 
 def _chain(y, phi, support):
-    fact = IncrementalFactorization.empty(y)
+    fact = IncrementalFactorization.empty(check_problem(phi, y))
     for j in support:
         fact = fact.appended(j, phi[:, j])
     return fact
@@ -283,7 +283,7 @@ def test_factorization_branches_agree_with_lstsq(seed, m, steps):
     n = m + 4
     phi = rng.normal(size=(m, n))
     y = rng.normal(size=m)
-    nodes = [IncrementalFactorization.empty(y)]
+    nodes = [IncrementalFactorization.empty(check_problem(phi, y))]
     seen = {}
     for pick, atom, read_parent, read in steps:
         parent = nodes[pick % len(nodes)]
@@ -557,10 +557,10 @@ def test_priced_children_agree_with_a_whole_support_projection(case):
     # y on the whole support
     phi, y, support, limit = case
     ynorm = np.linalg.norm(y)
-    fact = IncrementalFactorization.empty(y)
+    fact = IncrementalFactorization.empty(check_problem(phi, y))
     for j in support:
         try:
-            fact = fact._priced(j, phi, limit)
+            fact = fact._priced(j, limit)
         except SingularSupportError:
             break
         sub = phi[:, list(fact.support)]
@@ -578,7 +578,7 @@ def test_priced_children_agree_with_a_whole_support_projection(case):
 def _built_formed(parent, j, phi, limit):
     """The child `_priced` builds, after checking that it was formed at
     once, by the arithmetic of `appended`, bit for bit."""
-    child = parent._priced(j, phi, limit)
+    child = parent._priced(j, limit)
     assert child._residue is not None
     reference = parent.appended(j, phi[:, j])
     assert np.array_equal(child.residue, reference.residue)
@@ -593,7 +593,7 @@ def test_a_second_gram_schmidt_pass_builds_a_formed_child():
     # would have allowed a priced child
     phi = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
     y = np.array([0.0, 0.1, 1.0])
-    first = IncrementalFactorization.empty(y)._priced(0, phi, 0.0)
+    first = IncrementalFactorization.empty(check_problem(phi, y))._priced(0, 0.0)
     assert first._residue is None
     _built_formed(first, 1, phi, 0.0)
 
@@ -603,7 +603,7 @@ def test_a_residue_drop_below_half_builds_a_formed_child():
     # below a quarter of it, where s - p^2 cancels
     phi = np.eye(3)
     y = np.array([0.1, 1.0, 0.2])
-    _built_formed(IncrementalFactorization.empty(y), 1, phi, 0.0)
+    _built_formed(IncrementalFactorization.empty(check_problem(phi, y)), 1, phi, 0.0)
 
 
 def test_a_residue_near_the_limit_builds_a_formed_child():
@@ -612,9 +612,9 @@ def test_a_residue_near_the_limit_builds_a_formed_child():
     # it is priced and its residue waits for its first read
     phi = np.eye(3)
     y = np.array([1.0, 1.5, 0.5])
-    root = IncrementalFactorization.empty(y)
+    root = IncrementalFactorization.empty(check_problem(phi, y))
     _built_formed(root, 1, phi, 2.0)
-    priced = root._priced(1, phi, 1.0)
+    priced = root._priced(1, 1.0)
     assert priced._residue is None
     assert priced.residue_norm == math.sqrt(1.25)
     assert np.array_equal(priced.residue, [1.0, 0.0, 0.5])
@@ -627,9 +627,9 @@ def test_a_long_priced_chain_keeps_its_norms_to_rounding():
     # residue's r.r, so no subtraction error carries down the chain
     phi = np.eye(40)
     y = 0.6 ** np.arange(40)
-    fact = IncrementalFactorization.empty(y)
+    fact = IncrementalFactorization.empty(check_problem(phi, y))
     for j in range(30):
-        fact = fact._priced(j, phi, 0.0)
+        fact = fact._priced(j, 0.0)
         assert fact._residue is None
         exact = np.linalg.norm(y[j + 1:])
         assert abs(fact.residue_norm - exact) <= 1e-14 * exact
@@ -679,7 +679,7 @@ def test_every_step_of_a_priced_tree_is_the_appended_step(case):
 
     def step(parent, alone, j):
         try:
-            child = parent._priced(j, phi, 0.0)
+            child = parent._priced(j, 0.0)
         except SingularSupportError:
             with pytest.raises(SingularSupportError):
                 alone.appended(j, phi[:, j])
@@ -690,9 +690,9 @@ def test_every_step_of_a_priced_tree_is_the_appended_step(case):
         assert coef.tobytes() == ref_coef.tobytes() and diagonal == ref_diagonal
         return child, reference
 
-    root = IncrementalFactorization.empty(y)
+    root = IncrementalFactorization.empty(check_problem(phi, y))
     for a in range(n):
-        child, reference = step(root, IncrementalFactorization.empty(y), a)
+        child, reference = step(root, IncrementalFactorization.empty(check_problem(phi, y)), a)
         if child is not None:
             for b in range(n):
                 if b != a:

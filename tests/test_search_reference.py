@@ -48,12 +48,12 @@ def reference_search(phi, y, config, key=full_key):
         opened.add(path.canonical)
         count["paths_opened"] += 1
 
-    root = PathState((), (ynorm,), 0.0, IncrementalFactorization.empty(y))
+    root = PathState((), (ynorm,), 0.0, IncrementalFactorization.empty(check_problem(phi, y)))
     chosen = root if ynorm == 0.0 else None
     reason = REASON_ALL_COMPLETE
     for j in ranked(y, (), config.initial_paths) if chosen is None else ():
         try:
-            path = root.extended(j, phi, config)
+            path = root.extended(j, config)
         except SingularSupportError:
             continue
         open_path(path)
@@ -72,7 +72,7 @@ def reference_search(phi, y, config, key=full_key):
         for j in ranked(best.fact.residue, best.support, config.branch):
             count["nodes_expanded"] += 1
             try:
-                child = best.extended(j, phi, config)
+                child = best.extended(j, config)
             except SingularSupportError:
                 count["singular_skips"] += 1
                 continue

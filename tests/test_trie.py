@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepursuit.astar import PathState
-from treepursuit.linalg import IncrementalFactorization
+from treepursuit.linalg import IncrementalFactorization, check_problem
 from treepursuit.trie import SearchTrie
 
 KMAX = 5  # longer than every path below except where a test says otherwise
@@ -35,7 +35,7 @@ class SealedPath(FakePath):
 
 def test_equal_sets_in_any_order_collide():
     # a path's key is its sorted support, derived when the path is built
-    fact = IncrementalFactorization.empty(np.ones(3))
+    fact = IncrementalFactorization.empty(check_problem(np.ones((3, 1)), np.ones(3)))
     a = PathState((2, 4, 1), (1.0,) * 4, 0.5, fact)
     b = PathState((4, 1, 2), (1.0,) * 4, 0.5, fact)
     assert a.canonical == b.canonical == (1, 2, 4)
@@ -112,7 +112,7 @@ def test_paths_snapshot_does_not_alias():
 def test_remove_drops_exactly_the_given_object():
     # paths with equal field values are still distinct objects: the
     # registry must never confuse them, whatever their contents
-    fact = IncrementalFactorization.empty(np.ones(3))
+    fact = IncrementalFactorization.empty(check_problem(np.ones((3, 1)), np.ones(3)))
     a = PathState((0,), (1.0, 0.5), 0.5, fact)
     b = PathState((1,), (1.0, 0.5), 0.5, fact)
     twin = PathState((0,), (1.0, 0.5), 0.5, fact)
