@@ -34,7 +34,7 @@ from .baselines import (
     mmp_df_recover,
 )
 from .linalg import problem_shape
-from .results import attempt
+from .results import SettingsError, attempt
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
@@ -431,6 +431,9 @@ def fit_rho_star(rhos, successes, trials):
 
 @dataclass
 class PhaseCell:
+    """One (lambda, rho) cell; successes is None when the solver cannot
+    take its (M, K)."""
+
     lam: float
     rho: float
     m: int
@@ -440,7 +443,7 @@ class PhaseCell:
 
     @property
     def rate(self):
-        return self.successes / self.trials
+        return None if self.successes is None else self.successes / self.trials
 
 
 @dataclass
@@ -466,7 +469,8 @@ class PhaseTransitionCurve:
 
     def write_grid_csv(self, path):
         _write_csv(path, ["lambda", "rho", "M", "K", "successes", "trials", "rate"], (
-            [repr(c.lam), repr(c.rho), c.m, c.k, c.successes, c.trials, repr(c.rate)]
+            [repr(c.lam), repr(c.rho), c.m, c.k, "" if c.successes is None else c.successes,
+             c.trials, "" if c.rate is None else repr(c.rate)]
             for c in self.cells
         ))
 
@@ -477,7 +481,11 @@ def phase_transition(solver, n, lambdas, rhos, trials, base_seed, ensemble="gaus
     lambda = M/N fixes the undersampling, rho = K/M the sparsity fraction
     of each cell; every cell runs `trials` paired instances and per-lambda
     columns are reduced to the rho where the logistic success fit crosses
-    1/2 (censored when it never does inside the grid).
+    1/2 (censored when it never does inside the grid).  A cell whose batch
+    raises SettingsError, a K the solver cannot take at that M, is not
+    applicable: it keeps no successes and the fit leaves it out, and a
+    column with no applicable cell is censored "n/a".  When no cell of the
+    grid is applicable the first error propagates.
     """
     lambdas = [float(l) for l in lambdas]
     rhos = [float(r) for r in rhos]
@@ -487,26 +495,34 @@ def phase_transition(solver, n, lambdas, rhos, trials, base_seed, ensemble="gaus
         raise ValueError("lambda and rho values must lie in (0, 1]")
     cells = []
     points = []
+    refused = None
     for li, lam in enumerate(lambdas):
         m = max(1, round(lam * n))
         col = []
         for ri, rho in enumerate(rhos):
             k = min(m, max(1, round(rho * m)))
-            batch = run_batch(
-                solver, n, m, k, ensemble, trials,
-                derive_seed(base_seed, "phase", li, ri), jobs=jobs,
-            )
-            cell = PhaseCell(
-                lam=lam, rho=rho, m=m, k=k,
-                successes=int(sum(r.exact for r in batch.records)),
-                trials=trials,
-            )
-            col.append(cell)
+            try:
+                batch = run_batch(
+                    solver, n, m, k, ensemble, trials,
+                    derive_seed(base_seed, "phase", li, ri), jobs=jobs,
+                )
+            except SettingsError as exc:
+                refused = refused or exc
+                successes = None
+            else:
+                successes = int(sum(r.exact for r in batch.records))
+            cell = PhaseCell(lam=lam, rho=rho, m=m, k=k, successes=successes, trials=trials)
             cells.append(cell)
-        star, censored = fit_rho_star(
-            [c.rho for c in col], [c.successes for c in col], [c.trials for c in col]
-        )
+            if successes is not None:
+                col.append(cell)
+        star, censored = None, "n/a"
+        if col:
+            star, censored = fit_rho_star(
+                [c.rho for c in col], [c.successes for c in col], [c.trials for c in col]
+            )
         points.append(PhasePoint(lam=lam, rho_star=star, censored=censored, trials=trials))
+    if all(c.successes is None for c in cells):
+        raise refused
     return PhaseTransitionCurve(
         solver=solver.label, n=n, ensemble=ensemble, cells=cells, points=points
     )

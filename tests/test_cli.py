@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, run directories, manifests, replay."""
 
 import argparse
+import csv
 import json
 import re
 from datetime import datetime, timezone
@@ -205,6 +206,20 @@ def test_phase_writes_curve(tmp_path):
     points = (run_dir / "phase_points.csv").read_text().strip().splitlines()
     assert points[0] == "lambda,rho_star,censored,trials"
     assert len(points) == 2
+
+
+def test_phase_marks_the_cells_a_solver_cannot_take(tmp_path):
+    # the default rhos reach K > M/2, which SP cannot take: those cells are
+    # written without successes or rate, not an error
+    out = tmp_path / "runs"
+    code = main(["phase", "--solver", "sp", "--n", "64", "--trials", "2", "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    (run_dir,) = run_dirs(out)
+    with open(run_dir / "phase_grid.csv") as fh:
+        grid = list(csv.DictReader(fh))
+    refused = [row for row in grid if int(row["K"]) > int(row["M"]) // 2]
+    assert refused and all(row["successes"] == row["rate"] == "" for row in refused)
+    assert all(row["successes"] != "" for row in grid if row not in refused)
 
 
 def test_image_synthetic_run(tmp_path, capsys):

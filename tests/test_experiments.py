@@ -207,9 +207,23 @@ def test_a_k_the_solver_cannot_take_aborts_the_batch():
             run_batch(make_solver(name), 30, 10, 12, "gaussian", 2, 1)
     with pytest.raises(SettingsError, match="<= N"):
         make_solver("iht").run(np.eye(4), np.ones(4), 5)
-    # a phase cell at K = 13 > M/2 = 8 is not a cell SP failed to recover
+    # a phase cell at K = 13 > M/2 = 8 is not a cell SP failed to recover:
+    # it is marked not applicable and left out of the fit
+    curve = phase_transition(make_solver("sp"), 32, [0.5], [0.3, 0.8], 2, 1)
+    taken, refused = curve.cells
+    assert (taken.k, refused.k) == (5, 13)
+    assert taken.successes is not None and refused.successes is None and refused.rate is None
+    (point,) = curve.points
+    assert (point.rho_star, point.censored) == fit_rho_star([0.3], [taken.successes], [2])
+    # a column with no cell SP can take is censored n/a; K = 3 <= M/2 = 3
+    # at M = 6, K = 9 > 8 at M = 16
+    curve = phase_transition(make_solver("sp"), 32, [0.2, 0.5], [0.55], 2, 1)
+    assert [c.k for c in curve.cells] == [3, 9]
+    assert curve.points[0].censored != "n/a"
+    assert (curve.points[1].rho_star, curve.points[1].censored) == (None, "n/a")
+    # a grid with no such cell is an error
     with pytest.raises(SettingsError, match="min"):
-        phase_transition(make_solver("sp"), 32, [0.5], [0.3, 0.8], 2, 1)
+        phase_transition(make_solver("sp"), 32, [0.5], [0.8], 2, 1)
 
 
 def test_record_files_round_trip(tmp_path):
