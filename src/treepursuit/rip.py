@@ -59,15 +59,14 @@ class RicTable:
         }
 
 
-def ric_bruteforce(phi, l, guard=SUBSET_GUARD, progress=None):
+def ric_bruteforce(phi, l, guard=SUBSET_GUARD):
     """Exact restricted isometry constant delta_l by support enumeration.
 
     delta_l is the smallest delta with
     (1 - delta) ||x||^2 <= ||phi x||^2 <= (1 + delta) ||x||^2 for every
     l-sparse x, i.e. the worst eigenvalue deviation of any l-column Gram
     submatrix from identity.  Refuses to enumerate more than `guard`
-    supports.  `progress`, when given, is called as progress(done, total)
-    every few thousand supports.
+    supports.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2:
@@ -83,22 +82,18 @@ def ric_bruteforce(phi, l, guard=SUBSET_GUARD, progress=None):
     gram = phi.T @ phi
     assert float(np.max(np.abs(gram - gram.T))) <= 1e-10
     delta = 0.0
-    for done, subset in enumerate(itertools.combinations(range(n), l)):
+    for subset in itertools.combinations(range(n), l):
         w = np.linalg.eigvalsh(gram[np.ix_(subset, subset)])
         delta = max(delta, float(w[-1]) - 1.0, 1.0 - float(w[0]))
-        if progress is not None and done % 5000 == 0:
-            progress(done, total)
-    if progress is not None:
-        progress(total, total)
     return delta
 
 
-def ric_table(phi, lmax, guard=SUBSET_GUARD, progress=None):
+def ric_table(phi, lmax, guard=SUBSET_GUARD):
     """Table of delta_1 .. delta_lmax for one matrix."""
     phi = np.asarray(phi, dtype=float)
     deltas = {}
     for l in range(1, lmax + 1):
-        deltas[l] = ric_bruteforce(phi, l, guard=guard, progress=progress)
+        deltas[l] = ric_bruteforce(phi, l, guard=guard)
     return RicTable(m=phi.shape[0], n=phi.shape[1], deltas=deltas)
 
 

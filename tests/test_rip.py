@@ -78,13 +78,6 @@ def test_subset_guard_refuses_large_enumerations():
         ric_bruteforce(phi, 0)
 
 
-def test_progress_callback_reports_completion():
-    phi = gen_matrix(6, 10, 1).phi
-    calls = []
-    ric_bruteforce(phi, 2, progress=lambda done, total: calls.append((done, total)))
-    assert calls[-1] == (45, 45)
-
-
 def test_table_missing_order_raises():
     table = RicTable(m=8, n=12, deltas={1: 0.1, 2: 0.2})
     assert table.delta(2) == 0.2
