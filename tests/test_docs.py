@@ -203,3 +203,36 @@ def test_ab_pairs_alternates_sides_and_stops_on_a_failed_run(monkeypatch, capsys
     calls.clear()
     assert tool.main(["a", "broken", "--workload", "desk", "--pairs", "3"]) == 1
     assert calls == ["a", "broken"]
+
+
+SNIPPET = '''"""Module docstring,
+two lines."""
+
+import math  # a trailing comment leaves a code line
+
+
+class Shape:
+    """One line."""
+
+    # a comment line
+    def area(self):
+        """Two
+
+        lines, with a blank one inside."""
+        text = """not a docstring:
+        a string value"""
+        return math.pi
+'''
+
+
+def test_src_lines_splits_a_snippet(monkeypatch, tmp_path):
+    tool = load_tool("src_lines", monkeypatch)
+    counts = tool.count_lines(SNIPPET)
+    # the blank line inside a docstring counts as docstring, the lines of
+    # any other string as code
+    assert counts == {"total": 17, "code": 6, "docstring": 6, "comment": 1, "blank": 4}
+    (tmp_path / "b.py").write_text(SNIPPET)
+    (tmp_path / "a.py").write_text("x = 1\n\n")
+    rows = tool.table(tmp_path)
+    assert [name for name, _ in rows] == ["a.py", "b.py", "total"]
+    assert rows[-1][1] == {"total": 19, "code": 7, "docstring": 6, "comment": 1, "blank": 5}
