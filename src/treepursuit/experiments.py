@@ -26,6 +26,7 @@ from .astar import (
 )
 from .baselines import (
     SETTINGS,
+    _count,
     check_settings,
     omp_recover,
     sp_recover,
@@ -267,9 +268,13 @@ def run_batch(solver, n, m, k, ensemble, trials, base_seed, jobs=1):
     call with another solver sees the same instances.  With jobs > 1 the
     trials run in a process pool; results are identical either way.
     Trials run through `results.attempt`, so a SettingsError propagates.
+    jobs must be an int >= 1 (not a bool); it is checked before any trial
+    runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not _count(jobs):
+        raise ValueError("jobs must be an integer >= 1, got %r" % (jobs,))
     args = [
         (solver, n, m, k, ensemble, derive_seed(base_seed, "trial", t))
         for t in range(trials)

@@ -20,7 +20,12 @@ arguments on every call.
   an `IncrementalFactorization` of its `Problem`: appending an atom costs
   O(M l) and copies nothing of its parent's.
 - Column norms have one store, `Problem.colnorms`, taken once per problem:
-  `_project` and the search's `_priced` read it.
+  `_project` reads it, the search's `_priced` its list form
+  `Problem.norms`.  `_priced` prices a child by Pythagoras, from the
+  contiguous column `Problem.rows[j]`, where the downdate cannot cancel,
+  and forms its direction only when the child is expanded; a priced step
+  is the append's step to rounding, not bit for bit (see
+  `IncrementalFactorization`).
 - Both solve the upper-triangular R z = Q^T y with `np.linalg.solve`:
   every diagonal entry of R has passed the DEPENDENCY_TOL test and
   everything below it is zero, so partial pivoting swaps no rows and the
@@ -69,17 +74,31 @@ class Problem:
     """A checked recovery problem, the input every solver reads.
 
     `phi` is a float64 (M, N) matrix in C order, `y` a contiguous float64
-    vector of length M and `ynorm` = ||y||.  `aug`, the Fortran-order
-    block [phi | y] a support is gathered from, and `colnorms`, the column
-    norms of phi, are built on first read.  Built by `check_problem`.
+    vector of length M and `ynorm` = ||y||.  Built on first read:
+    `aug`, the Fortran-order block [phi | y] a support is gathered from;
+    `colnorms`, the column norms of phi; and, for the search's pricing,
+    `rows`, the rows of phi^T in C order as a list (row j is column j,
+    contiguous), and `norms`, `colnorms` as a list.  `rows` and `norms`
+    are slots filled by `__getattr__` on their first read, so each later
+    read is a plain attribute lookup.  Built by `check_problem`.
     """
 
-    __slots__ = ("phi", "y", "ynorm", "_aug", "_colnorms")
+    __slots__ = ("phi", "y", "ynorm", "_aug", "_colnorms", "rows", "norms")
 
     def __init__(self, phi, y):
         self.phi, self.y = phi, y
         self.ynorm = _norm(y)
         self._aug = self._colnorms = None
+
+    def __getattr__(self, name):
+        # reached only while the slot `rows` or `norms` is still empty
+        if name == "rows":
+            self.rows = list(np.ascontiguousarray(self.phi.T))
+        elif name == "norms":
+            self.norms = self.colnorms.tolist()
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
     @property
     def aug(self):
@@ -230,38 +249,47 @@ class IncrementalFactorization:
     - Immutable branching: `appended` and `_priced` return a new
       factorization and leave this one intact.  Each keeps, per support
       atom, its R column above the diagonal, its diagonal entry and its
-      entry of Q^T y, shared with its ancestors.  A child holds its new
-      direction and a reference to its parent; `q` is assembled on first
-      read and then drops the parent, and `rmat` and `qty` are assembled
-      from the kept columns on first read.
+      entry of Q^T y, shared with its ancestors, so `rmat` and `qty` are
+      assembled from the kept columns on first read.  A child holds a
+      reference to its parent until its `q` is assembled, on first read.
     - Gram-Schmidt: classical, float64, with a second pass only when the
       first leaves less than REORTHOGONALIZE_TOL = 1/sqrt(2) of the
       column's norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).
       A column whose orthogonalized norm falls below DEPENDENCY_TOL of its
       norm raises SingularSupportError.
-    - Residues: `appended` (OMP, MMP-DF) forms the child's residue.
-      `_priced` (the search) prices it from this factorization's squared
-      residue norm s and signed correlations g = phi^T r
-      (`signed_correlations`, computed once): with v = c - Q coef and
-      nu = ||v||, the child's projection is p = g_j / nu and its squared
-      residue norm s - p^2 (Sturm & Christensen, EUSIPCO 2012).  Its
-      direction and residue are formed on first read, and s is then
-      retaken from the formed residue, so pricing errors do not add up
-      along a path.  A child is formed at once, as `appended` forms it,
-      when the second pass ran, when s - p^2 <= s / 4 (the subtraction
-      cancels) and when its norm is within `limit`, which the search sets
-      to twice its residue threshold, so every termination decision reads
-      a formed residue.
-    - Column norms: `_priced` reads ||phi_j|| from `problem.colnorms`, the
-      one store of the problem.  The first atom of a path takes the `_norm`
-      of its own column copy, the value `appended` takes, since it becomes
-      R's first diagonal entry.
+    - Residues: `appended` (OMP, MMP-DF) forms the child's direction and
+      residue.  `_priced` (the search) prices the child of atom j with
+      column c from this factorization's Q, squared residue norm s and
+      signed correlations g = phi^T r (`signed_correlations`, computed
+      once).  It takes coef = Q^T c from `problem.rows[j]` and the
+      diagonal nu from Pythagoras, nu^2 = ||c||^2 - coef.coef with
+      ||c|| = `problem.norms[j]`, then p = g_j / nu and s' = s - p^2
+      (Sturm & Christensen, EUSIPCO 2012).  The downdated nu is used only
+      where it cannot cancel: nu^2 >= ||c||^2 / 2, the cut at which the
+      append would need no second pass (Drmac & Bujanovic, ACM TOMS
+      2008).  A priced child keeps coef, nu and p; its direction
+      v = c - Q coef is formed when its residue or `q` is read, as
+      v / nu written into its new Q column, so a formed child keeps the
+      priced diagonal, and s is then retaken from its formed residue, so
+      pricing errors do not add up along a path.  Every other child is
+      built at once by `appended`'s arithmetic: a zero column, one that
+      fails the nu^2 cut (twins and dependent columns among them), one
+      with s' <= s / 4 (the subtraction cancels) and one with
+      sqrt(s') <= `limit`, which the search sets to twice its residue
+      threshold, so every termination decision reads a formed residue.
+      A priced step is the append's step in its R column above the
+      diagonal bit for bit, and in its diagonal and direction to rounding
+      (within 8 eps ||c||^2 / nu and 8 eps ||c||^2 / nu^2).
+    - Column norms: `_priced` reads ||c|| from `problem.norms`, the list
+      form of the problem's one store.  A first atom takes the `_norm` of
+      its own row, the value `appended` takes for its column, since it
+      becomes R's first diagonal entry.
     """
 
     __slots__ = (
         "problem", "support", "residue_norm",
         "_columns", "_q", "_parent", "_qhat", "_rmat", "_qty",
-        "_residue", "_sq", "_g", "_v", "_base",
+        "_residue", "_sq", "_g",
     )
 
     def __init__(self, problem, support, columns, residue, sq, parent=None, qhat=None):
@@ -269,14 +297,12 @@ class IncrementalFactorization:
         self.support = support
         # per atom: its R column above the diagonal, R_ll and (Q^T y)_l
         self._columns = columns
-        self._residue = residue  # None until a priced child forms it
+        self._residue = residue  # None until a priced child is formed
         self._sq = sq
         self.residue_norm = math.sqrt(sq)
         self._parent = parent
         self._qhat = qhat
         self._q = None
-        # the pending direction v and the parent's residue of a priced child
-        self._v = self._base = None
         self._g = None
         self._rmat = self._qty = None
 
@@ -300,15 +326,26 @@ class IncrementalFactorization:
             self._form()
         return self._residue
 
+    def _grown_q(self):
+        # the parent's Q with one more column, left for the caller to fill;
+        # the parent was materialized when this child was built from it
+        parent = self._parent
+        l = len(parent.support)
+        q = np.empty((parent._q.shape[0], l + 1))
+        q[:, :l] = parent._q
+        self._q, self._parent = q, None
+        return q
+
     def _form(self):
-        # a priced child's direction and residue, by the arithmetic of an
-        # append with its priced projection
-        _, vnorm, proj = self._columns[-1]
-        qhat = self._v / vnorm
-        residue = self._base - proj * qhat
-        self._qhat, self._residue = qhat, residue
-        self._sq = float(residue.dot(residue))
-        self._v = self._base = None
+        # a priced child: v = c - Q coef divided by the priced diagonal,
+        # straight into its new Q column, and its residue
+        parent = self._parent
+        coef, nu, proj = self._columns[-1]
+        v = self.problem.rows[self.support[-1]] - parent._q.dot(coef)
+        qhat = self._grown_q()[:, -1]
+        np.divide(v, nu, out=qhat)
+        residue = parent._residue - proj * qhat
+        self._residue, self._sq = residue, float(residue.dot(residue))
 
     def signed_correlations(self):
         """phi^T r for the residue r of this factorization, computed once."""
@@ -319,17 +356,12 @@ class IncrementalFactorization:
 
     @property
     def q(self):
-        parent = self._parent
-        if parent is not None:
-            if self._v is not None:
+        if self._parent is not None:
+            if self._residue is None:
                 self._form()
-            # the parent was materialized when this child was appended to it
-            l = len(parent.support)
-            q = np.empty((parent._q.shape[0], l + 1))
-            q[:, :l] = parent._q
-            q[:, l] = self._qhat
-            self._q = q
-            self._parent = self._qhat = None
+            else:
+                self._grown_q()[:, -1] = self._qhat
+                self._qhat = None
         return self._q
 
     def _assemble(self):
@@ -356,33 +388,30 @@ class IncrementalFactorization:
         return self._qty
 
     def _orthogonalized(self, index, v, colnorm):
-        """The Gram-Schmidt step of every append: (coef, v, nu, twice) with
-        coef = Q^T c, v = c - Q coef, nu = ||v|| and whether the second
-        pass ran.  `v` is a fresh contiguous copy of the column c, which
-        the step consumes, and `colnorm` = ||c||, the `_norm` of that copy.
-        On the empty support v = c and nu = ||c|| exactly, so neither
-        product runs.  Raises SingularSupportError when the column is
-        numerically in the span of the support."""
+        """The Gram-Schmidt step of every append: (coef, v, nu) with
+        coef = Q^T c, v = c - Q coef and nu = ||v||.  `v` is a fresh
+        contiguous copy of the column c, which the step consumes, and
+        `colnorm` = ||c||.  On the empty support v = c and nu = ||c||
+        exactly, so neither product runs.  Raises SingularSupportError
+        when the column is numerically in the span of the support."""
         if not self.support:
             if colnorm == 0.0:
                 raise SingularSupportError(int(index))
-            return _NO_COEF, v, colnorm, False
+            return _NO_COEF, v, colnorm
         q = self.q if self._q is None else self._q
-        qt = q.T
-        coef = qt.dot(v)
+        coef = v.dot(q)
         v -= q.dot(coef)
         vnorm = _norm(v)
-        twice = vnorm < REORTHOGONALIZE_TOL * colnorm
-        if twice:
+        if vnorm < REORTHOGONALIZE_TOL * colnorm:
             # the first pass cancelled most of the column, so its rounding
             # error is a large share of v: a second pass removes it
-            extra = qt.dot(v)
+            extra = v.dot(q)
             v -= q.dot(extra)
             coef += extra
             vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
             raise SingularSupportError(int(index))
-        return coef, v, vnorm, twice
+        return coef, v, vnorm
 
     def _formed_child(self, index, coef, v, vnorm):
         qhat = v / vnorm
@@ -406,35 +435,40 @@ class IncrementalFactorization:
         if column.shape != self.residue.shape:
             raise ValueError("column length must match the measurement size")
         v = column.copy()
-        coef, v, vnorm, _ = self._orthogonalized(index, v, _norm(v))
-        return self._formed_child(index, coef, v, vnorm)
+        return self._formed_child(index, *self._orthogonalized(index, v, _norm(v)))
 
     def _priced(self, index, limit):
-        """The child with atom `index` appended, priced from this
-        factorization's correlations: its residue is formed only when read,
-        unless the second Gram-Schmidt pass ran, s' <= s / 4 or
-        sqrt(s') <= `limit`, where it is built as `appended` builds it.
-        Checks nothing: the problem was checked at entry."""
+        """The child with atom `index` appended, priced by Pythagoras from
+        this factorization's Q and correlations, its direction and residue
+        formed only when read; built as `appended` builds it where the
+        price could cancel or sqrt(s') <= `limit` (see the class
+        docstring).  Checks nothing: the problem was checked at entry."""
         problem = self.problem
-        v = problem.phi[:, index].copy()
-        # a first atom's norm is R's diagonal entry: that of its own copy
-        colnorm = problem.colnorms.item(index) if self.support else _norm(v)
-        coef, v, vnorm, twice = self._orthogonalized(index, v, colnorm)
-        if not twice:
+        row = problem.rows[index]
+        if self.support:
+            colnorm = problem.norms[index]
+            q = self.q if self._q is None else self._q
+            coef = row.dot(q)
+        else:
+            # a first atom's norm is R's diagonal entry: that of its own row
+            colnorm, coef = _norm(row), _NO_COEF
+        colsq = colnorm * colnorm
+        nusq = colsq - float(coef.dot(coef))
+        # a zero column, and one whose downdate may cancel, is formed
+        if 0.0 < 0.5 * colsq <= nusq:
             g = self._g
             if g is None:
                 g = self.signed_correlations()  # forms this residue, and so s
-            proj = float(g[index]) / vnorm
+            nu = math.sqrt(nusq)
+            proj = g.item(index) / nu
             sq = self._sq
             rest = sq - proj * proj
             if rest > 0.25 * sq and rest > limit * limit:
-                child = IncrementalFactorization(
-                    problem, self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
+                return IncrementalFactorization(
+                    problem, self.support + (int(index),), self._columns + ((coef, nu, proj),),
                     None, rest, self,
                 )
-                child._v, child._base = v, self._residue
-                return child
-        return self._formed_child(index, coef, v, vnorm)
+        return self._formed_child(index, *self._orthogonalized(index, row.copy(), colnorm))
 
     def coefficients(self):
         """Least-squares coefficients of y over the support, support order:

@@ -6,6 +6,7 @@ determined by its integer seed and its shape parameters: `gen_problem`
 rebuilds it from them bit for bit.
 """
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -81,15 +82,16 @@ class SparseInstance:
 def gen_matrix(m, n, seed, entry_std=None):
     """M x N matrix with i.i.d. zero-mean Gaussian entries.
 
-    The entry standard deviation defaults to 1/N; pass entry_std to
-    override.  The same (m, n, seed, entry_std) always reproduces the same
-    matrix bit for bit.
+    The entry standard deviation defaults to 1/N; pass entry_std in
+    (0, inf) to override it (any other value raises ValueError).  The
+    same (m, n, seed, entry_std) always reproduces the same matrix bit for
+    bit.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     std = 1.0 / n if entry_std is None else float(entry_std)
-    if std <= 0:
-        raise ValueError("entry_std must be positive")
+    if not 0.0 < std < math.inf:
+        raise ValueError("entry_std must be positive and finite, got %r" % std)
     rng = substream(seed, "matrix")
     phi = rng.normal(0.0, std, size=(m, n))
     return MeasurementEnsemble(phi=phi, m=int(m), n=int(n), seed=int(seed), entry_std=std)

@@ -185,6 +185,19 @@ def test_sweep_rejects_a_k_the_solver_cannot_take(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "phase"])
+def test_a_jobs_count_below_one_is_rejected_before_any_trial(tmp_path, capsys, command):
+    # once a concurrent.futures error ("max_workers must be greater than 0")
+    sizes = {"sweep": ["--m", "10", "--k-values", "2"], "phase": ["--lambdas", "0.5"]}[command]
+    code = main([
+        command, "--jobs", "0", "--trials", "1", "--n", "20", *sizes,
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_ERROR
+    assert "error: jobs must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_rejects_unknown_solver_label(tmp_path):
     code = main([
         "sweep", "--solvers", "omp,nope", "--out", str(tmp_path / "runs"),

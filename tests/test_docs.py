@@ -4,6 +4,7 @@ import argparse
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -177,12 +178,60 @@ def test_ab_pairs_summarizes_paired_runs(monkeypatch):
     # quartiles 11 and 13 of the parent; the change wins four of five pairs
     assert time_row == {
         "name": "op_ref_p50", "parent": 12, "change": 12, "spread": 2, "wins": 4,
-        "pairs": 5, "ratio": 1.0, "bound": 0.25, "worse": False,
+        "pairs": 5, "ratio": 1.0, "bound": 0.25, "worse": False, "claim": False,
     }
     # ties win nothing; a median 10% lower is worse than a 5% bound
     assert (exact_row["wins"], exact_row["spread"], exact_row["worse"]) == (0, 0.0, True)
     assert exact_row["ratio"] == pytest.approx(0.9)
-    assert tool.format_rows([time_row, exact_row]).splitlines()[2].endswith("worse")
+    assert not exact_row["claim"]
+    assert tool.format_rows([time_row, exact_row]).splitlines()[2].endswith("-  worse")
+
+
+@pytest.mark.parametrize("offsets, claim", [
+    # nine of ten pairs won, and a median gap of 2 past a spread of 0.9
+    ([-2] * 9 + [5], True),
+    # eight of ten pairs won
+    ([-2] * 8 + [5, 5], False),
+    # ten of ten won, but the medians differ by 0.5, within the spread
+    ([-0.5] * 10, False),
+])
+def test_ab_pairs_claims_a_gain_by_nine_tenths_and_the_spread(monkeypatch, offsets, claim):
+    tool = load_tool("ab_pairs", monkeypatch)
+    parent = [20 + 0.2 * i for i in range(10)]
+    change = [p + d for p, d in zip(parent, offsets)]
+    for better, sign in (("lower", 1), ("higher", -1)):
+        # a metric where higher is better claims by the same rule, mirrored
+        (row,) = tool.summarize(
+            [{"m": sign * v} for v in parent], [{"m": sign * v} for v in change],
+            [{"name": "m", "better": better, "bound": 0.25}],
+        )
+        assert row["spread"] == pytest.approx(0.9) and row["claim"] is claim
+        assert tool.format_rows([row]).splitlines()[1].split()[-1] == ("met" if claim else "-")
+
+
+RUN_OUTPUT = """\
+  op_ms_p50                                        48.1 ms
+fingerprint {"digest": "9a9cc592", "ops": 8, "totals": {"amul-aompe": {"iterations": 11271}}}
+{"correct": true, "attempted": 64, "failed": 0, "metrics": {"op_ref_p50": {"value": 46.5, "unit": "ref"}}}
+"""
+
+
+def test_ab_pairs_parses_a_run_and_compares_fingerprints(monkeypatch):
+    tool = load_tool("ab_pairs", monkeypatch)
+    values, printed = tool.parse_run(RUN_OUTPUT, "parent")
+    assert values == {"op_ref_p50": 46.5}
+    assert json.loads(printed)["digest"] == "9a9cc592"
+    with pytest.raises(RuntimeError, match="no fingerprint"):
+        tool.parse_run(RUN_OUTPUT.replace("fingerprint", "print"), "change")
+    with pytest.raises(RuntimeError, match="1 failed ops"):
+        tool.parse_run(RUN_OUTPUT.replace('"failed": 0', '"failed": 1'), "change")
+    assert tool.fingerprint_lines(["a", "b", "c"], ["a", "b", "c"]) == [
+        "fingerprints identical in 3/3 pairs"
+    ]
+    assert tool.fingerprint_lines(["a", "b", "c"], ["a", "x", "c"]) == [
+        "fingerprints identical in 2/3 pairs",
+        "pair 2: change fingerprint x differs from parent b",
+    ]
 
 
 def test_ab_pairs_alternates_sides_and_stops_on_a_failed_run(monkeypatch, capsys):
@@ -193,13 +242,20 @@ def test_ab_pairs_alternates_sides_and_stops_on_a_failed_run(monkeypatch, capsys
         calls.append(checkout.name)
         if checkout.name == "broken":
             raise RuntimeError("broken: correct=False, 1 failed ops")
-        return {m: 1.0 for m in ("op_ref_p50", "ops_per_kref", "exact_rate",
-                                 "peak_rss_mb", "setup_s")}
+        values = {m: 1.0 for m in ("op_ref_p50", "ops_per_kref", "exact_rate",
+                                   "peak_rss_mb", "setup_s")}
+        return values, '{"digest": "%s"}' % ("b" if len(calls) == 4 else "a")
 
     monkeypatch.setattr(tool, "run_once", fake_run)
     assert tool.main(["a", "b", "--workload", "desk", "--pairs", "3", "--seconds", "1"]) == 0
     assert calls == ["a", "b", "b", "a", "a", "b"]
-    assert "op_ref_p50" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "op_ref_p50" in out and "claim" in out
+    # the fourth run is the parent's of pair 2
+    assert out.splitlines()[-2:] == [
+        "fingerprints identical in 2/3 pairs",
+        'pair 2: change fingerprint {"digest": "a"} differs from parent {"digest": "b"}',
+    ]
     calls.clear()
     assert tool.main(["a", "broken", "--workload", "desk", "--pairs", "3"]) == 1
     assert calls == ["a", "broken"]

@@ -135,6 +135,21 @@ def test_run_batch_records_numerical_failures_and_raises_on_bugs():
         run_batch(Failing(TypeError("bug")), 30, 15, 3, "gaussian", 2, 1)
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 1.0, 2.5, True, "2", None])
+def test_run_batch_rejects_jobs_that_is_not_a_positive_int(jobs):
+    # checked before any trial runs: the solver is never called
+    class Unreached:
+        label = "unreached"
+
+        def run(self, phi, y, k):
+            raise AssertionError("a trial ran")
+
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        run_batch(Unreached(), 30, 15, 3, "gaussian", 2, 1, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_k([Unreached()], 30, 15, [3], "gaussian", 2, 1, jobs=jobs)
+
+
 def test_settings_that_fit_no_instance_abort_the_batch():
     # kmax > M fails every trial alike, so it is an error, not a failed recovery
     with pytest.raises(ValueError, match="exceeds"):

@@ -672,10 +672,13 @@ def test_seeds_by_repeated_argmax_are_the_checked_ranking(case, data):
 def test_every_step_of_a_priced_tree_is_the_appended_step(case):
     # a search tree shares one list of column norms, looked up by atom:
     # each child of one root, and each of their children, takes the
-    # Gram-Schmidt step of a lone append bit for bit (direction, R column
-    # and diagonal), or is singular where the append is
+    # Gram-Schmidt step of a lone append (R column above the diagonal bit
+    # for bit), or is singular where the append is.  A priced child takes
+    # its diagonal nu from Pythagoras, so its diagonal and its direction
+    # agree with the append's to 8 eps ||c||^2 / nu and 8 eps ||c||^2 / nu^2
     phi, y = case
     n = phi.shape[1]
+    eps = np.finfo(float).eps
 
     def step(parent, alone, j):
         try:
@@ -685,9 +688,13 @@ def test_every_step_of_a_priced_tree_is_the_appended_step(case):
                 alone.appended(j, phi[:, j])
             return None, None
         reference = alone.appended(j, phi[:, j])
-        assert child.q.tobytes() == reference.q.tobytes()
+        q, ref_q = child.q, reference.q
+        assert q[:, :-1].tobytes() == ref_q[:, :-1].tobytes()
         (coef, diagonal, _), (ref_coef, ref_diagonal, _) = child._columns[-1], reference._columns[-1]
-        assert coef.tobytes() == ref_coef.tobytes() and diagonal == ref_diagonal
+        assert coef.tobytes() == ref_coef.tobytes()
+        unit = 8 * eps * float(phi[:, j].dot(phi[:, j])) / ref_diagonal
+        assert abs(diagonal - ref_diagonal) <= unit
+        assert np.linalg.norm(q[:, -1] - ref_q[:, -1]) <= unit / ref_diagonal
         return child, reference
 
     root = IncrementalFactorization.empty(check_problem(phi, y))
@@ -697,3 +704,79 @@ def test_every_step_of_a_priced_tree_is_the_appended_step(case):
             for b in range(n):
                 if b != a:
                     step(child, reference, b)
+
+
+@st.composite
+def scaled_problems(draw):
+    """(phi, y): Gaussian columns scaled by 1e-3, 1 or 1e3, a few of them
+    replaced by zeros or by a twin of another column at relative distance
+    0 (exact), 1e-12, 1e-6 or 0.3."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 1e3], size=n)
+    columns = st.integers(0, n - 1)
+    distances = st.sampled_from([0.0, 1e-12, 1e-6, 0.3])
+    for source, target, distance in draw(st.lists(st.tuples(columns, columns, distances), max_size=3)):
+        away = rng.normal(size=m)
+        phi[:, target] = phi[:, source] + distance * np.linalg.norm(phi[:, source]) * away / np.linalg.norm(away)
+    for j in draw(st.lists(columns, max_size=2)):
+        phi[:, j] = 0.0
+    return phi, rng.normal(size=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_problems(), st.data())
+def test_a_child_is_priced_by_pythagoras_only_where_it_cannot_cancel(case, data):
+    # along a chain of priced children, every other atom is priced and
+    # appended to each link.  A priced child passed the cut
+    # nu^2 = ||c||^2 - coef.coef >= ||c||^2 / 2, and its diagonal, its
+    # projection p and its residue norm agree with the append's to
+    # 8 eps ||c||^2 / nu and 8 m eps ||r|| ||c||^2 / nu^2 (the correlation
+    # is a length-m product), a first atom's diagonal bit for bit.  Every
+    # other child, zero and twin columns among them, is the append bit for
+    # bit or is singular where the append is
+    phi, y = case
+    m, n = phi.shape
+    eps = np.finfo(float).eps
+    problem = check_problem(phi, y)
+    chain = data.draw(st.lists(st.integers(0, n - 1), max_size=m - 1, unique=True), label="chain")
+    parent = IncrementalFactorization.empty(problem)
+    for link in [None] + chain:
+        if link is not None:
+            try:
+                parent = parent._priced(link, 0.0)
+            except SingularSupportError:
+                break
+        residue = parent.residue
+        sq = float(residue.dot(residue))
+        for j in range(n):
+            if j in parent.support:
+                continue
+            try:
+                child = parent._priced(j, 0.0)
+            except SingularSupportError:
+                with pytest.raises(SingularSupportError):
+                    parent.appended(j, phi[:, j])
+                continue
+            reference = parent.appended(j, phi[:, j])
+            colsq = problem.norms[j] ** 2
+            coef = problem.rows[j].dot(parent.q)
+            cut = colsq > 0.0 and colsq - coef.dot(coef) >= 0.5 * colsq
+            (_, diagonal, proj), (_, ref_diagonal, ref_proj) = child._columns[-1], reference._columns[-1]
+            if child._residue is None:
+                assert cut
+                unit = 8 * eps * colsq / ref_diagonal
+                assert abs(diagonal - ref_diagonal) <= unit
+                if not parent.support:
+                    assert diagonal == ref_diagonal
+                unit *= m * math.sqrt(sq) / ref_diagonal
+                assert abs(proj - ref_proj) <= unit
+                assert abs(child.residue_norm - reference.residue_norm) <= unit
+            else:
+                # formed at once: under the cut, or where s' <= s / 4
+                assert not cut or reference.residue_norm ** 2 <= (0.25 + 1e-9) * sq
+                assert np.array_equal(child.residue, reference.residue)
+                assert child.qty.tobytes() == reference.qty.tobytes()
+                assert child.rmat.tobytes() == reference.rmat.tobytes()
+                assert child.residue_norm == reference.residue_norm

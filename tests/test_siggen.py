@@ -92,6 +92,13 @@ def test_bad_dimensions_rejected():
         gen_matrix(0, 5, 1)
 
 
+@pytest.mark.parametrize("std", [float("nan"), float("inf"), 0.0, -1.0])
+def test_an_entry_std_outside_zero_to_infinity_is_rejected(std):
+    # nan and inf once passed the check and gave an all-NaN or all-inf phi
+    with pytest.raises(ValueError, match="entry_std"):
+        gen_matrix(10, 20, 1, entry_std=std)
+
+
 def test_gen_instance_with_explicit_matrix():
     ens = gen_matrix(10, 25, 9)
     inst = gen_instance(25, 4, "gaussian", 11, ens.phi)

@@ -6,15 +6,22 @@
 PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 `perfbench/run.py --trace 0` once in each, one run after the other (never
 two at once), and the side that runs first alternates from pair to pair.
-The last line of every run is parsed; a run that exits non-zero, reads
-`"correct": false` or reports a failed op stops the tool with exit code 1.
+The last line of every run and its `fingerprint` line are parsed; a run
+that exits non-zero, prints no fingerprint, reads `"correct": false` or
+reports a failed op stops the tool with exit code 1.
 
 Then, for every end-to-end metric of BENCHMARK.json, it prints both
 medians, the parent's quartile spread (the distance between the quartiles
 of its runs), how many pairs the change won (ties count for neither side),
-and the change/parent ratio of the medians next to the metric's bound,
-with "worse" where the change's median is worse than the parent's by more
-than the bound.  The run length defaults to BENCHMARK.json's run_seconds.
+the change/parent ratio of the medians next to the metric's bound, with
+"worse" where the change's median is worse than the parent's by more than
+the bound, and a `claim` column that reads "met" where a gain may be
+claimed: the change won at least nine tenths of the pairs and its median
+is better than the parent's by more than the parent's quartile spread.
+Last it prints in how many pairs the two fingerprints (the work counters
+and support digest, which do not depend on timing) were identical, and
+names each pair where they differ.  The run length defaults to
+BENCHMARK.json's run_seconds.
 """
 
 import argparse
@@ -36,12 +43,21 @@ def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError("%s exited %d: %s" % (checkout, proc.returncode, proc.stderr.strip()))
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout, checkout)
+
+
+def parse_run(stdout, checkout):
+    """(metric values by name, fingerprint text) of one run's output."""
+    lines = stdout.strip().splitlines()
+    last = json.loads(lines[-1])
     if not last["correct"] or last["failed"]:
         raise RuntimeError(
             "%s: correct=%s, %d failed ops" % (checkout, last["correct"], last["failed"])
         )
-    return {name: metric["value"] for name, metric in last["metrics"].items()}
+    prints = [line.split(" ", 1)[1] for line in lines if line.startswith("fingerprint ")]
+    if not prints:
+        raise RuntimeError("%s: no fingerprint line" % checkout)
+    return {name: metric["value"] for name, metric in last["metrics"].items()}, prints[-1]
 
 
 def summarize(parent_runs, change_runs, end_to_end):
@@ -54,27 +70,44 @@ def summarize(parent_runs, change_runs, end_to_end):
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
         p_med, c_med = statistics.median(parent), statistics.median(change)
         ratio = c_med / p_med
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        gain = p_med - c_med if lower else c_med - p_med
         rows.append({
             "name": name,
             "parent": p_med,
             "change": c_med,
             "spread": q3 - q1,
-            "wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+            "wins": wins,
             "pairs": len(parent),
             "ratio": ratio,
             "bound": metric["bound"],
             "worse": ratio > 1 + metric["bound"] if lower else ratio < 1 - metric["bound"],
+            "claim": 10 * wins >= 9 * len(parent) and gain > q3 - q1,
         })
     return rows
 
 
+def fingerprint_lines(parent_prints, change_prints):
+    """How many pairs read the same fingerprint on both sides, then one
+    line per pair where the change's differs."""
+    differ = [
+        (i, p, c) for i, (p, c) in enumerate(zip(parent_prints, change_prints), 1) if p != c
+    ]
+    lines = ["fingerprints identical in %d/%d pairs" % (len(parent_prints) - len(differ),
+                                                       len(parent_prints))]
+    for i, p, c in differ:
+        lines.append("pair %d: change fingerprint %s differs from parent %s" % (i, c, p))
+    return lines
+
+
 def format_rows(rows):
-    lines = ["%-14s %12s %12s %10s %6s %7s %6s" % (
-        "metric", "parent", "change", "p-spread", "wins", "ratio", "bound")]
+    lines = ["%-14s %12s %12s %10s %6s %7s %6s %6s" % (
+        "metric", "parent", "change", "p-spread", "wins", "ratio", "bound", "claim")]
     for row in rows:
-        lines.append("%-14s %12.4g %12.4g %10.3g %3d/%-2d %7.3f %6.2f%s" % (
+        lines.append("%-14s %12.4g %12.4g %10.3g %3d/%-2d %7.3f %6.2f %6s%s" % (
             row["name"], row["parent"], row["change"], row["spread"], row["wins"],
-            row["pairs"], row["ratio"], row["bound"], "  worse" if row["worse"] else ""))
+            row["pairs"], row["ratio"], row["bound"], "met" if row["claim"] else "-",
+            "  worse" if row["worse"] else ""))
     return "\n".join(lines)
 
 
@@ -93,11 +126,13 @@ def main(argv=None):
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     checkouts = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
+    prints = {"parent": [], "change": []}
     try:
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                values = run_once(checkouts[side], args.workload, args.seed, seconds)
+                values, printed = run_once(checkouts[side], args.workload, args.seed, seconds)
                 runs[side].append(values)
+                prints[side].append(printed)
                 print("pair %d %s: %s" % (i + 1, side, " ".join(
                     "%s=%.6g" % (name, values[name]) for name in sorted(values))), flush=True)
     except RuntimeError as exc:
@@ -105,6 +140,7 @@ def main(argv=None):
         return 1
     print("%s, seed %d, %g s, %d pairs" % (args.workload, args.seed, seconds, args.pairs))
     print(format_rows(summarize(runs["parent"], runs["change"], bench["end_to_end"])))
+    print("\n".join(fingerprint_lines(prints["parent"], prints["change"])))
     return 0
 
 
