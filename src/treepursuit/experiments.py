@@ -89,18 +89,18 @@ def anmse(rel_errors):
     return float(np.mean(errs**2))
 
 
-# the shape is checked before it picks kmax "auto"; the solver called
-# checks the rest of the problem
-def _search(phi, y, k, **settings):
-    return aomp_recover(phi, y, AompConfig.for_problem(*problem_shape(phi, y), k, **settings))
+def _search(phi, y, k, config):
+    return aomp_recover(phi, y, config)
 
 
-def _hybrid(phi, y, k, **settings):
-    return hybrid_recover(phi, y, AompConfig.for_problem(*problem_shape(phi, y), k, **settings), k)
+def _hybrid(phi, y, k, config):
+    return hybrid_recover(phi, y, config, k)
 
 
 class Solver(NamedTuple):
-    call: Callable  # (phi, y, k, **params) -> RecoveryOutput
+    # (phi, y, k, **params) -> RecoveryOutput; a tree search's call takes
+    # (phi, y, k, config), its params built into an AompConfig
+    call: Callable
     fixed: dict  # the settings its label fixes
 
 
@@ -146,14 +146,21 @@ class SolverSpec:
     cost_model and termination params (default amul, residue) pick the
     label.  Params are checked when the spec is built, search settings
     through AompConfig; only kmax "auto" and kmax <= M wait for the
-    instance.  Plain data, so specs travel across process boundaries for
-    parallel batches; the sparsity k of the instance is always passed to
-    `run`.
+    instance.  A tree search under residue termination with an explicit
+    kmax has no setting that waits for the instance, so the spec builds
+    its AompConfig once and keeps it in `config`, which every `run`
+    hands to the search; any other tree search builds it per instance
+    by `AompConfig.for_problem` (kmax "auto" from M and N, sparsity
+    termination from k), and `config` is None.  `config` is not an
+    init argument and takes no part in equality.  Plain data, so specs
+    travel across process boundaries for parallel batches; the sparsity
+    k of the instance is always passed to `run`.
     """
 
     name: str
     params: dict = field(default_factory=dict)
     label: str = ""
+    config: AompConfig = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         params = dict(self.params)
@@ -174,9 +181,11 @@ class SolverSpec:
                     "%s takes no %r (it takes: %s)" % (self.name, key, ", ".join(self.accepts))
                 )
         if solver.call in (_search, _hybrid):
-            AompConfig.from_dict(
-                {key: v for key, v in self.params.items() if AompConfig.check_setting(key, v)}
-            )
+            known = {key: v for key, v in self.params.items() if AompConfig.check_setting(key, v)}
+            config = AompConfig.from_dict(known)
+            # for_problem builds this same config for every instance
+            if known == self.params and "kmax" in known and config.termination == TERM_RESIDUE:
+                self.config = config
         else:
             check_settings(self.name, **self.params)
         self.label = self.label or self.name
@@ -191,7 +200,15 @@ class SolverSpec:
         return tuple(SETTINGS[self.name])
 
     def run(self, phi, y, k):
-        return SOLVERS[self.name].call(phi, y, k, **self.params)
+        solver = SOLVERS[self.name]
+        if solver.call not in (_search, _hybrid):
+            return solver.call(phi, y, k, **self.params)
+        config = self.config
+        if config is None:
+            # the shape is checked before it picks kmax "auto"; the search
+            # checks the rest of the problem
+            config = AompConfig.for_problem(*problem_shape(phi, y), k, **self.params)
+        return solver.call(phi, y, k, config)
 
 
 def make_solver(name, **params):

@@ -5,13 +5,18 @@ differences (each scaled by 1/sqrt(2)) and recurses on the averages, so
 the full matrix is orthonormal.  The 2-d block transform applies it to
 rows and columns; as a 64x64 operator on flattened blocks it is the
 Kronecker square of the 1-d matrix.
+
+`haar2d` and `haar2d_inverse` take one block.  `sparsify_blocks` and
+`block_sparsity` take a whole image and transform all of its blocks at
+once, as a stack of (8, 8) matrices: `W @ block @ W.T` per block in one
+stacked product, which rounds each block as `haar2d` does.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import top_indices
+from .linalg import _as_real_finite
 
 __all__ = [
     "BLOCK",
@@ -19,6 +24,8 @@ __all__ = [
     "haar_basis",
     "haar2d",
     "haar2d_inverse",
+    "check_image",
+    "check_block_k",
     "sparsify_blocks",
     "block_sparsity",
 ]
@@ -77,36 +84,68 @@ def haar2d_inverse(coeffs):
     return w.T @ c @ w
 
 
+def check_image(image):
+    """An image as a float array, checked: a real 2-d array whose sides
+    are multiples of 8 and whose entries are all finite.  Raises
+    ValueError otherwise."""
+    image = _as_real_finite(image, "image")
+    if image.ndim != 2 or image.shape[0] % BLOCK or image.shape[1] % BLOCK:
+        raise ValueError("image dimensions must be multiples of %d" % BLOCK)
+    return image
+
+
+def check_block_k(k):
+    """Raise ValueError unless k, the coefficients kept per block, is an
+    int (not a bool) with 1 <= k <= 64."""
+    if (
+        not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+        or not 1 <= k <= BLOCK * BLOCK
+    ):
+        raise ValueError("k must be an integer with 1 <= k <= %d, got %r" % (BLOCK * BLOCK, k))
+
+
+def _blocks(image):
+    # the (H/8, W/8, 8, 8) array of an image's blocks, a view: splitting
+    # an axis never copies
+    rows, cols = image.shape
+    return image.reshape(rows // BLOCK, BLOCK, cols // BLOCK, BLOCK).swapaxes(1, 2)
+
+
+def _block_coefficients(image):
+    # haar2d of every block at once, an (H/8, W/8, 64) array: a stacked
+    # matmul multiplies each block as haar2d does, so every bit is the same
+    w = haar_matrix(BLOCK)
+    coeffs = w @ _blocks(image) @ w.T
+    return coeffs.reshape(coeffs.shape[:2] + (BLOCK * BLOCK,))
+
+
 def sparsify_blocks(image, k):
     """Keep only the k largest-magnitude transform coefficients per block.
 
     Magnitude ties are resolved by ascending coefficient index.  The
     returned image is float and exactly k-sparse in the block transform;
     no rounding or clamping is applied, otherwise the sparsity would be
-    destroyed.
+    destroyed.  Every block is transformed, truncated and inverted at
+    once, bit for bit as `haar2d`, `top_indices` and `haar2d_inverse`
+    do it block by block.  The image is checked by `check_image` and k
+    by `check_block_k` (ValueError).
     """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2 or image.shape[0] % BLOCK or image.shape[1] % BLOCK:
-        raise ValueError("image dimensions must be multiples of %d" % BLOCK)
-    if not 1 <= k <= BLOCK * BLOCK:
-        raise ValueError("k must satisfy 1 <= k <= %d" % (BLOCK * BLOCK))
+    image = check_image(image)
+    check_block_k(k)
+    coeffs = _block_coefficients(image)
+    # a stable sort of the negated magnitudes keeps ties in ascending
+    # index order, as top_indices does
+    keep = np.argsort(np.negative(np.abs(coeffs)), axis=-1, kind="stable")[..., :k]
+    sparse = np.zeros_like(coeffs)
+    np.put_along_axis(sparse, keep, np.take_along_axis(coeffs, keep, axis=-1), axis=-1)
+    w = haar_matrix(BLOCK)
     out = np.empty_like(image)
-    for i in range(0, image.shape[0], BLOCK):
-        for j in range(0, image.shape[1], BLOCK):
-            coeffs = haar2d(image[i : i + BLOCK, j : j + BLOCK])
-            keep = top_indices(np.abs(coeffs), k)
-            sparse = np.zeros_like(coeffs)
-            sparse[keep] = coeffs[keep]
-            out[i : i + BLOCK, j : j + BLOCK] = haar2d_inverse(sparse)
+    _blocks(out)[...] = w.T @ sparse.reshape(coeffs.shape[:2] + (BLOCK, BLOCK)) @ w
     return out
 
 
 def block_sparsity(image):
-    """Largest per-block count of nonzero transform coefficients."""
-    image = np.asarray(image, dtype=float)
-    worst = 0
-    for i in range(0, image.shape[0], BLOCK):
-        for j in range(0, image.shape[1], BLOCK):
-            coeffs = haar2d(image[i : i + BLOCK, j : j + BLOCK])
-            worst = max(worst, int(np.sum(np.abs(coeffs) > 1e-9)))
-    return worst
+    """Largest per-block count of nonzero transform coefficients; the
+    image is checked by `check_image`."""
+    coeffs = _block_coefficients(check_image(image))
+    return int(np.count_nonzero(np.abs(coeffs) > 1e-9, axis=-1).max(initial=0))

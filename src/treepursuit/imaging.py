@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import BLOCK, haar_basis, sparsify_blocks
+from .haar import BLOCK, check_block_k, check_image, haar_basis, sparsify_blocks
+from .linalg import _as_real_finite
 from .results import REASON_RESIDUE, attempt
 from .siggen import gen_matrix, substream
 
@@ -28,11 +29,17 @@ PSNR_CAP_DB = 120.0
 
 
 def psnr(reference, reconstruction, peak=255.0, cap=PSNR_CAP_DB):
-    """Peak signal-to-noise ratio in dB, capped for identical images."""
-    reference = np.asarray(reference, dtype=float)
-    reconstruction = np.asarray(reconstruction, dtype=float)
+    """Peak signal-to-noise ratio in dB, capped for identical images.
+
+    Both images must be real and finite, of one shape, and peak a finite
+    number > 0; ValueError otherwise, so a NaN never scores the cap.
+    """
+    reference = _as_real_finite(reference, "reference")
+    reconstruction = _as_real_finite(reconstruction, "reconstruction")
     if reference.shape != reconstruction.shape:
         raise ValueError("shapes must match")
+    if not 0.0 < peak < np.inf:
+        raise ValueError("peak must be a finite number > 0, got %r" % (peak,))
     mse = float(np.mean((reference - reconstruction) ** 2))
     if mse == 0.0:
         return cap
@@ -88,12 +95,13 @@ def recover_image(image, k, m, solver, seed):
     deviation 1/64) drawn from seed and shared by all blocks.  The solver
     sees the composed dictionary phi @ haar_basis().T; the assembled
     reconstruction is clamped to [0, 255], the reference is not.  Blocks
-    run through `results.attempt`, so a SettingsError propagates.
+    run through `results.attempt`, so a SettingsError propagates.  The
+    image, k and m are checked at entry (ValueError): the image by
+    `haar.check_image`, k by `haar.check_block_k`.
     """
     t0 = time.perf_counter()
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2 or image.shape[0] % BLOCK or image.shape[1] % BLOCK:
-        raise ValueError("image dimensions must be multiples of %d" % BLOCK)
+    image = check_image(image)
+    check_block_k(k)
     dim = BLOCK * BLOCK
     if not 1 <= m <= dim:
         raise ValueError("m must satisfy 1 <= m <= %d" % dim)

@@ -77,10 +77,10 @@ class Problem:
     vector of length M and `ynorm` = ||y||.  Built on first read:
     `aug`, the Fortran-order block [phi | y] a support is gathered from;
     `colnorms`, the column norms of phi; and, for the search's pricing,
-    `rows`, the rows of phi^T in C order as a list (row j is column j,
-    contiguous), and `norms`, `colnorms` as a list.  `rows` and `norms`
-    are slots filled by `__getattr__` on their first read, so each later
-    read is a plain attribute lookup.  Built by `check_problem`.
+    `rows`, phi^T as one C-order array (row j is column j, contiguous),
+    and `norms`, `colnorms` as a list.  `rows` and `norms` are slots
+    filled by `__getattr__` on their first read, so each later read is a
+    plain attribute lookup.  Built by `check_problem`.
     """
 
     __slots__ = ("phi", "y", "ynorm", "_aug", "_colnorms", "rows", "norms")
@@ -93,7 +93,7 @@ class Problem:
     def __getattr__(self, name):
         # reached only while the slot `rows` or `norms` is still empty
         if name == "rows":
-            self.rows = list(np.ascontiguousarray(self.phi.T))
+            self.rows = np.ascontiguousarray(self.phi.T)
         elif name == "norms":
             self.norms = self.colnorms.tolist()
         else:
@@ -124,16 +124,24 @@ def check_problem(phi, y):
     otherwise.  phi is copied only when it is not C-ordered float64, y
     only when it is not contiguous float64.
     """
-    arrays = []
-    for x, name in ((phi, "phi"), (y, "y")):
-        if np.iscomplexobj(x):
-            raise ValueError("%s must be real, got a complex array" % name)
-        x = np.ascontiguousarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError("%s contains NaN or infinite entries" % name)
-        arrays.append(x)
+    arrays = [
+        np.ascontiguousarray(_as_real_finite(x, name)) for x, name in ((phi, "phi"), (y, "y"))
+    ]
     problem_shape(*arrays)
     return Problem(*arrays)
+
+
+def _as_real_finite(x, name):
+    """x as a float array; ValueError naming it as `name` when x is
+    complex or holds a NaN or an infinite entry.  The one value check of
+    every array that enters the package: a problem's phi and y, an image
+    and the two images `psnr` compares."""
+    if np.iscomplexobj(x):
+        raise ValueError("%s must be real, got a complex array" % name)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("%s contains NaN or infinite entries" % name)
+    return x
 
 
 def problem_shape(phi, y):
@@ -368,10 +376,10 @@ class IncrementalFactorization:
         coefs, diagonal, qty = zip(*self._columns)
         l = len(diagonal)
         rmat = np.zeros((l, l))
-        # column c of R holds c entries above its diagonal; in column order
-        # they fill the strictly lower triangle of R^T in row order
-        i = np.arange(l)
-        rmat.T[i[:, None] > i] = np.concatenate(coefs)
+        # column c of R holds c entries above its diagonal, concatenated in
+        # column order
+        rows, cols = _above_diagonal(l)
+        rmat[rows, cols] = np.concatenate(coefs)
         rmat.ravel()[::l + 1] = diagonal
         self._rmat, self._qty = rmat, np.array(qty)
 
@@ -476,6 +484,25 @@ class IncrementalFactorization:
         if self.length == 0:
             return np.empty(0)
         return np.linalg.solve(self.rmat, self.qty)
+
+
+# the (row, column) of every entry above R's diagonal, column by column,
+# grown to the largest order asked for: the entries of order l's columns
+# lead, so its first l(l - 1)/2 pairs place them, where a mask of R's
+# strict upper triangle would be built on every assembly
+_ABOVE = np.empty((2, 0), dtype=np.intp)
+
+
+def _above_diagonal(l):
+    global _ABOVE
+    above = _ABOVE
+    count = l * (l - 1) // 2
+    if above.shape[1] < count:
+        cols, rows = np.tril_indices(2 * l, -1)
+        above = np.stack([rows, cols])
+        above.flags.writeable = False
+        _ABOVE = above
+    return above[:, :count]
 
 
 # upper-triangular ones, grown to the largest order asked for: its

@@ -301,6 +301,15 @@ def test_image_kmax_beyond_m_exits_before_any_run(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+def test_image_k_outside_1_to_64_exits_with_an_error_line(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "runs")]
+    for k in ("0", "65"):
+        assert main(["image", "--k", k, "--m", "16"] + out) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: k must be an integer with 1 <= k <= 64"), err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_file_holds_only_aomp_config_keys_of_their_type(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = ["--out", str(tmp_path / "runs")]

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treepursuit.cli import build_parser
@@ -292,3 +293,34 @@ def test_src_lines_splits_a_snippet(monkeypatch, tmp_path):
     rows = tool.table(tmp_path)
     assert [name for name, _ in rows] == ["a.py", "b.py", "total"]
     assert rows[-1][1] == {"total": 19, "code": 7, "docstring": 6, "comment": 1, "blank": 5}
+
+
+@pytest.mark.parametrize("workload, labels", [
+    ("image", ["amul-aompe"]),
+    ("desk", ["amul-aompe", "hybrid", "omp", "sp", "all"]),
+])
+def test_solve_pairs_times_the_repo_against_itself(monkeypatch, capsys, workload, labels):
+    # both copies of one tree give the same outputs, so the tool prints a
+    # ratio table; the copies are gone from sys.modules afterwards
+    tool = load_tool("solve_pairs", monkeypatch)
+    assert tool.main([str(ROOT), str(ROOT), "--workload", workload, "--items", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    solves = 64 if workload == "image" else 4
+    assert lines[0] == "%s, seed 1, 1 items, %d solves; every output identical" % (
+        workload, solves)
+    assert lines[1].split() == ["label", "solves", "median", "q1", "q3", "faster"]
+    assert [line.split()[0] for line in lines[2:]] == labels
+    for line in lines[2:]:
+        assert re.fullmatch(r"[\w-]+ +\d+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d%", line)
+    assert not [name for name in sys.modules if name.startswith("_solve_pairs_")]
+
+
+def test_solve_pairs_names_every_field_that_differs(monkeypatch):
+    tool = load_tool("solve_pairs", monkeypatch)
+    base = dict(support=(1, 4), reason="residue_met", hybrid_stage="", xhat=np.zeros(3),
+                **{name: 2 for name in tool.COUNTERS})
+    same = argparse.Namespace(**base)
+    assert tool.differences(same, argparse.Namespace(**base)) == []
+    other = argparse.Namespace(**{**base, "support": (4, 1), "paths_opened": 3,
+                                  "xhat": np.array([0.0, -0.0, 0.0])})
+    assert tool.differences(same, other) == ["support", "paths_opened", "xhat"]

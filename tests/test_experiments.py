@@ -383,3 +383,66 @@ def test_phase_transition_validates_grids():
         phase_transition(make_solver("omp"), 32, [], [0.5], 5, 1)
     with pytest.raises(ValueError):
         phase_transition(make_solver("omp"), 32, [1.5], [0.5], 5, 1)
+
+
+def test_a_spec_keeps_its_config_only_when_no_setting_waits_for_the_instance():
+    spec = make_solver("aomp", kmax=20, alpha_amul=0.85)
+    assert spec.config == AompConfig(kmax=20, alpha_amul=0.85)
+    assert make_solver("hybrid", kmax=9, branch=3).config == AompConfig(kmax=9, branch=3)
+    # kmax "auto" waits for M and N, sparsity termination for k
+    for waits in [
+        make_solver("aomp"), make_solver("mul-aompe", kmax="auto"), make_solver("hybrid"),
+        make_solver("amul-aompk"), make_solver("hybrid", termination="sparsity"),
+        make_solver("omp"),
+    ]:
+        assert waits.config is None
+    # the stored config is no init argument and takes no part in equality,
+    # repr or pickling
+    assert make_solver("amul-aompe", **spec.params) == spec
+    assert "config" not in repr(spec)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.config == spec.config
+    with pytest.raises(TypeError):
+        experiments.SolverSpec("amul-aompe", {}, "", AompConfig())
+
+
+def _for_problem_twin(spec):
+    """The spec with its stored config dropped: its `run` builds the config
+    per instance by `AompConfig.for_problem`."""
+    twin = pickle.loads(pickle.dumps(spec))
+    twin.config = None
+    return twin
+
+
+@pytest.mark.parametrize("name, params", [
+    ("aomp", {"kmax": 20, "alpha_amul": 0.85}),
+    ("mul-aompe", {"kmax": 14, "max_paths": 40}),
+    ("hybrid", {"kmax": 16, "cost_model": "mul"}),
+])
+def test_a_stored_config_gives_the_for_problem_outputs_bit_for_bit(name, params):
+    spec = make_solver(name, **params)
+    assert spec.config is not None
+    twin = _for_problem_twin(spec)
+    for ensemble, seed in [("gaussian", 1), ("cars", 2), ("uniform", 3), ("gaussian", 4)]:
+        ens, inst = gen_problem(24, 64, 8, ensemble, seed)
+        got, want = spec.run(ens.phi, inst.y, 8), twin.run(ens.phi, inst.y, 8)
+        assert got.to_dict(include_times=False) == want.to_dict(include_times=False)
+        assert got.xhat.tobytes() == want.xhat.tobytes()
+    # kmax > M raises the same SettingsError on both paths
+    ens, inst = gen_problem(12, 64, 3, "gaussian", 5)
+    errors = []
+    for solver in (spec, twin):
+        with pytest.raises(SettingsError) as caught:
+            solver.run(ens.phi, inst.y, 3)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] and "exceeds the number of measurements" in errors[0]
+
+
+def test_a_parallel_batch_of_a_stored_config_matches_serial():
+    spec = make_solver("aomp", kmax=12)
+    assert spec.config is not None
+    serial = run_batch(spec, 48, 24, 5, "gaussian", 4, 17, jobs=1)
+    parallel = run_batch(spec, 48, 24, 5, "gaussian", 4, 17, jobs=2)
+    assert [{**vars(r), "time_ms": None} for r in serial.records] == [
+        {**vars(r), "time_ms": None} for r in parallel.records
+    ]

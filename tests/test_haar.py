@@ -14,6 +14,7 @@ from treepursuit.haar import (
     haar_matrix,
     sparsify_blocks,
 )
+from treepursuit.linalg import top_indices
 
 
 def test_matrix_is_orthonormal():
@@ -105,3 +106,68 @@ def test_sparsify_validates_arguments():
         sparsify_blocks(np.zeros((16, 16)), 0)
     with pytest.raises(ValueError):
         sparsify_blocks(np.zeros((16, 16)), 65)
+
+
+def _per_block_reference(image, k):
+    """Reference: each block on its own through haar2d, the checked
+    top_indices and haar2d_inverse."""
+    image = np.asarray(image, dtype=float)
+    out = np.empty_like(image)
+    for i in range(0, image.shape[0], BLOCK):
+        for j in range(0, image.shape[1], BLOCK):
+            coeffs = haar2d(image[i : i + BLOCK, j : j + BLOCK])
+            keep = top_indices(np.abs(coeffs), k)
+            sparse = np.zeros_like(coeffs)
+            sparse[keep] = coeffs[keep]
+            out[i : i + BLOCK, j : j + BLOCK] = haar2d_inverse(sparse)
+    return out
+
+
+def _images():
+    rng = np.random.default_rng(25)
+    for shape in ((8, 8), (16, 24), (64, 64), (24, 8)):
+        yield "uniform %dx%d" % shape, rng.uniform(0.0, 255.0, size=shape)
+    # a transposed, so non-contiguous, input
+    yield "transposed", rng.uniform(0.0, 255.0, size=(24, 40)).T
+    # integer values and constant blocks tie in magnitude exactly
+    yield "integer", rng.integers(0, 4, size=(16, 24)).astype(float)
+    yield "constant", np.full((16, 16), 7.0)
+    yield "integer, constant block", np.block([
+        [np.full((8, 8), 3.0), rng.integers(-2, 3, size=(8, 8)).astype(float)],
+    ])
+
+
+@pytest.mark.parametrize("k", [1, 12, 64])
+@pytest.mark.parametrize("name, image", list(_images()), ids=[n for n, _ in _images()])
+def test_batched_sparsify_is_the_per_block_path_bit_for_bit(name, image, k):
+    got = sparsify_blocks(image, k)
+    want = _per_block_reference(image, k)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    worst = max(
+        int(np.sum(np.abs(haar2d(image[i : i + 8, j : j + 8])) > 1e-9))
+        for i in range(0, image.shape[0], 8)
+        for j in range(0, image.shape[1], 8)
+    )
+    assert block_sparsity(image) == worst
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparsify_rejects_a_non_finite_image(bad):
+    image = np.zeros((16, 16))
+    image[3, 5] = bad
+    with pytest.raises(ValueError, match="image contains NaN or infinite"):
+        sparsify_blocks(image, 3)
+    with pytest.raises(ValueError, match="image must be real"):
+        sparsify_blocks(np.zeros((8, 8)) + 1j, 3)
+
+
+@pytest.mark.parametrize("k", [2.5, 12.0, True, False, "3", None, 0, 65, np.float64(3.0)])
+def test_sparsify_rejects_a_k_that_is_not_an_int_in_1_to_64(k):
+    with pytest.raises(ValueError, match="k must be an integer with 1 <= k <= 64"):
+        sparsify_blocks(np.zeros((8, 8)), k)
+
+
+def test_sparsify_takes_a_numpy_integer_k():
+    image = np.random.default_rng(1).uniform(0.0, 255.0, size=(16, 8))
+    assert sparsify_blocks(image, np.int64(4)).tobytes() == sparsify_blocks(image, 4).tobytes()

@@ -132,3 +132,43 @@ def test_write_pgm_rounds_and_clamps(tmp_path):
     assert read_pgm(path).tolist() == [[0.0, 0.0, 255.0, 255.0]]
     with pytest.raises(ValueError):
         write_pgm(path, np.zeros(8))
+
+
+@pytest.mark.parametrize("side", ["reference", "reconstruction"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psnr_rejects_a_non_finite_image(side, bad):
+    # min(cap, nan) keeps the cap, so a NaN reconstruction scored 120 dB
+    images = {"reference": np.zeros((8, 8)), "reconstruction": np.zeros((8, 8))}
+    images[side][0, 0] = bad
+    with pytest.raises(ValueError, match="%s contains NaN or infinite" % side):
+        psnr(images["reference"], images["reconstruction"])
+
+
+def test_psnr_rejects_complex_input():
+    ref = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="reconstruction must be real"):
+        psnr(ref, ref + 1j)
+    with pytest.raises(ValueError, match="reference must be real"):
+        psnr(ref.astype(complex), ref)
+
+
+@pytest.mark.parametrize("peak", [-5.0, 0.0, np.nan, np.inf])
+def test_psnr_rejects_a_peak_that_is_not_finite_and_positive(peak):
+    ref = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="peak must be a finite number > 0"):
+        psnr(ref, ref + 1.0, peak=peak)
+
+
+def test_recover_image_rejects_a_non_finite_image_and_a_bad_k():
+    # one NaN pixel gave a failed block and a capped 120 dB; a float k
+    # failed deep inside slicing and k=True ran as 1
+    solver = make_solver("omp")
+    image = np.full((16, 16), 100.0)
+    image[9, 2] = np.nan
+    with pytest.raises(ValueError, match="image contains NaN or infinite"):
+        recover_image(image, 4, 24, solver, seed=0)
+    with pytest.raises(ValueError, match="image must be real"):
+        recover_image(np.full((8, 8), 1j), 4, 24, solver, seed=0)
+    for k in (2.5, True, 0, 65):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            recover_image(np.full((8, 8), 100.0), k, 24, solver, seed=0)

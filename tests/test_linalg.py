@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepursuit import linalg
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
@@ -780,3 +781,53 @@ def test_a_child_is_priced_by_pythagoras_only_where_it_cannot_cancel(case, data)
                 assert child.qty.tobytes() == reference.qty.tobytes()
                 assert child.rmat.tobytes() == reference.rmat.tobytes()
                 assert child.residue_norm == reference.residue_norm
+
+
+def _mask_assembly(columns):
+    """Reference: R and Q^T y from a factorization's kept columns through
+    a boolean mask of R's strict upper triangle, built per call."""
+    coefs, diagonal, qty = zip(*columns)
+    l = len(diagonal)
+    rmat = np.zeros((l, l))
+    i = np.arange(l)
+    rmat.T[i[:, None] > i] = np.concatenate(coefs)
+    rmat.ravel()[::l + 1] = diagonal
+    return rmat, np.array(qty)
+
+
+def test_r_is_placed_by_a_grown_index_as_the_mask_places_it(monkeypatch):
+    # every order 1..70 of one chain: R and Q^T y equal the mask assembly
+    # bit for bit, and the index grows to the largest order asked for,
+    # read-only, and never shrinks
+    monkeypatch.setattr(linalg, "_ABOVE", np.empty((2, 0), dtype=np.intp))
+    rng = np.random.default_rng(70)
+    phi = rng.normal(size=(80, 70))
+    problem = check_problem(phi, rng.normal(size=80))
+    fact = IncrementalFactorization.empty(problem)
+    held = 0
+    for l in range(1, 71):
+        fact = fact.appended(l - 1, phi[:, l - 1])
+        rmat, qty = _mask_assembly(fact._columns)
+        assert np.array_equal(fact.rmat, rmat) and np.array_equal(fact.qty, qty)
+        assert fact.rmat.tobytes() == rmat.tobytes()
+        above = linalg._ABOVE
+        assert above.shape[1] >= max(held, l * (l - 1) // 2)
+        assert not (above.size and above.flags.writeable)
+        held = above.shape[1]
+    assert held >= 70 * 69 // 2
+    small = IncrementalFactorization.empty(problem).appended(3, phi[:, 3]).appended(5, phi[:, 5])
+    assert np.array_equal(small.rmat, _mask_assembly(small._columns)[0])
+    assert linalg._ABOVE.shape[1] == held
+
+
+def test_problem_rows_are_phi_transposed_as_one_c_order_array():
+    rng = np.random.default_rng(5)
+    phi = np.asfortranarray(rng.normal(size=(6, 9)))
+    problem = check_problem(phi, rng.normal(size=6))
+    rows = problem.rows
+    assert isinstance(rows, np.ndarray) and rows.flags.c_contiguous
+    assert rows.shape == (9, 6) and rows.tobytes() == np.ascontiguousarray(phi.T).tobytes()
+    for j in range(9):
+        assert rows[j].flags.c_contiguous
+        assert rows[j].tobytes() == np.ascontiguousarray(phi[:, j]).tobytes()
+    assert problem.rows is rows
