@@ -66,18 +66,16 @@ class AuditError(AssertionError):
     """A search invariant was violated (only raised with audit enabled)."""
 
 
-# the two cost formulas of `AompConfig.path_cost`
-def _mul_cost(norms, kmax, alpha):
-    length = len(norms) - 1
-    return alpha ** (kmax - length) * norms[-1]
+# the two cost formulas of `AompConfig.path_cost`, on a path's last two
+# residue norms and the terms of `AompConfig.round_terms`
+def _mul_cost(prev, cur, exponent, alpha):
+    return alpha ** exponent * cur
 
 
-def _amul_cost(norms, kmax, alpha):
-    length = len(norms) - 1
-    prev, cur = norms[-2], norms[-1]
+def _amul_cost(prev, cur, exponent, alpha):
     if prev == 0.0:
         return 0.0
-    return (alpha * cur / prev) ** (kmax - length) * cur
+    return (alpha * cur / prev) ** exponent * cur
 
 
 @dataclass(frozen=True)
@@ -167,10 +165,19 @@ class AompConfig:
         ||r_l||, the decay of the path's own last step; zero when
         ||r_{l-1}|| = 0, a path that already met y exactly.  Checks nothing:
         `validate` checked alpha, and the search builds no path outside
-        1..kmax."""
+        1..kmax.  The formula and its terms are those `round_terms` gives
+        the children of the path's parent."""
+        formula, exponent, alpha = self.round_terms(norms[:-1])
+        return formula(norms[-2], norms[-1], exponent, alpha)
+
+    def round_terms(self, norms):
+        """(formula, exponent, alpha) of the children of a path whose
+        residue-norm history is `norms`: a child of length l = len(norms)
+        costs formula(norms[-1], ||r_l||, kmax - l, alpha).  Taken once per
+        round by `expand` and `init_search`, and by `path_cost`."""
         if self.cost_model == COST_MUL:
-            return _mul_cost(norms, self.kmax, self.alpha_mul)
-        return _amul_cost(norms, self.kmax, self.alpha_amul)
+            return _mul_cost, self.kmax - len(norms), self.alpha_mul
+        return _amul_cost, self.kmax - len(norms), self.alpha_amul
 
     @classmethod
     def sparsity_based(cls, k, **settings):
@@ -265,7 +272,7 @@ class PathState:
             key = _with_atom(self.canonical, j)
         norms = self.norms
         limit = 2.0 * config.effective_epsilon() * norms[0]
-        return _child(self.fact, norms, j, limit, config.path_cost, key)
+        return _child(self.fact, norms, j, limit, config.round_terms(norms), key)
 
 
 def _with_atom(key, j):
@@ -274,13 +281,17 @@ def _with_atom(key, j):
     return key[:i] + (j,) + key[i:]
 
 
-def _child(parent, norms, j, limit, path_cost, key):
+def _child(parent, norms, j, limit, terms, key):
     """The path with atom j appended to the path of factorization `parent`
-    and residue norms `norms`: the one builder of `PathState.extended` and
-    of `expand`, which reads its other arguments once per expansion."""
+    and residue norms `norms`, priced by `terms`, the parent's
+    `AompConfig.round_terms`: the one builder of `PathState.extended`,
+    `init_search` and `expand`, which take `limit` and `terms` once per
+    round."""
     fact = parent._priced(j, limit)
-    norms = norms + (fact.residue_norm,)
-    return PathState(fact.support, norms, path_cost(norms), fact, key)
+    cur = fact.residue_norm
+    formula, exponent, alpha = terms
+    cost = formula(norms[-1], cur, exponent, alpha)
+    return PathState(fact.support, norms + (cur,), cost, fact, key)
 
 
 @dataclass(slots=True)
@@ -316,12 +327,15 @@ def init_search(problem, config):
     if ynorm == 0.0:
         return trie, root
     threshold = config.effective_epsilon() * ynorm
+    limit = 2.0 * threshold
+    norms = root.norms
+    terms = config.round_terms(norms)
     done = None
     # the seeds are ranked from the correlations that price them
     corr = np.abs(fact.signed_correlations())
     for j in _top_few(corr, min(config.initial_paths, n), ()):
         try:
-            path = root.extended(j, config)
+            path = _child(fact, norms, j, limit, terms, (j,))
         except SingularSupportError:
             continue
         trie.insert(path)
@@ -374,7 +388,7 @@ def expand(trie, best, config):
         return ExpansionReport()
     threshold = config.effective_epsilon() * norms[0]
     limit = 2.0 * threshold
-    path_cost = config.path_cost
+    terms = config.round_terms(norms)
     terminated = None
     consumed = False
     accepted = evaluated = hits = singular = rejected = 0
@@ -385,7 +399,7 @@ def expand(trie, best, config):
             hits += 1
             continue
         try:
-            child = _child(fact, norms, j, limit, path_cost, key)
+            child = _child(fact, norms, j, limit, terms, key)
         except SingularSupportError:
             singular += 1
             continue

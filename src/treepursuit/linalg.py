@@ -18,7 +18,8 @@ arguments on every call.
   formed.
 - A support grown one atom at a time (OMP, MMP-DF, the tree search) keeps
   an `IncrementalFactorization` of its `Problem`: appending an atom costs
-  O(M l) and copies nothing of its parent's.
+  O(M l) and copies nothing of its parent's.  Its Q is stored by rows
+  (see `IncrementalFactorization`).
 - Column norms have one store, `Problem.colnorms`, taken once per problem:
   `_project` reads it, the search's `_priced` its list form
   `Problem.norms`.  `_priced` prices a child by Pythagoras, from the
@@ -112,7 +113,10 @@ class Problem:
     @property
     def colnorms(self):
         if self._colnorms is None:
-            self._colnorms = np.linalg.norm(self.phi, axis=0)
+            # the expression np.linalg.norm(phi, axis=0) evaluates for a
+            # real phi, without its wrapper
+            phi = self.phi
+            self._colnorms = np.sqrt(np.add.reduce(phi * phi, axis=0))
         return self._colnorms
 
 
@@ -260,6 +264,12 @@ class IncrementalFactorization:
       entry of Q^T y, shared with its ancestors, so `rmat` and `qty` are
       assembled from the kept columns on first read.  A child holds a
       reference to its parent until its `q` is assembled, on first read.
+    - Q stored by rows: the factorization keeps Q^T, an (l, M) C-order
+      array.  A child copies its parent's rows as one block and fills its
+      one contiguous new row, and both Gram-Schmidt passes take
+      coef = Q^T c as `qt.dot(c)` and subtract `coef.dot(qt)`.  `q` is
+      the M x l Q, returned as the transposed view of the stored rows:
+      the same values, no copy.
     - Gram-Schmidt: classical, float64, with a second pass only when the
       first leaves less than REORTHOGONALIZE_TOL = 1/sqrt(2) of the
       column's norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).
@@ -277,7 +287,7 @@ class IncrementalFactorization:
       append would need no second pass (Drmac & Bujanovic, ACM TOMS
       2008).  A priced child keeps coef, nu and p; its direction
       v = c - Q coef is formed when its residue or `q` is read, as
-      v / nu written into its new Q column, so a formed child keeps the
+      v / nu written into its new row of Q^T, so a formed child keeps the
       priced diagonal, and s is then retaken from its formed residue, so
       pricing errors do not add up along a path.  Every other child is
       built at once by `appended`'s arithmetic: a zero column, one that
@@ -320,7 +330,7 @@ class IncrementalFactorization:
         residue is y itself."""
         residue = problem.y.copy()
         fact = cls(problem, (), (), residue, float(residue.dot(residue)))
-        fact._q = np.empty((residue.shape[0], 0))
+        fact._q = np.empty((0, residue.shape[0]))
         fact._rmat, fact._qty = np.empty((0, 0)), np.empty(0)
         return fact
 
@@ -335,22 +345,24 @@ class IncrementalFactorization:
         return self._residue
 
     def _grown_q(self):
-        # the parent's Q with one more column, left for the caller to fill;
-        # the parent was materialized when this child was built from it
+        # the parent's rows of Q^T copied as one block, and the new row left
+        # for the caller to fill; the parent was materialized when this
+        # child was built from it
         parent = self._parent
-        l = len(parent.support)
-        q = np.empty((parent._q.shape[0], l + 1))
-        q[:, :l] = parent._q
-        self._q, self._parent = q, None
-        return q
+        rows = parent._q
+        l = rows.shape[0]
+        qt = np.empty((l + 1, rows.shape[1]))
+        qt[:l] = rows
+        self._q, self._parent = qt, None
+        return qt[l]
 
     def _form(self):
         # a priced child: v = c - Q coef divided by the priced diagonal,
-        # straight into its new Q column, and its residue
+        # straight into its new row of Q^T, and its residue
         parent = self._parent
         coef, nu, proj = self._columns[-1]
-        v = self.problem.rows[self.support[-1]] - parent._q.dot(coef)
-        qhat = self._grown_q()[:, -1]
+        v = self.problem.rows[self.support[-1]] - coef.dot(parent._q)
+        qhat = self._grown_q()
         np.divide(v, nu, out=qhat)
         residue = parent._residue - proj * qhat
         self._residue, self._sq = residue, float(residue.dot(residue))
@@ -362,15 +374,20 @@ class IncrementalFactorization:
             g = self._g = self.problem.phi.T.dot(self.residue)
         return g
 
-    @property
-    def q(self):
+    def _rows(self):
+        # Q^T, the stored rows, formed on first read
         if self._parent is not None:
             if self._residue is None:
                 self._form()
             else:
-                self._grown_q()[:, -1] = self._qhat
+                self._grown_q()[:] = self._qhat
                 self._qhat = None
         return self._q
+
+    @property
+    def q(self):
+        """Q, M x l: the transposed view of the stored rows, no copy."""
+        return self._rows().T
 
     def _assemble(self):
         coefs, diagonal, qty = zip(*self._columns)
@@ -406,15 +423,15 @@ class IncrementalFactorization:
             if colnorm == 0.0:
                 raise SingularSupportError(int(index))
             return _NO_COEF, v, colnorm
-        q = self.q if self._q is None else self._q
-        coef = v.dot(q)
-        v -= q.dot(coef)
+        qt = self._rows() if self._q is None else self._q
+        coef = qt.dot(v)
+        v -= coef.dot(qt)
         vnorm = _norm(v)
         if vnorm < REORTHOGONALIZE_TOL * colnorm:
             # the first pass cancelled most of the column, so its rounding
             # error is a large share of v: a second pass removes it
-            extra = v.dot(q)
-            v -= q.dot(extra)
+            extra = qt.dot(v)
+            v -= extra.dot(qt)
             coef += extra
             vnorm = _norm(v)
         if colnorm == 0.0 or vnorm < DEPENDENCY_TOL * colnorm:
@@ -455,8 +472,8 @@ class IncrementalFactorization:
         row = problem.rows[index]
         if self.support:
             colnorm = problem.norms[index]
-            q = self.q if self._q is None else self._q
-            coef = row.dot(q)
+            qt = self._rows() if self._q is None else self._q
+            coef = qt.dot(row)
         else:
             # a first atom's norm is R's diagonal entry: that of its own row
             colnorm, coef = _norm(row), _NO_COEF

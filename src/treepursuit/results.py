@@ -125,7 +125,7 @@ def finish(problem, support, values, epsilon, reason, solver, t0, **counters):
     """
     phi = problem.phi
     xhat = np.zeros(phi.shape[1])
-    support = tuple(int(j) for j in support)
+    support = tuple(map(int, support))
     xhat[list(support)] = values
     residual = _norm(problem.y - phi.dot(xhat))
     if residual <= epsilon * problem.ynorm:

@@ -80,6 +80,73 @@ def test_path_cost_evaluates_the_cost_formulas_bit_for_bit(model, kmax, alpha, d
     assert got.hex() == float(want).hex()
 
 
+@st.composite
+def cost_searches(draw):
+    """(problem, config): a small Gaussian problem and a search under
+    either cost model with kmax 1..3, so paths reach kmax within a few
+    rounds."""
+    m = draw(st.integers(3, 8))
+    n = draw(st.integers(m, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    initial = draw(st.integers(1, 3))
+    config = AompConfig(
+        initial_paths=initial,
+        branch=draw(st.integers(1, 3)),
+        max_paths=draw(st.integers(initial, 6)),
+        kmax=draw(st.integers(1, 3)),
+        cost_model=draw(st.sampled_from(["mul", "amul"])),
+        alpha_mul=draw(st.floats(0.05, 0.95)),
+        alpha_amul=draw(st.floats(0.05, 1.0)),
+    )
+    return check_problem(rng.normal(size=(m, n)), rng.normal(size=m)), config
+
+
+def _stored_paths(trie, best, config, rounds):
+    """Every path `expand` builds in up to `rounds` rounds from `best` on:
+    those it inserts into `trie` and the one that ends the search."""
+    stored = []
+    real_insert = trie.insert
+
+    def insert(path):
+        stored.append(path)
+        real_insert(path)
+
+    trie.insert = insert
+    for _ in range(rounds):
+        if best is None:
+            break
+        report = expand(trie, best, config)
+        if report.terminated is not None:
+            stored.append(report.terminated)
+            break
+        best = select_best_incomplete(trie)
+    return stored
+
+
+@settings(max_examples=150, deadline=None)
+@given(cost_searches())
+def test_every_stored_cost_is_the_path_cost_of_its_norms(case):
+    # the seeds of init_search and the children of expand take their cost
+    # from the round's terms; it is config.path_cost of their own residue
+    # history bit for bit, under both models, for paths of length kmax
+    # (exponent 0) and for the children of a path whose last residue is
+    # zero (a hand-built history: the search stops at such a path)
+    problem, config = case
+    trie, done = init_search(problem, config)
+    stored = trie.paths() + _stored_paths(trie, select_best_incomplete(trie), config, 30)
+    if done is None:
+        opened = [p for p in stored if p.length < config.kmax]
+        if opened:
+            p = opened[0]
+            met = PathState(p.support, p.norms[:-1] + (0.0,), 0.0, p.fact, p.canonical)
+            held = SearchTrie(config.kmax)
+            held.insert(met)
+            stored += _stored_paths(held, met, config, 1)
+    for path in stored:
+        assert 1 <= path.length <= config.kmax
+        assert path.cost.hex() == config.path_cost(path.norms).hex()
+
+
 def test_cost_prefers_shorter_when_equal_norms():
     # same residue norm, longer path -> smaller lookahead discount -> costlier
     short = mul_cost((1.0, 0.5), 10, 0.8)

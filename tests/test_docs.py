@@ -324,3 +324,42 @@ def test_solve_pairs_names_every_field_that_differs(monkeypatch):
     other = argparse.Namespace(**{**base, "support": (4, 1), "paths_opened": 3,
                                   "xhat": np.array([0.0, -0.0, 0.0])})
     assert tool.differences(same, other) == ["support", "paths_opened", "xhat"]
+
+
+@pytest.mark.parametrize("field, code", [("xhat", 0), ("iterations", 1)])
+def test_solve_pairs_stops_on_a_decision_and_reports_xhat_moves(monkeypatch, capsys, field, code):
+    # the change's outputs are nudged after each solve: a moved xhat is
+    # counted and sized, and the table still printed, while a moved counter
+    # is a decision, which stops the tool naming the solve
+    tool = load_tool("solve_pairs", monkeypatch)
+    real = tool.timed
+
+    def timed(spec, phi, y, k):
+        elapsed, out = real(spec, phi, y, k)
+        if type(spec).__module__.startswith("_solve_pairs_change"):
+            if field == "xhat":
+                out.xhat = out.xhat * (1.0 + 2.0**-40)
+            else:
+                out.iterations += 1
+        return elapsed, out
+
+    monkeypatch.setattr(tool, "timed", timed)
+    assert tool.main([str(ROOT), str(ROOT), "--workload", "desk", "--items", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == "error: solve 0 (amul-aompe) differs in iterations\n"
+        assert captured.out == ""
+        return
+    head = re.fullmatch(r"desk, seed 1, 1 items, 4 solves; every decision identical, "
+                        r"4 differ in xhat bytes \(largest relative change (\S+)\)",
+                        captured.out.splitlines()[0])
+    assert head and float(head.group(1)) == pytest.approx(2.0**-40, rel=1e-3)
+    assert [line.split()[0] for line in captured.out.splitlines()[2:]] == [
+        "amul-aompe", "hybrid", "omp", "sp", "all"]
+
+
+def test_solve_pairs_sizes_an_xhat_move_relative_to_the_parent(monkeypatch):
+    tool = load_tool("solve_pairs", monkeypatch)
+    assert tool.relative_change(np.array([3.0, 4.0]), np.array([3.0, 4.5])) == 0.1
+    assert tool.relative_change(np.zeros(2), np.array([0.0, -0.0])) == 0.0
+    assert tool.relative_change(np.zeros(2), np.array([0.0, 1.0])) == float("inf")

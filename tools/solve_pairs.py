@@ -16,10 +16,12 @@ runs first alternates from solve to solve of each label, so a drift of
 the host's speed, and the warm cache of a second run, fall on both sides
 alike.
 
-Any difference in an output (support, reason, hybrid stage, the five
-work counters or the bytes of xhat) stops the tool with exit code 1 and
-names the solve.  Otherwise it prints, per label and over all solves,
-the median of the per-solve change/parent time ratios, its quartiles and
+A difference in a decision (support, reason, hybrid stage or any of the
+five work counters) stops the tool with exit code 1 and names the solve.
+Otherwise it prints how many solves differ in the bytes of xhat and the
+largest ||xhat' - xhat|| / ||xhat|| among them, or "every output
+identical" when none does, then, per label and over all solves, the
+median of the per-solve change/parent time ratios, its quartiles and
 the share of solves the change ran faster.  BLAS is pinned to one thread
 before numpy loads.  Run-level pairs (`tools/ab_pairs.py`) cannot
 resolve a few percent on a noisy host; per-solve pairs can, but they
@@ -33,12 +35,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import importlib
+import math
 import shutil
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 COUNTERS = ("iterations", "nodes_expanded", "paths_opened", "equivalent_hits", "singular_skips")
 
@@ -100,6 +105,16 @@ def differences(parent, change):
     return names
 
 
+def relative_change(parent, change):
+    """||change - parent|| / ||parent|| of two xhat vectors; 0 for two zero
+    vectors, inf when only the parent's is zero."""
+    moved = float(np.linalg.norm(change - parent))
+    scale = float(np.linalg.norm(parent))
+    if scale > 0.0:
+        return moved / scale
+    return 0.0 if moved == 0.0 else math.inf
+
+
 def timed(spec, phi, y, k):
     t0 = time.perf_counter()
     out = spec.run(phi, y, k)
@@ -116,8 +131,10 @@ def ratio_line(name, ratios):
 
 
 def time_pairs(trees, args):
-    """The change/parent time ratios of every solve, by label; None, with
-    an error line, as soon as two outputs differ."""
+    """(ratios, moves): the change/parent time ratios of every solve, by
+    label, and the `relative_change` of xhat of every solve whose xhat
+    bytes differ; None, with an error line, as soon as two decisions
+    differ."""
     problems, settings = solves(trees[1], args.workload, args.seed, args.items)
     specs = [[tree.make_solver(name, **params) for name, params in settings] for tree in trees]
     labels = [spec.label for spec in specs[1]]
@@ -126,6 +143,7 @@ def time_pairs(trees, args):
     for side in specs:
         side[s].run(phi, y, k)
     ratios = {label: [] for label in labels}
+    moves = []
     for i, (s, phi, y, k) in enumerate(problems):
         # the second run of a problem finds it in cache, so the first side
         # alternates within each label
@@ -133,12 +151,15 @@ def time_pairs(trees, args):
         results = {side: timed(specs[side][s], phi, y, k) for side in order}
         (t_parent, parent), (t_change, change) = results[0], results[1]
         differ = differences(parent, change)
+        if "xhat" in differ:
+            differ.remove("xhat")
+            moves.append(relative_change(parent.xhat, change.xhat))
         if differ:
             print("error: solve %d (%s) differs in %s" % (i, labels[s], ", ".join(differ)),
                   file=sys.stderr)
             return None
         ratios[labels[s]].append(t_change / t_parent)
-    return ratios
+    return ratios, moves
 
 
 def main(argv=None):
@@ -156,17 +177,22 @@ def main(argv=None):
         try:
             trees = [load_tree(args.parent, "_solve_pairs_parent", tmp),
                      load_tree(args.change, "_solve_pairs_change", tmp)]
-            ratios = time_pairs(trees, args)
+            timings = time_pairs(trees, args)
         finally:
             sys.path.remove(tmp)
             for name in list(sys.modules):
                 if name.startswith("_solve_pairs_"):
                     del sys.modules[name]
-    if ratios is None:
+    if timings is None:
         return 1
+    ratios, moves = timings
     every = [r for label_ratios in ratios.values() for r in label_ratios]
-    print("%s, seed %d, %d items, %d solves; every output identical"
-          % (args.workload, args.seed, args.items, len(every)))
+    same = "every output identical"
+    if moves:
+        same = ("every decision identical, %d differ in xhat bytes"
+                " (largest relative change %.3g)" % (len(moves), max(moves)))
+    print("%s, seed %d, %d items, %d solves; %s"
+          % (args.workload, args.seed, args.items, len(every), same))
     print("%-12s %6s %8s %8s %8s %8s" % ("label", "solves", "median", "q1", "q3", "faster"))
     for label, label_ratios in ratios.items():
         print(ratio_line(label, label_ratios))
