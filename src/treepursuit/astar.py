@@ -22,13 +22,20 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .baselines import omp_recover
-from .linalg import IncrementalFactorization, SingularSupportError, _top_few, check_problem
+from .linalg import (
+    IncrementalFactorization,
+    SingularSupportError,
+    _top_few,
+    check_problem,
+    problem_shape,
+)
 from .results import (
     REASON_ALL_COMPLETE,
     REASON_BUDGET,
     REASON_RESIDUE,
     SettingsError,
     check_epsilon,
+    check_k,
     finish,
 )
 from .trie import SearchTrie
@@ -509,14 +516,13 @@ def hybrid_recover(phi, y, config, k):
     Runs plain orthogonal matching pursuit up to k atoms; when that
     already meets the residue criterion its result is returned unchanged
     (stage "omp").  Otherwise the tree search runs from scratch with the
-    same config (stage "astar").
+    same config (stage "astar").  Checks the shape of the problem, k and
+    the config; each stage checks the rest of the problem.
     """
     t0 = time.perf_counter()
-    problem = check_problem(phi, y)
-    phi, y = problem.phi, problem.y
-    if not 1 <= k <= phi.shape[0]:
-        raise SettingsError("k must satisfy 1 <= k <= M, got k = %s, M = %d" % (k, phi.shape[0]))
-    _check_fits(config, phi.shape[0])
+    m = problem_shape(phi, y)[0]
+    check_k(k, m, "M")
+    _check_fits(config, m)
     out = omp_recover(phi, y, epsilon=config.effective_epsilon(), max_iter=k)
     out.hybrid_stage = "omp"
     if out.reason != REASON_RESIDUE:

@@ -25,7 +25,9 @@ from .results import (
     REASON_STALLED,
     REASON_DIVERGED,
     SettingsError,
+    _count,
     check_epsilon,
+    check_k,
     finish,
 )
 
@@ -40,11 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-6
-
-
-def _count(value):
-    """an int >= 1"""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _count_or_default(value):
@@ -155,10 +152,7 @@ def sp_recover(phi, y, k, max_iter=100):
     phi = problem.phi
     check_settings("sp", max_iter=max_iter)
     m, n = phi.shape
-    if not 1 <= k <= min(m // 2, n):
-        raise SettingsError(
-            "sp_recover needs 1 <= k <= min(M/2, N), got k = %s, M = %d, N = %d" % (k, m, n)
-        )
+    check_k(k, min(m // 2, n), "min(M/2, N)")
     if problem.ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
     first = sorted(top_indices(correlations(phi, problem.y), k))
@@ -211,8 +205,7 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     phi, y, ynorm = problem.phi, problem.y, problem.ynorm
     check_settings("iht", step=step, max_iter=max_iter)
     n = phi.shape[1]
-    if not 1 <= k <= n:
-        raise SettingsError("k must satisfy 1 <= k <= N, got k = %s, N = %d" % (k, n))
+    check_k(k, n, "N")
     if ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
     x = np.zeros(n)
@@ -316,8 +309,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     phi = problem.phi
     check_settings("mmp-df", branching=branching, max_paths=max_paths, epsilon=epsilon)
     m, n = phi.shape
-    if not 1 <= k <= m:
-        raise SettingsError("k must satisfy 1 <= k <= M, got k = %s, M = %d" % (k, m))
+    check_k(k, m, "M")
     threshold = epsilon * problem.ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 

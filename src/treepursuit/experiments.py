@@ -26,7 +26,6 @@ from .astar import (
 )
 from .baselines import (
     SETTINGS,
-    _count,
     check_settings,
     omp_recover,
     sp_recover,
@@ -35,7 +34,7 @@ from .baselines import (
     mmp_df_recover,
 )
 from .linalg import problem_shape
-from .results import SettingsError, attempt
+from .results import SettingsError, _count, attempt
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
@@ -285,13 +284,12 @@ def run_batch(solver, n, m, k, ensemble, trials, base_seed, jobs=1):
     call with another solver sees the same instances.  With jobs > 1 the
     trials run in a process pool; results are identical either way.
     Trials run through `results.attempt`, so a SettingsError propagates.
-    jobs must be an int >= 1 (not a bool); it is checked before any trial
-    runs.
+    trials and jobs must each be an int >= 1 (not a bool); they are
+    checked before any trial runs.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not _count(jobs):
-        raise ValueError("jobs must be an integer >= 1, got %r" % (jobs,))
+    for name, value in (("trials", trials), ("jobs", jobs)):
+        if not _count(value):
+            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
     args = [
         (solver, n, m, k, ensemble, derive_seed(base_seed, "trial", t))
         for t in range(trials)

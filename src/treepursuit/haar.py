@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import _as_real_finite
+from .results import _count
 
 __all__ = [
     "BLOCK",
@@ -97,10 +98,7 @@ def check_image(image):
 def check_block_k(k):
     """Raise ValueError unless k, the coefficients kept per block, is an
     int (not a bool) with 1 <= k <= 64."""
-    if (
-        not isinstance(k, (int, np.integer)) or isinstance(k, bool)
-        or not 1 <= k <= BLOCK * BLOCK
-    ):
+    if not _count(k) or k > BLOCK * BLOCK:
         raise ValueError("k must be an integer with 1 <= k <= %d, got %r" % (BLOCK * BLOCK, k))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .haar import BLOCK, check_block_k, check_image, haar_basis, sparsify_blocks
 from .linalg import _as_real_finite
-from .results import REASON_RESIDUE, attempt
+from .results import REASON_RESIDUE, _count, attempt
 from .siggen import gen_matrix, substream
 
 __all__ = [
@@ -61,9 +61,11 @@ def synthetic_image(size=64, seed=0, lo=30.0, hi=225.0):
 
     The margin keeps the image comfortably inside [0, 255] so that the
     small overshoots introduced by per-block sparsification stay in range.
+    size must be an int (not a bool) and a positive multiple of 8;
+    ValueError otherwise.
     """
-    if size % BLOCK:
-        raise ValueError("size must be a multiple of %d" % BLOCK)
+    if not _count(size) or size % BLOCK:
+        raise ValueError("size must be an integer multiple of %d, got %r" % (BLOCK, size))
     rng = substream(seed, "image")
     coarse = rng.normal(size=(size // BLOCK + 1, size // BLOCK + 1))
     img = _bilinear_upsample(coarse, size)
@@ -97,14 +99,15 @@ def recover_image(image, k, m, solver, seed):
     reconstruction is clamped to [0, 255], the reference is not.  Blocks
     run through `results.attempt`, so a SettingsError propagates.  The
     image, k and m are checked at entry (ValueError): the image by
-    `haar.check_image`, k by `haar.check_block_k`.
+    `haar.check_image`, k by `haar.check_block_k`, and m must be an int
+    (not a bool) with 1 <= m <= 64.
     """
     t0 = time.perf_counter()
     image = check_image(image)
     check_block_k(k)
     dim = BLOCK * BLOCK
-    if not 1 <= m <= dim:
-        raise ValueError("m must satisfy 1 <= m <= %d" % dim)
+    if not _count(m) or m > dim:
+        raise ValueError("m must be an integer with 1 <= m <= %d, got %r" % (dim, m))
     target = sparsify_blocks(image, k)
     psi = haar_basis()
     ens = gen_matrix(m, dim, seed)

@@ -17,16 +17,9 @@ arguments on every call.
   form: R is its leading block and Q^T y its last column, so no Q is
   formed.
 - A support grown one atom at a time (OMP, MMP-DF, the tree search) keeps
-  an `IncrementalFactorization` of its `Problem`: appending an atom costs
-  O(M l) and copies nothing of its parent's.  Its Q is stored by rows
-  (see `IncrementalFactorization`).
-- Column norms have one store, `Problem.colnorms`, taken once per problem:
-  `_project` reads it, the search's `_priced` its list form
-  `Problem.norms`.  `_priced` prices a child by Pythagoras, from the
-  contiguous column `Problem.rows[j]`, where the downdate cannot cancel,
-  and forms its direction only when the child is expanded; a priced step
-  is the append's step to rounding, not bit for bit (see
-  `IncrementalFactorization`).
+  an `IncrementalFactorization` of its `Problem`; that class states how
+  Q is stored and how a search child is priced, and `Problem` what it
+  derives from phi, the column norms among them.
 - Both solve the upper-triangular R z = Q^T y with `np.linalg.solve`:
   every diagonal entry of R has passed the DEPENDENCY_TOL test and
   everything below it is zero, so partial pivoting swaps no rows and the
@@ -34,6 +27,7 @@ arguments on every call.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -75,49 +69,41 @@ class Problem:
     """A checked recovery problem, the input every solver reads.
 
     `phi` is a float64 (M, N) matrix in C order, `y` a contiguous float64
-    vector of length M and `ynorm` = ||y||.  Built on first read:
-    `aug`, the Fortran-order block [phi | y] a support is gathered from;
-    `colnorms`, the column norms of phi; and, for the search's pricing,
-    `rows`, phi^T as one C-order array (row j is column j, contiguous),
-    and `norms`, `colnorms` as a list.  `rows` and `norms` are slots
-    filled by `__getattr__` on their first read, so each later read is a
-    plain attribute lookup.  Built by `check_problem`.
+    vector of length M and `ynorm` = ||y||.  Every other field is derived
+    on first read and kept (`functools.cached_property`): `aug`, the
+    Fortran-order block [phi | y] a support is gathered from; `colnorms`,
+    the column norms of phi, the one store of them; and, for the search's
+    pricing, `rows`, phi^T as one C-order array (row j is column j,
+    contiguous), and `norms`, `colnorms` as a list.  Built by
+    `check_problem`.
     """
-
-    __slots__ = ("phi", "y", "ynorm", "_aug", "_colnorms", "rows", "norms")
 
     def __init__(self, phi, y):
         self.phi, self.y = phi, y
         self.ynorm = _norm(y)
-        self._aug = self._colnorms = None
 
-    def __getattr__(self, name):
-        # reached only while the slot `rows` or `norms` is still empty
-        if name == "rows":
-            self.rows = np.ascontiguousarray(self.phi.T)
-        elif name == "norms":
-            self.norms = self.colnorms.tolist()
-        else:
-            raise AttributeError(name)
-        return object.__getattribute__(self, name)
-
-    @property
+    @cached_property
     def aug(self):
-        if self._aug is None:
-            m, n = self.phi.shape
-            self._aug = np.empty((m, n + 1), order="F")
-            self._aug[:, :n] = self.phi
-            self._aug[:, n] = self.y
-        return self._aug
+        m, n = self.phi.shape
+        aug = np.empty((m, n + 1), order="F")
+        aug[:, :n] = self.phi
+        aug[:, n] = self.y
+        return aug
 
-    @property
+    @cached_property
     def colnorms(self):
-        if self._colnorms is None:
-            # the expression np.linalg.norm(phi, axis=0) evaluates for a
-            # real phi, without its wrapper
-            phi = self.phi
-            self._colnorms = np.sqrt(np.add.reduce(phi * phi, axis=0))
-        return self._colnorms
+        # the expression np.linalg.norm(phi, axis=0) evaluates for a real
+        # phi, without its wrapper
+        phi = self.phi
+        return np.sqrt(np.add.reduce(phi * phi, axis=0))
+
+    @cached_property
+    def rows(self):
+        return np.ascontiguousarray(self.phi.T)
+
+    @cached_property
+    def norms(self):
+        return self.colnorms.tolist()
 
 
 def check_problem(phi, y):
@@ -247,6 +233,15 @@ def _top_few(scores, count, exclude):
     return picked
 
 
+def _grown(rows):
+    # (qt, new_row): Q^T with one more row, the rows of `rows` copied as
+    # one block and the new row left for the caller to fill
+    l, m = rows.shape
+    qt = np.empty((l + 1, m))
+    qt[:l] = rows
+    return qt, qt[l]
+
+
 # the R column above the diagonal of a support's first atom
 _NO_COEF = np.empty(0)
 _NO_COEF.flags.writeable = False
@@ -262,14 +257,17 @@ class IncrementalFactorization:
       factorization and leave this one intact.  Each keeps, per support
       atom, its R column above the diagonal, its diagonal entry and its
       entry of Q^T y, shared with its ancestors, so `rmat` and `qty` are
-      assembled from the kept columns on first read.  A child holds a
-      reference to its parent until its `q` is assembled, on first read.
+      assembled from the kept columns on first read.
+    - Formed or priced: a formed factorization holds its Q^T and its
+      residue, and no reference to its parent.  `empty`, `appended` and
+      every child `_priced` does not price (see Residues) are formed when
+      built; a priced child holds its parent until it is formed.
     - Q stored by rows: the factorization keeps Q^T, an (l, M) C-order
-      array.  A child copies its parent's rows as one block and fills its
-      one contiguous new row, and both Gram-Schmidt passes take
-      coef = Q^T c as `qt.dot(c)` and subtract `coef.dot(qt)`.  `q` is
-      the M x l Q, returned as the transposed view of the stored rows:
-      the same values, no copy.
+      array.  A child copies its parent's rows as one block (`_grown`)
+      and divides its direction in place into its one contiguous new row,
+      and both Gram-Schmidt passes take coef = Q^T c as `qt.dot(c)` and
+      subtract `coef.dot(qt)`.  `q` is the M x l Q, returned as the
+      transposed view of the stored rows: the same values, no copy.
     - Gram-Schmidt: classical, float64, with a second pass only when the
       first leaves less than REORTHOGONALIZE_TOL = 1/sqrt(2) of the
       column's norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).
@@ -306,21 +304,20 @@ class IncrementalFactorization:
 
     __slots__ = (
         "problem", "support", "residue_norm",
-        "_columns", "_q", "_parent", "_qhat", "_rmat", "_qty",
+        "_columns", "_q", "_parent", "_rmat", "_qty",
         "_residue", "_sq", "_g",
     )
 
-    def __init__(self, problem, support, columns, residue, sq, parent=None, qhat=None):
+    def __init__(self, problem, support, columns, residue, sq, q, parent=None):
         self.problem = problem
         self.support = support
         # per atom: its R column above the diagonal, R_ll and (Q^T y)_l
         self._columns = columns
-        self._residue = residue  # None until a priced child is formed
+        # a formed factorization holds Q^T and its residue; a priced child
+        # holds neither, and its parent until it is formed
+        self._q, self._residue, self._parent = q, residue, parent
         self._sq = sq
         self.residue_norm = math.sqrt(sq)
-        self._parent = parent
-        self._qhat = qhat
-        self._q = None
         self._g = None
         self._rmat = self._qty = None
 
@@ -329,8 +326,8 @@ class IncrementalFactorization:
         """Factorization of a checked `Problem` over the empty support; the
         residue is y itself."""
         residue = problem.y.copy()
-        fact = cls(problem, (), (), residue, float(residue.dot(residue)))
-        fact._q = np.empty((0, residue.shape[0]))
+        fact = cls(problem, (), (), residue, float(residue.dot(residue)),
+                   np.empty((0, residue.shape[0])))
         fact._rmat, fact._qty = np.empty((0, 0)), np.empty(0)
         return fact
 
@@ -344,27 +341,17 @@ class IncrementalFactorization:
             self._form()
         return self._residue
 
-    def _grown_q(self):
-        # the parent's rows of Q^T copied as one block, and the new row left
-        # for the caller to fill; the parent was materialized when this
-        # child was built from it
-        parent = self._parent
-        rows = parent._q
-        l = rows.shape[0]
-        qt = np.empty((l + 1, rows.shape[1]))
-        qt[:l] = rows
-        self._q, self._parent = qt, None
-        return qt[l]
-
     def _form(self):
         # a priced child: v = c - Q coef divided by the priced diagonal,
-        # straight into its new row of Q^T, and its residue
+        # straight into its new row of Q^T, and its residue; the parent was
+        # formed when this child was priced from it
         parent = self._parent
         coef, nu, proj = self._columns[-1]
         v = self.problem.rows[self.support[-1]] - coef.dot(parent._q)
-        qhat = self._grown_q()
+        qt, qhat = _grown(parent._q)
         np.divide(v, nu, out=qhat)
         residue = parent._residue - proj * qhat
+        self._q, self._parent = qt, None
         self._residue, self._sq = residue, float(residue.dot(residue))
 
     def signed_correlations(self):
@@ -376,12 +363,8 @@ class IncrementalFactorization:
 
     def _rows(self):
         # Q^T, the stored rows, formed on first read
-        if self._parent is not None:
-            if self._residue is None:
-                self._form()
-            else:
-                self._grown_q()[:] = self._qhat
-                self._qhat = None
+        if self._q is None:
+            self._form()
         return self._q
 
     @property
@@ -439,14 +422,16 @@ class IncrementalFactorization:
         return coef, v, vnorm
 
     def _formed_child(self, index, coef, v, vnorm):
-        qhat = v / vnorm
-        residue = self.residue
+        # runs after `_orthogonalized`, which formed this factorization
+        qt, qhat = _grown(self._q)
+        np.divide(v, vnorm, out=qhat)
+        residue = self._residue
         # residue is orthogonal to span(q), so <qhat, y> = <qhat, residue>
         proj = float(qhat.dot(residue))
         residue = residue - proj * qhat
         return IncrementalFactorization(
             self.problem, self.support + (int(index),), self._columns + ((coef, vnorm, proj),),
-            residue, float(residue.dot(residue)), self, qhat,
+            residue, float(residue.dot(residue)), qt,
         )
 
     def appended(self, index, column):
@@ -489,9 +474,11 @@ class IncrementalFactorization:
             sq = self._sq
             rest = sq - proj * proj
             if rest > 0.25 * sq and rest > limit * limit:
+                # the parent goes by position: passed by keyword, on every
+                # priced child, it made image solves about 2% slower
                 return IncrementalFactorization(
                     problem, self.support + (int(index),), self._columns + ((coef, nu, proj),),
-                    None, rest, self,
+                    None, rest, None, self,
                 )
         return self._formed_child(index, *self._orthogonalized(index, row.copy(), colnorm))
 

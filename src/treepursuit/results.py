@@ -19,6 +19,7 @@ __all__ = [
     "NUMERICAL_ERRORS",
     "SettingsError",
     "check_epsilon",
+    "check_k",
     "attempt",
 ]
 
@@ -43,6 +44,19 @@ def check_epsilon(epsilon):
     ||y||, is >= 0; a negative or NaN target can never be met."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0, got %r" % (epsilon,))
+
+
+def _count(value):
+    """an int >= 1"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def check_k(k, limit, bound):
+    """Raise SettingsError unless k, the sparsity a solver is given, is an
+    int (not a bool) with 1 <= k <= limit; `bound` names the limit, such
+    as "M", in the message."""
+    if not (_count(k) and k <= limit):
+        raise SettingsError("k must be an int with 1 <= k <= %s = %d, got %r" % (bound, limit, k))
 
 
 def attempt(solver, phi, y, k):

@@ -1,5 +1,6 @@
 """Tree-search engine: cost models, expansion mechanics, termination."""
 
+import functools
 from itertools import product
 
 import numpy as np
@@ -20,7 +21,12 @@ from treepursuit.astar import (
 )
 from treepursuit.baselines import mmp_df_recover, omp_recover
 from treepursuit.linalg import IncrementalFactorization, check_problem
-from treepursuit.results import REASON_ALL_COMPLETE, REASON_BUDGET, REASON_RESIDUE
+from treepursuit.results import (
+    REASON_ALL_COMPLETE,
+    REASON_BUDGET,
+    REASON_RESIDUE,
+    SettingsError,
+)
 from treepursuit.siggen import derive_seed, gen_problem
 from treepursuit.trie import SearchTrie
 
@@ -450,6 +456,35 @@ def test_inner_loops_run_no_checked_kernel(monkeypatch):
     assert calls == {}
 
 
+def test_a_hybrid_solve_checks_its_problem_once_per_stage(monkeypatch):
+    # hybrid checks only the shape and leaves the value checks to its
+    # stages: one full check when OMP meets the residue, two when the
+    # search runs too, and the same outputs as its two stages alone
+    checks = []
+    real = linalg.check_problem
+
+    def counted(phi, y):
+        checks.append(phi)
+        return real(phi, y)
+
+    for module in (linalg, astar, baselines):
+        monkeypatch.setattr(module, "check_problem", counted)
+    config = AompConfig(kmax=40)
+    stages = set()
+    for seed in range(12):
+        ens, inst = gen_problem(40, 80, 14, "gaussian", derive_seed(3, "hybrid", seed))
+        checks.clear()
+        out = hybrid_recover(ens.phi, inst.y, config, inst.k)
+        stages.add(out.hybrid_stage)
+        assert len(checks) == {"omp": 1, "astar": 2}[out.hybrid_stage]
+        alone = omp_recover(ens.phi, inst.y, config.effective_epsilon(), inst.k)
+        if out.hybrid_stage == "astar":
+            alone = aomp_recover(ens.phi, inst.y, config)
+        assert out.xhat.tobytes() == alone.xhat.tobytes()
+        assert _decisions(out)[:-1] == _decisions(alone)[:-1]
+    assert stages == {"omp", "astar"}
+
+
 def test_kmax_beyond_m_is_rejected():
     # a path holds at most M atoms, so a longer kmax can never be reached
     ens, inst = gen_problem(12, 24, 3, "gaussian", 4)
@@ -626,7 +661,7 @@ def test_a_search_takes_each_column_norm_once(monkeypatch):
     # per problem; a column copy's own norm is taken only for the seeds,
     # whose norm is R's first diagonal entry, though columns are appended
     # on many paths
-    real_norm, real_colnorms = linalg._norm, linalg.Problem.colnorms.fget
+    real_norm, real_colnorms = linalg._norm, linalg.Problem.colnorms.func
     taken, stores = [], []
 
     def counted(v):
@@ -634,12 +669,14 @@ def test_a_search_takes_each_column_norm_once(monkeypatch):
         return real_norm(v)
 
     def colnorms(problem):
-        if problem._colnorms is None:
-            stores.append(problem)
+        # a cached_property runs this once per problem, on its first read
+        stores.append(problem)
         return real_colnorms(problem)
 
+    store = functools.cached_property(colnorms)
+    store.__set_name__(linalg.Problem, "colnorms")
     monkeypatch.setattr(linalg, "_norm", counted)
-    monkeypatch.setattr(linalg.Problem, "colnorms", property(colnorms))
+    monkeypatch.setattr(linalg.Problem, "colnorms", store)
     atoms = _count_appends(monkeypatch)
     config = AompConfig(kmax=16, branch=3)
     for seed in range(3):
@@ -748,6 +785,11 @@ def test_hybrid_validates_k():
         hybrid_recover(ens.phi, inst.y, AompConfig(kmax=5), 0)
     with pytest.raises(ValueError):
         hybrid_recover(ens.phi, inst.y, AompConfig(kmax=5), 11)
+    # k is checked by the one rule of every solver, not handed on to OMP
+    # as its max_iter
+    for k in (2.5, True, np.float64(3.0)):
+        with pytest.raises(SettingsError, match=r"^k must be an int with 1 <= k <= M = 10, got "):
+            hybrid_recover(ens.phi, inst.y, AompConfig(kmax=5), k)
 
 
 def test_rejects_non_finite_and_complex_input():

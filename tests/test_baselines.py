@@ -525,6 +525,24 @@ def test_all_baselines_reject_bad_input():
             solve(ens.phi, inst.y[:-1])
 
 
+@pytest.mark.parametrize("solve, limit", [
+    (sp_recover, 6),  # min(M/2, N)
+    (iht_recover, 30),  # N
+    (mmp_df_recover, 12),  # M
+])
+@pytest.mark.parametrize("k", [2.5, True, np.float64(3.0), "3", 0, None])
+def test_a_k_that_is_not_an_int_in_range_raises_at_solver_entry(solve, limit, k):
+    # one rule for every solver's k: an int, not a bool, with 1 <= k <= the
+    # solver's limit; a fractional k must not run as some other depth or
+    # end in a numpy error, and True must not run as K = 1
+    ens, inst = gen_problem(12, 30, 3, "gaussian", 2)
+    k = limit + 1 if k is None else k
+    with pytest.raises(SettingsError, match=r"^k must be an int with 1 <= k <= .* = %d, got "
+                       % limit):
+        solve(ens.phi, inst.y, k)
+    assert solve(ens.phi, inst.y, np.int64(limit)).support is not None
+
+
 @pytest.mark.parametrize("solve, settings, message", [
     (omp_recover, {"max_iter": 0}, "max_iter"),
     (omp_recover, {"max_iter": 2.5}, "max_iter"),

@@ -150,6 +150,19 @@ def test_run_batch_rejects_jobs_that_is_not_a_positive_int(jobs):
         sweep_k([Unreached()], 30, 15, [3], "gaussian", 2, 1, jobs=jobs)
 
 
+@pytest.mark.parametrize("trials", [0, 2.5, True, "2"])
+def test_run_batch_rejects_trials_that_is_not_a_positive_int(trials):
+    # checked as jobs is: True ran one trial, 2.5 failed inside range()
+    class Unreached:
+        label = "unreached"
+
+        def run(self, phi, y, k):
+            raise AssertionError("a trial ran")
+
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_batch(Unreached(), 30, 15, 3, "gaussian", trials, 1)
+
+
 def test_settings_that_fit_no_instance_abort_the_batch():
     # kmax > M fails every trial alike, so it is an error, not a failed recovery
     with pytest.raises(ValueError, match="exceeds"):

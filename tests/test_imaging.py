@@ -69,8 +69,17 @@ def test_recover_image_clamps_blocks_that_overshoot():
 def test_recover_image_validates_arguments():
     with pytest.raises(ValueError):
         recover_image(np.zeros((10, 16)), 4, 24, make_solver("omp"), seed=0)
-    with pytest.raises(ValueError):
-        recover_image(np.zeros((16, 16)), 4, 0, make_solver("omp"), seed=0)
+    # a float or bool m ended in a numpy TypeError drawing the matrix
+    for m in (2.5, True, 0, 65, "24"):
+        with pytest.raises(ValueError, match=r"m must be an integer with 1 <= m <= 64, got "):
+            recover_image(np.zeros((16, 16)), 4, m, make_solver("omp"), seed=0)
+
+
+@pytest.mark.parametrize("size", [0, -8, 12, 8.0, True])
+def test_synthetic_image_rejects_a_size_that_is_not_a_positive_multiple_of_8(size):
+    # size 0 and -8 passed the multiple-of-8 test and failed inside numpy
+    with pytest.raises(ValueError, match=r"size must be an integer multiple of 8, got "):
+        synthetic_image(size=size)
 
 
 def test_recover_image_survives_solver_failure():

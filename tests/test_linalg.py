@@ -645,6 +645,29 @@ def test_a_residue_near_the_limit_builds_a_formed_child():
     assert np.array_equal(priced.residue, [1.0, 0.0, 0.5])
 
 
+@pytest.mark.parametrize("built", ["appended", "fallback"])
+def test_a_formed_child_holds_no_parent(built):
+    # a formed child writes its row of Q^T when it is built, so it keeps no
+    # reference to its parent, and its q is the eager chain's Q, a view of
+    # the stored rows; a limit above ||y|| makes the search's `_priced`
+    # build every child by the arithmetic of an append
+    rng = np.random.default_rng(9)
+    phi, y = rng.normal(size=(8, 12)), rng.normal(size=8)
+    fact = IncrementalFactorization.empty(check_problem(phi, y))
+    limit = 2.0 * float(np.linalg.norm(y))
+    for j in (3, 7, 1, 10):
+        fact = fact.appended(j, phi[:, j]) if built == "appended" else fact._priced(j, limit)
+        assert fact._parent is None and fact._residue is not None
+        q = _eager_chain(y, phi, fact.support)[0]
+        assert np.array_equal(fact.q, q) and np.shares_memory(fact.q, fact._q)
+    # a priced child holds its parent until it is formed, and no longer
+    children = [fact._priced(j, 0.0) for j in range(12) if j not in fact.support]
+    priced = next(child for child in children if child._q is None)
+    assert priced._parent is fact
+    assert np.array_equal(priced.q, _eager_chain(y, phi, priced.support)[0])
+    assert priced._parent is None
+
+
 def test_a_long_priced_chain_keeps_its_norms_to_rounding():
     # orthonormal atoms and y_i = 0.6^i: each atom takes the squared norm
     # down by 0.36, so every child is priced, and after 30 atoms it is

@@ -7,14 +7,14 @@ PARENT and CHANGE are two checkouts of the repository.  The
 `src/treepursuit` of each is copied under a private package name into a
 temporary directory and imported, so both trees run in this process.
 The solves are those of the benchmark's seeded pools, built by the
-change's tree: for `image`, the 64 block problems of each of the first
-`--items` images (64x64, K = 12, M = 40, the image command's search
-settings, recorded from `recover_image`); for `desk`, the first
-`--items` problems (256/100/30, Gaussian) under aomp, hybrid, omp and
-sp.  Each solve runs once in each tree, timed alone, and the side that
-runs first alternates from solve to solve of each label, so a drift of
-the host's speed, and the warm cache of a second run, fall on both sides
-alike.
+change's tree with the sizes, solver settings and work counters of this
+checkout's `perfbench/workloads.py`: for `image`, the 64 block problems
+of each of the first `--items` images, recorded from `recover_image`;
+for `desk`, the first `--items` problems under each of the workload's
+solvers.  Each solve runs once in each tree, timed alone, and the side
+that runs first alternates from solve to solve of each label, so a drift
+of the host's speed, and the warm cache of a second run, fall on both
+sides alike.
 
 A difference in a decision (support, reason, hybrid stage or any of the
 five work counters) stops the tool with exit code 1 and names the solve.
@@ -45,13 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
-COUNTERS = ("iterations", "nodes_expanded", "paths_opened", "equivalent_hits", "singular_skips")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-# the benchmark's settings (perfbench/workloads.py)
-IMAGE_SIZE, IMAGE_K, IMAGE_M, IMAGE_MATRIX_SEED = 64, 12, 40, 0
-IMAGE_SOLVER = ("aomp", {"kmax": 20, "alpha_amul": 0.85})
-DESK_SHAPE = (100, 256, 30, "gaussian")
-DESK_SOLVERS = [(name, {}) for name in ("aomp", "hybrid", "omp", "sp")]
+from workloads import COUNTER_FIELDS as COUNTERS, WORKLOADS  # noqa: E402
 
 
 def load_tree(checkout, name, into):
@@ -75,23 +73,25 @@ class _Recorder:
 
 
 def solves(pkg, workload, seed, items):
-    """(solver index, phi, y, k) of every solve, and the solver settings."""
+    """(solver index, phi, y, k) of every solve, and the (name, params) of
+    each solver."""
     derive_seed = pkg.siggen.derive_seed
+    wl = WORKLOADS[workload]()
     if workload == "image":
-        name, params = IMAGE_SOLVER
+        name, params = wl.spec.name, wl.spec.params
         out = []
         for index in range(items):
-            image = pkg.synthetic_image(IMAGE_SIZE, seed=derive_seed(seed, "image", index))
+            image = pkg.synthetic_image(wl.size, seed=derive_seed(seed, wl.name, index))
             recorder = _Recorder(pkg.make_solver(name, **params))
-            pkg.recover_image(image, IMAGE_K, IMAGE_M, recorder, IMAGE_MATRIX_SEED)
+            pkg.recover_image(image, wl.k, wl.m, recorder, wl.matrix_seed)
             out.extend((0,) + problem for problem in recorder.problems)
-        return out, [IMAGE_SOLVER]
-    m, n, k, ensemble = DESK_SHAPE
+        return out, [(name, params)]
+    settings = [(spec.name, spec.params) for spec in wl.specs]
     out = []
     for index in range(items):
-        ens, inst = pkg.gen_problem(m, n, k, ensemble, derive_seed(seed, "desk", index))
-        out.extend((s, ens.phi, inst.y, k) for s in range(len(DESK_SOLVERS)))
-    return out, DESK_SOLVERS
+        ens, inst = pkg.gen_problem(wl.m, wl.n, wl.k, wl.ensemble, derive_seed(seed, wl.name, index))
+        out.extend((s, ens.phi, inst.y, wl.k) for s in range(len(settings)))
+    return out, settings
 
 
 def differences(parent, change):
