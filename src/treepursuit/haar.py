@@ -87,11 +87,12 @@ def haar2d_inverse(coeffs):
 
 def check_image(image):
     """An image as a float array, checked: a real 2-d array whose sides
-    are multiples of 8 and whose entries are all finite.  Raises
+    are positive multiples of 8 and whose entries are all finite.  Raises
     ValueError otherwise."""
     image = _as_real_finite(image, "image")
-    if image.ndim != 2 or image.shape[0] % BLOCK or image.shape[1] % BLOCK:
-        raise ValueError("image dimensions must be multiples of %d" % BLOCK)
+    if image.ndim != 2 or 0 in image.shape or image.shape[0] % BLOCK or image.shape[1] % BLOCK:
+        raise ValueError("image dimensions must be positive multiples of %d, got %r"
+                         % (BLOCK, image.shape))
     return image
 
 

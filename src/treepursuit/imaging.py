@@ -31,13 +31,16 @@ PSNR_CAP_DB = 120.0
 def psnr(reference, reconstruction, peak=255.0, cap=PSNR_CAP_DB):
     """Peak signal-to-noise ratio in dB, capped for identical images.
 
-    Both images must be real and finite, of one shape, and peak a finite
-    number > 0; ValueError otherwise, so a NaN never scores the cap.
+    Both images must be real and finite, of one shape that holds at least
+    one pixel, and peak a finite number > 0; ValueError otherwise, so
+    neither a NaN nor an empty image scores the cap.
     """
     reference = _as_real_finite(reference, "reference")
     reconstruction = _as_real_finite(reconstruction, "reconstruction")
     if reference.shape != reconstruction.shape:
         raise ValueError("shapes must match")
+    if reference.size == 0:
+        raise ValueError("images must hold at least one pixel, got shape %r" % (reference.shape,))
     if not 0.0 < peak < np.inf:
         raise ValueError("peak must be a finite number > 0, got %r" % (peak,))
     mse = float(np.mean((reference - reconstruction) ** 2))
@@ -141,8 +144,9 @@ def recover_image(image, k, m, solver, seed):
 
 
 def write_pgm(path, image):
-    """Binary 8-bit PGM writer; values are rounded and clamped to [0, 255]."""
-    image = np.asarray(image, dtype=float)
+    """Binary 8-bit PGM writer; values are rounded and clamped to [0, 255].
+    The image must be a real, finite 2-d array; ValueError otherwise."""
+    image = _as_real_finite(image, "image")
     if image.ndim != 2:
         raise ValueError("image must be 2-d")
     data = np.clip(np.rint(image), 0, 255).astype(np.uint8)
@@ -151,8 +155,14 @@ def write_pgm(path, image):
         fh.write(data.tobytes())
 
 
+_PGM_FIELDS = ("magic", "width", "height", "maxval")
+
+
 def read_pgm(path):
-    """Binary 8-bit PGM reader (magic P5, maxval 255, # comments allowed)."""
+    """Binary 8-bit PGM reader (magic P5, maxval 255, # comments allowed).
+    A file that is not such a PGM, or whose header is cut short, names a
+    field that is not a positive decimal integer, or holds fewer pixel
+    bytes than width x height, raises ValueError naming what is wrong."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -164,15 +174,23 @@ def read_pgm(path):
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos == len(data):
+            raise ValueError("PGM header ends before its %s" % _PGM_FIELDS[len(tokens)])
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
     if tokens[0] != b"P5":
         raise ValueError("not a binary PGM file")
+    for name, token in zip(_PGM_FIELDS[1:], tokens[1:]):
+        if not token.isdigit() or int(token) == 0:
+            raise ValueError("PGM %s must be a positive decimal integer, got %r" % (name, token))
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError("only 8-bit PGM is supported")
     pos += 1  # single whitespace byte after maxval
+    if len(data) - pos < width * height:
+        raise ValueError("PGM pixel data holds %d bytes, %d x %d needs %d"
+                         % (max(len(data) - pos, 0), width, height, width * height))
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return pixels.reshape(height, width).astype(float)

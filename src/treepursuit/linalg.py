@@ -20,10 +20,16 @@ arguments on every call.
   an `IncrementalFactorization` of its `Problem`; that class states how
   Q is stored and how a search child is priced, and `Problem` what it
   derives from phi, the column norms among them.
-- Both solve the upper-triangular R z = Q^T y with `np.linalg.solve`:
-  every diagonal entry of R has passed the DEPENDENCY_TOL test and
-  everything below it is zero, so partial pivoting swaps no rows and the
-  LU solve is the back-substitution.
+- Each solves the upper-triangular R z = Q^T y, every diagonal entry of
+  which has passed the DEPENDENCY_TOL test, by a kernel that suits how it
+  holds R.  A grown support keeps R by columns, and its supports are
+  short (about 12 atoms on an image block), so `coefficients`
+  back-substitutes over the kept columns in Python floats: an LU and
+  numpy's wrapper around it cost more there than the k^2/2 steps.
+  `_project` holds R as LAPACK's raw QR block, at up to 2K atoms (60 on
+  the desk size), where those steps cost about twice the LU: it calls
+  `np.linalg.solve`, whose partial pivoting swaps no rows of a
+  triangular R, so the LU solve is the back-substitution.
 """
 
 import math
@@ -256,8 +262,9 @@ class IncrementalFactorization:
     - Immutable branching: `appended` and `_priced` return a new
       factorization and leave this one intact.  Each keeps, per support
       atom, its R column above the diagonal, its diagonal entry and its
-      entry of Q^T y, shared with its ancestors, so `rmat` and `qty` are
-      assembled from the kept columns on first read.
+      entry of Q^T y, shared with its ancestors.  `coefficients`
+      back-substitutes over these kept columns; `rmat` and `qty`, which
+      no solve reads, are assembled from them on each read.
     - Formed or priced: a formed factorization holds its Q^T and its
       residue, and no reference to its parent.  `empty`, `appended` and
       every child `_priced` does not price (see Residues) are formed when
@@ -304,7 +311,7 @@ class IncrementalFactorization:
 
     __slots__ = (
         "problem", "support", "residue_norm",
-        "_columns", "_q", "_parent", "_rmat", "_qty",
+        "_columns", "_q", "_parent",
         "_residue", "_sq", "_g",
     )
 
@@ -319,17 +326,14 @@ class IncrementalFactorization:
         self._sq = sq
         self.residue_norm = math.sqrt(sq)
         self._g = None
-        self._rmat = self._qty = None
 
     @classmethod
     def empty(cls, problem):
         """Factorization of a checked `Problem` over the empty support; the
         residue is y itself."""
         residue = problem.y.copy()
-        fact = cls(problem, (), (), residue, float(residue.dot(residue)),
+        return cls(problem, (), (), residue, float(residue.dot(residue)),
                    np.empty((0, residue.shape[0])))
-        fact._rmat, fact._qty = np.empty((0, 0)), np.empty(0)
-        return fact
 
     @property
     def length(self):
@@ -372,28 +376,20 @@ class IncrementalFactorization:
         """Q, M x l: the transposed view of the stored rows, no copy."""
         return self._rows().T
 
-    def _assemble(self):
-        coefs, diagonal, qty = zip(*self._columns)
-        l = len(diagonal)
-        rmat = np.zeros((l, l))
-        # column c of R holds c entries above its diagonal, concatenated in
-        # column order
-        rows, cols = _above_diagonal(l)
-        rmat[rows, cols] = np.concatenate(coefs)
-        rmat.ravel()[::l + 1] = diagonal
-        self._rmat, self._qty = rmat, np.array(qty)
-
     @property
     def rmat(self):
-        if self._rmat is None:
-            self._assemble()
-        return self._rmat
+        """R, l x l, placed column by column from the kept columns."""
+        l = len(self._columns)
+        rmat = np.zeros((l, l))
+        for c, (coef, diag, _) in enumerate(self._columns):
+            rmat[:c, c] = coef
+            rmat[c, c] = diag
+        return rmat
 
     @property
     def qty(self):
-        if self._qty is None:
-            self._assemble()
-        return self._qty
+        """Q^T y, the kept entries in support order."""
+        return np.array([proj for _, _, proj in self._columns])
 
     def _orthogonalized(self, index, v, colnorm):
         """The Gram-Schmidt step of every append: (coef, v, nu) with
@@ -484,29 +480,25 @@ class IncrementalFactorization:
 
     def coefficients(self):
         """Least-squares coefficients of y over the support, support order:
-        R z = Q^T y of this factorization, solved by `np.linalg.solve`."""
-        if self.length == 0:
-            return np.empty(0)
-        return np.linalg.solve(self.rmat, self.qty)
-
-
-# the (row, column) of every entry above R's diagonal, column by column,
-# grown to the largest order asked for: the entries of order l's columns
-# lead, so its first l(l - 1)/2 pairs place them, where a mask of R's
-# strict upper triangle would be built on every assembly
-_ABOVE = np.empty((2, 0), dtype=np.intp)
-
-
-def _above_diagonal(l):
-    global _ABOVE
-    above = _ABOVE
-    count = l * (l - 1) // 2
-    if above.shape[1] < count:
-        cols, rows = np.tril_indices(2 * l, -1)
-        above = np.stack([rows, cols])
-        above.flags.writeable = False
-        _ABOVE = above
-    return above[:, :count]
+        R z = Q^T y of this factorization, back-substituted column by
+        column from the last, the order of LAPACK's dtrsv, in Python
+        floats over the kept columns.  No R is assembled.  Every diagonal
+        entry passed DEPENDENCY_TOL, so no division is by zero; a priced
+        child divides by its Pythagorean diagonal, the one it keeps.  A
+        float64 array, of shape (0,) on the empty support."""
+        columns = self._columns
+        z = [proj for _, _, proj in columns]
+        c = len(z)
+        for coef, diag, _ in reversed(columns):
+            c -= 1
+            zc = z[c] = z[c] / diag
+            # a counter, not enumerate: at image supports the unpacked
+            # (i, r) pairs cost about a sixth more
+            i = 0
+            for r in coef.tolist():
+                z[i] -= zc * r
+                i += 1
+        return np.array(z)
 
 
 # upper-triangular ones, grown to the largest order asked for: its

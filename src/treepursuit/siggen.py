@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .results import _count
+
 __all__ = [
     "ENSEMBLES",
     "substream",
@@ -79,16 +81,25 @@ class SparseInstance:
     seed: int
 
 
+def _check_counts(seed, **counts):
+    # each count an int >= 1 and the seed an int, neither a bool; a
+    # ValueError names the argument
+    for name, value in counts.items():
+        if not _count(value):
+            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer, got %r" % (seed,))
+
+
 def gen_matrix(m, n, seed, entry_std=None):
     """M x N matrix with i.i.d. zero-mean Gaussian entries.
 
-    The entry standard deviation defaults to 1/N; pass entry_std in
-    (0, inf) to override it (any other value raises ValueError).  The
-    same (m, n, seed, entry_std) always reproduces the same matrix bit for
-    bit.
+    m and n must be ints >= 1 and seed an int, none of them a bool.  The
+    entry standard deviation defaults to 1/N; pass entry_std in (0, inf)
+    to override it.  Any other value raises ValueError.  The same
+    (m, n, seed, entry_std) always reproduces the same matrix bit for bit.
     """
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be positive")
+    _check_counts(seed, m=m, n=n)
     std = 1.0 / n if entry_std is None else float(entry_std)
     if not 0.0 < std < math.inf:
         raise ValueError("entry_std must be positive and finite, got %r" % std)
@@ -119,9 +130,11 @@ def gen_instance(n, k, ensemble, seed, phi):
 
     Nonzero values follow the named ensemble: standard normal entries,
     uniform on [-1, 1], or random +-1 signs.  y = phi @ x is computed, not
-    stored independently.
+    stored independently.  n and k must be ints with 1 <= k <= n and seed
+    an int, none of them a bool; ValueError otherwise.
     """
-    if not 1 <= k <= n:
+    _check_counts(seed, n=n, k=k)
+    if k > n:
         raise ValueError("k must satisfy 1 <= k <= n")
     if ensemble not in ENSEMBLES:
         raise ValueError("unknown ensemble %r" % (ensemble,))

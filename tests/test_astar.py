@@ -456,6 +456,21 @@ def test_inner_loops_run_no_checked_kernel(monkeypatch):
     assert calls == {}
 
 
+def test_grown_supports_are_solved_without_numpy_linalg_solve(monkeypatch):
+    # OMP, MMP-DF and the search back-substitute R z = Q^T y over their
+    # factorization's kept columns, so no LU solve runs anywhere in them
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    ens, inst = gen_problem(40, 80, 12, "gaussian", 5)
+    for out in (omp_recover(ens.phi, inst.y), mmp_df_recover(ens.phi, inst.y, 12),
+                aomp_recover(ens.phi, inst.y, AompConfig(kmax=30))):
+        support = list(out.support)
+        z_ref, *_ = np.linalg.lstsq(ens.phi[:, support], inst.y, rcond=None)
+        assert np.allclose(out.xhat[support], z_ref, rtol=0, atol=1e-10)
+
+
 def test_a_hybrid_solve_checks_its_problem_once_per_stage(monkeypatch):
     # hybrid checks only the shape and leaves the value checks to its
     # stages: one full check when OMP meets the residue, two when the

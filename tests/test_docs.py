@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treepursuit.astar import AompConfig
 from treepursuit.cli import build_parser
 from treepursuit.experiments import SOLVERS
 
@@ -298,6 +299,8 @@ def test_src_lines_splits_a_snippet(monkeypatch, tmp_path):
 @pytest.mark.parametrize("workload, labels", [
     ("image", ["amul-aompe"]),
     ("desk", ["amul-aompe", "hybrid", "omp", "sp", "all"]),
+    ("deep", ["amul-aompe"]),
+    ("large", ["amul-aompe"]),
 ])
 def test_solve_pairs_times_the_repo_against_itself(monkeypatch, capsys, workload, labels):
     # both copies of one tree give the same outputs, so the tool prints a
@@ -305,7 +308,7 @@ def test_solve_pairs_times_the_repo_against_itself(monkeypatch, capsys, workload
     tool = load_tool("solve_pairs", monkeypatch)
     assert tool.main([str(ROOT), str(ROOT), "--workload", workload, "--items", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    solves = 64 if workload == "image" else 4
+    solves = {"image": 64, "desk": 4}.get(workload, 1)
     assert lines[0] == "%s, seed 1, 1 items, %d solves; every output identical" % (
         workload, solves)
     assert lines[1].split() == ["label", "solves", "median", "q1", "q3", "faster"]
@@ -313,6 +316,20 @@ def test_solve_pairs_times_the_repo_against_itself(monkeypatch, capsys, workload
     for line in lines[2:]:
         assert re.fullmatch(r"[\w-]+ +\d+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d%", line)
     assert not [name for name in sys.modules if name.startswith("_solve_pairs_")]
+
+
+def test_solve_pairs_runs_each_workload_with_its_own_solver_settings(monkeypatch):
+    # deep runs the search on a config, so the tool takes that config's
+    # non-default fields; the others carry specs
+    tool = load_tool("solve_pairs", monkeypatch)
+    workloads = tool.WORKLOADS
+    deep = workloads["deep"]()
+    assert tool.solver_settings(deep) == [("aomp", {"kmax": deep.config.kmax})]
+    assert AompConfig(**tool.solver_settings(deep)[0][1]) == deep.config
+    for name in ("desk", "image", "large"):
+        wl = workloads[name]()
+        specs = getattr(wl, "specs", None) or [wl.spec]
+        assert tool.solver_settings(wl) == [(spec.name, spec.params) for spec in specs]
 
 
 def test_solve_pairs_names_every_field_that_differs(monkeypatch):

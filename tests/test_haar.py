@@ -1,6 +1,7 @@
 """Block transform: orthonormality, round trips, truncation optimality."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from treepursuit.haar import (
     BLOCK,
     block_sparsity,
+    check_image,
     haar2d,
     haar2d_inverse,
     haar_basis,
@@ -106,6 +108,13 @@ def test_sparsify_validates_arguments():
         sparsify_blocks(np.zeros((16, 16)), 0)
     with pytest.raises(ValueError):
         sparsify_blocks(np.zeros((16, 16)), 65)
+
+
+@pytest.mark.parametrize("shape", [(8, 0), (0, 16), (0, 0)])
+def test_check_image_rejects_a_side_of_zero(shape):
+    # an (8, 0) image gave 0 blocks and a capped 120 dB from recover_image
+    with pytest.raises(ValueError, match="positive multiples of 8, got " + re.escape(repr(shape))):
+        check_image(np.zeros(shape))
 
 
 def _per_block_reference(image, k):

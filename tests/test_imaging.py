@@ -1,5 +1,7 @@
 """Image pipeline: PSNR, synthetic scenes, block recovery, PGM files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,43 @@ def test_write_pgm_rounds_and_clamps(tmp_path):
     assert read_pgm(path).tolist() == [[0.0, 0.0, 255.0, 255.0]]
     with pytest.raises(ValueError):
         write_pgm(path, np.zeros(8))
+
+
+@pytest.mark.parametrize("header, pixels, message", [
+    (b"P5\n8", b"", "header ends before its height"),
+    (b"P5\n# a comment\n", b"", "header ends before its width"),
+    (b"P5\n8 8\n255\n", bytes(63), "pixel data holds 63 bytes, 8 x 8 needs 64"),
+    (b"P5\n0 8\n255\n", b"", "width must be a positive decimal integer, got b'0'"),
+    (b"P5\n8 x8\n255\n", bytes(64), "height must be a positive decimal integer"),
+], ids=["cut-header", "comment-only", "short-pixels", "zero-width", "bad-height"])
+def test_read_pgm_names_what_is_missing_or_wrong(tmp_path, header, pixels, message):
+    # a cut header raised int()'s "invalid literal ... b''", short pixels
+    # numpy's "buffer is smaller than requested size", and a 0 8 header
+    # gave an (8, 0) image
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(header + pixels)
+    with pytest.raises(ValueError, match="PGM " + re.escape(message)):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_write_pgm_rejects_a_non_finite_image(tmp_path, bad):
+    # a NaN pixel was cast to 0, with a numpy warning
+    image = np.zeros((2, 2))
+    image[1, 0] = bad
+    with pytest.raises(ValueError, match="image contains NaN or infinite"):
+        write_pgm(tmp_path / "x.pgm", image)
+    with pytest.raises(ValueError, match="image must be real"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)) + 1j)
+
+
+def test_an_empty_image_is_rejected_not_scored_the_cap():
+    # the mean of no squared errors was NaN, and min(cap, nan) the cap
+    for shape in ((0, 0), (8, 0)):
+        with pytest.raises(ValueError, match="images must hold at least one pixel"):
+            psnr(np.zeros(shape), np.zeros(shape))
+    with pytest.raises(ValueError, match="positive multiples of 8"):
+        recover_image(np.zeros((8, 0)), 4, 16, make_solver("omp"), 0)
 
 
 @pytest.mark.parametrize("side", ["reference", "reconstruction"])

@@ -5,13 +5,13 @@ factorization must agree with it to tight tolerance on every prefix.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treepursuit import linalg
 from treepursuit.linalg import (
     IncrementalFactorization,
     SingularSupportError,
@@ -152,7 +152,19 @@ def test_empty_factorization_residue_is_y():
     fact = IncrementalFactorization.empty(check_problem(np.eye(3), y))
     assert fact.length == 0
     assert np.array_equal(fact.residue, y)
-    assert fact.coefficients().size == 0
+    z = fact.coefficients()
+    assert z.dtype == np.float64 and z.shape == (0,)
+
+
+def test_the_coefficient_of_one_atom_is_its_qty_over_its_diagonal():
+    rng = np.random.default_rng(6)
+    phi = rng.normal(size=(5, 3))
+    problem = check_problem(phi, rng.normal(size=5))
+    for fact in (IncrementalFactorization.empty(problem).appended(2, phi[:, 2]),
+                 IncrementalFactorization.empty(problem)._priced(2, 0.0)):
+        (_, diag, proj), = fact._columns
+        z = fact.coefficients()
+        assert z.dtype == np.float64 and z.tolist() == [proj / diag]
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,6 +367,15 @@ def nearly_dependent_chains(draw):
     return draw(st.integers(0, 2**32 - 1)), m, length, distance, extra
 
 
+def _nearly_dependent_problem(case):
+    # (phi, y, support) of a `nearly_dependent_chains` case
+    seed, m, length, distance, extra = case
+    rng = np.random.default_rng(seed)
+    sub = rng.normal(size=(m, length))
+    phi = np.column_stack([sub, _off_span(rng, sub, distance), rng.normal(size=(m, 2))])
+    return phi, rng.normal(size=m), list(range(length + 1)) + extra
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=nearly_dependent_chains())
 # cond 3.0e6 and ||r|| = 0.667 ||y||: the error is 2.0e-4, over a bound
@@ -370,12 +391,7 @@ def test_nearly_dependent_columns_agree_with_lstsq(case):
     # least squares, 8 eps cond (||z|| + cond ||r|| / ||A||) (Wedin; Higham,
     # Accuracy and Stability of Numerical Algorithms, ch. 20): its cond^2
     # term is most of it when the residual r is not small
-    seed, m, length, distance, extra = case
-    rng = np.random.default_rng(seed)
-    sub = rng.normal(size=(m, length))
-    phi = np.column_stack([sub, _off_span(rng, sub, distance), rng.normal(size=(m, 2))])
-    y = rng.normal(size=m)
-    support = list(range(length + 1)) + extra
+    phi, y, support = _nearly_dependent_problem(case)
     fact = _chain(y, phi, support)
     q, rmat, qty, residue = _eager_chain(y, phi, support)
     assert np.array_equal(fact.rmat, rmat) and np.array_equal(fact.qty, qty)
@@ -392,6 +408,43 @@ def test_nearly_dependent_columns_agree_with_lstsq(case):
     basis, _ = np.linalg.qr(block)
     drift = np.linalg.norm(fact.residue - (y - basis @ (basis.T @ y)))
     assert drift <= 1e-14 * np.linalg.cond(block) * np.linalg.norm(y)
+
+
+@st.composite
+def triangular_chains(draw):
+    """(phi, y, support, build): a chain of 0..25 Gaussian atoms, or a
+    `nearly_dependent_chains` one, built by `appended` or by `_priced`."""
+    build = draw(st.sampled_from(["appended", "priced"]))
+    if draw(st.booleans()):
+        return (*_nearly_dependent_problem(draw(nearly_dependent_chains())), build)
+    m = draw(st.integers(1, 30))
+    length = draw(st.integers(0, min(25, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = draw(st.permutations(range(length + 3)))[:length]
+    return rng.normal(size=(m, length + 3)), rng.normal(size=m), support, build
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_chains())
+def test_coefficients_solve_r_with_a_small_backward_error(case):
+    # on every prefix, the back-substituted z solves R z = Q^T y with the
+    # backward error of a triangular solve (Higham, Accuracy and Stability
+    # of Numerical Algorithms, Thm 8.5): |R z - Q^T y| <= gamma_l |R| |z|
+    # elementwise, gamma_l ~ l eps / 2, held to 2 l eps with R z - Q^T y
+    # taken exactly
+    phi, y, support, build = case
+    fact = IncrementalFactorization.empty(check_problem(phi, y))
+    eps = np.finfo(float).eps
+    for j in [None] + list(support):
+        if j is not None:
+            fact = fact.appended(j, phi[:, j]) if build == "appended" else fact._priced(j, 0.0)
+        rmat, qty, z = fact.rmat, fact.qty, fact.coefficients()
+        l = fact.length
+        assert z.dtype == np.float64 and z.shape == (l,)
+        scale = np.abs(rmat) @ np.abs(z)
+        for i in range(l):
+            exact = sum(Fraction(rmat[i, c]) * Fraction(z[c]) for c in range(i, l))
+            assert abs(exact - Fraction(qty[i])) <= 2 * l * eps * scale[i]
 
 
 @settings(max_examples=60, deadline=None)
@@ -833,38 +886,29 @@ def test_a_child_is_priced_by_pythagoras_only_where_it_cannot_cancel(case, data)
 def _mask_assembly(columns):
     """Reference: R and Q^T y from a factorization's kept columns through
     a boolean mask of R's strict upper triangle, built per call."""
-    coefs, diagonal, qty = zip(*columns)
-    l = len(diagonal)
+    l = len(columns)
     rmat = np.zeros((l, l))
-    i = np.arange(l)
-    rmat.T[i[:, None] > i] = np.concatenate(coefs)
-    rmat.ravel()[::l + 1] = diagonal
-    return rmat, np.array(qty)
+    if l:
+        coefs, diagonal, _ = zip(*columns)
+        i = np.arange(l)
+        rmat.T[i[:, None] > i] = np.concatenate(coefs)
+        rmat.ravel()[::l + 1] = diagonal
+    return rmat, np.array([proj for _, _, proj in columns])
 
 
-def test_r_is_placed_by_a_grown_index_as_the_mask_places_it(monkeypatch):
-    # every order 1..70 of one chain: R and Q^T y equal the mask assembly
-    # bit for bit, and the index grows to the largest order asked for,
-    # read-only, and never shrinks
-    monkeypatch.setattr(linalg, "_ABOVE", np.empty((2, 0), dtype=np.intp))
+def test_r_is_placed_by_columns_as_the_mask_places_it():
+    # every order 0..70 of one chain, the empty root included: R and Q^T y
+    # equal the mask assembly bit for bit
     rng = np.random.default_rng(70)
     phi = rng.normal(size=(80, 70))
-    problem = check_problem(phi, rng.normal(size=80))
-    fact = IncrementalFactorization.empty(problem)
-    held = 0
-    for l in range(1, 71):
-        fact = fact.appended(l - 1, phi[:, l - 1])
+    fact = IncrementalFactorization.empty(check_problem(phi, rng.normal(size=80)))
+    for l in range(71):
+        if l:
+            fact = fact.appended(l - 1, phi[:, l - 1])
         rmat, qty = _mask_assembly(fact._columns)
-        assert np.array_equal(fact.rmat, rmat) and np.array_equal(fact.qty, qty)
+        assert fact.rmat.shape == (l, l) and fact.qty.shape == (l,)
         assert fact.rmat.tobytes() == rmat.tobytes()
-        above = linalg._ABOVE
-        assert above.shape[1] >= max(held, l * (l - 1) // 2)
-        assert not (above.size and above.flags.writeable)
-        held = above.shape[1]
-    assert held >= 70 * 69 // 2
-    small = IncrementalFactorization.empty(problem).appended(3, phi[:, 3]).appended(5, phi[:, 5])
-    assert np.array_equal(small.rmat, _mask_assembly(small._columns)[0])
-    assert linalg._ABOVE.shape[1] == held
+        assert fact.qty.tobytes() == qty.tobytes()
 
 
 def test_problem_rows_are_phi_transposed_as_one_c_order_array():

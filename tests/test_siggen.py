@@ -92,6 +92,32 @@ def test_bad_dimensions_rejected():
         gen_matrix(0, 5, 1)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: gen_matrix(2.5, 5, 1), "m"),
+    (lambda: gen_matrix(True, 5, 1), "m"),
+    (lambda: gen_matrix(3, 5.0, 1), "n"),
+    (lambda: gen_matrix(3, 5, 2.5), "seed"),
+    (lambda: gen_matrix(3, 5, False), "seed"),
+    (lambda: gen_matrix(3, 5, "1"), "seed"),
+    (lambda: gen_problem(100, 256, 2.5, "gaussian", 1), "k"),
+    (lambda: gen_problem(100, 256, True, "gaussian", 1), "k"),
+    (lambda: gen_instance(np.int64(0), 1, "gaussian", 1, np.zeros((2, 0))), "n"),
+], ids=["float-m", "bool-m", "float-n", "float-seed", "bool-seed", "str-seed", "float-k",
+        "bool-k", "zero-n"])
+def test_a_count_or_seed_that_is_not_an_int_is_rejected_by_name(call, name):
+    # a float or bool m, n or k ended in a numpy TypeError, and a float
+    # seed of 2.5 silently drew seed 2's matrix
+    with pytest.raises(ValueError, match="^%s must be an integer" % name):
+        call()
+
+
+def test_numpy_integer_arguments_draw_the_int_arguments_instance():
+    a_ens, a_inst = gen_problem(np.int64(6), np.int32(9), np.int64(2), "gaussian", np.uint64(7))
+    b_ens, b_inst = gen_problem(6, 9, 2, "gaussian", 7)
+    assert a_ens.phi.tobytes() == b_ens.phi.tobytes()
+    assert a_inst.x.tobytes() == b_inst.x.tobytes() and a_inst.y.tobytes() == b_inst.y.tobytes()
+
+
 @pytest.mark.parametrize("std", [float("nan"), float("inf"), 0.0, -1.0])
 def test_an_entry_std_outside_zero_to_infinity_is_rejected(std):
     # nan and inf once passed the check and gave an all-NaN or all-inf phi

@@ -10,11 +10,12 @@ The solves are those of the benchmark's seeded pools, built by the
 change's tree with the sizes, solver settings and work counters of this
 checkout's `perfbench/workloads.py`: for `image`, the 64 block problems
 of each of the first `--items` images, recorded from `recover_image`;
-for `desk`, the first `--items` problems under each of the workload's
-solvers.  Each solve runs once in each tree, timed alone, and the side
-that runs first alternates from solve to solve of each label, so a drift
-of the host's speed, and the warm cache of a second run, fall on both
-sides alike.
+for `desk`, `deep` and `large`, the first `--items` problems under each
+of the workload's solvers (`deep`'s one search config runs as the spec
+of its non-default fields).  Each solve runs once in each tree, timed
+alone, and the side that runs first alternates from solve to solve of
+each label, so a drift of the host's speed, and the warm cache of a
+second run, fall on both sides alike.
 
 A difference in a decision (support, reason, hybrid stage or any of the
 five work counters) stops the tool with exit code 1 and names the solve.
@@ -34,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import importlib
 import math
 import shutil
@@ -72,22 +74,34 @@ class _Recorder:
         return self.spec.run(phi, y, k)
 
 
+def solver_settings(wl):
+    """The (name, params) of each solver a workload runs: its specs', or,
+    for `deep`, which runs the search on an `AompConfig`, the fields of
+    that config that differ from their defaults."""
+    if hasattr(wl, "specs"):
+        return [(spec.name, spec.params) for spec in wl.specs]
+    if hasattr(wl, "spec"):
+        return [(wl.spec.name, wl.spec.params)]
+    config = wl.config
+    return [("aomp", {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+                      if getattr(config, f.name) != f.default})]
+
+
 def solves(pkg, workload, seed, items):
     """(solver index, phi, y, k) of every solve, and the (name, params) of
     each solver."""
     derive_seed = pkg.siggen.derive_seed
     wl = WORKLOADS[workload]()
+    settings = solver_settings(wl)
+    out = []
     if workload == "image":
-        name, params = wl.spec.name, wl.spec.params
-        out = []
+        name, params = settings[0]
         for index in range(items):
             image = pkg.synthetic_image(wl.size, seed=derive_seed(seed, wl.name, index))
             recorder = _Recorder(pkg.make_solver(name, **params))
             pkg.recover_image(image, wl.k, wl.m, recorder, wl.matrix_seed)
             out.extend((0,) + problem for problem in recorder.problems)
-        return out, [(name, params)]
-    settings = [(spec.name, spec.params) for spec in wl.specs]
-    out = []
+        return out, settings
     for index in range(items):
         ens, inst = pkg.gen_problem(wl.m, wl.n, wl.k, wl.ensemble, derive_seed(seed, wl.name, index))
         out.extend((s, ens.phi, inst.y, wl.k) for s in range(len(settings)))
@@ -166,7 +180,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=("image", "desk"))
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--items", type=int, default=8)
     args = parser.parse_args(argv)
