@@ -34,8 +34,8 @@ from .results import (
     REASON_BUDGET,
     REASON_RESIDUE,
     SettingsError,
+    check_count,
     check_epsilon,
-    check_k,
     finish,
 )
 from .trie import SearchTrie
@@ -117,14 +117,10 @@ class AompConfig:
             value = getattr(self, key)
             if type(value) not in kinds:  # a listed type skips isinstance; one config per solve
                 _check_type(key, value)
-        if self.initial_paths < 1:
-            raise ValueError("initial_paths must be >= 1")
-        if self.branch < 1:
-            raise ValueError("branch must be >= 1")
+        for key in ("initial_paths", "branch", "kmax", "max_iterations"):
+            check_count(key, getattr(self, key))
         if self.max_paths < self.initial_paths:
             raise ValueError("max_paths must be >= initial_paths")
-        if self.kmax < 1:
-            raise ValueError("kmax must be >= 1")
         check_epsilon(self.epsilon)
         if self.cost_model not in COST_MODELS:
             raise ValueError("unknown cost model %r" % (self.cost_model,))
@@ -134,8 +130,6 @@ class AompConfig:
             raise ValueError("alpha_amul must lie in (0, 1]")
         if self.cost_model == COST_MUL and not 0.0 < self.alpha_mul < 1.0:
             raise ValueError("alpha_mul must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
     @staticmethod
     def check_setting(key, value):
@@ -188,7 +182,10 @@ class AompConfig:
 
     @classmethod
     def sparsity_based(cls, k, **settings):
-        """Search capped at K atoms; the conventional decay is 0.8."""
+        """Search capped at K atoms; the conventional decay is 0.8.  K is
+        checked by `results.check_count` (SettingsError); K <= M waits for
+        the instance."""
+        check_count("k", k, error=SettingsError)
         if settings.get("kmax", "auto") not in ("auto", k):
             raise ValueError(
                 "sparsity termination caps paths at K = %d, not kmax = %r" % (k, settings["kmax"])
@@ -203,11 +200,13 @@ class AompConfig:
 
         Sparsity termination is `sparsity_based(k)`.  Under residue
         termination kmax "auto" (the default) is the widest useful path
-        length for the undersampling ratio M/N, capped at M.  Unknown keys
-        raise ValueError.
+        length for the undersampling ratio M/N, capped at M.  K is checked
+        by `results.check_count` (SettingsError); unknown keys raise
+        ValueError.
         """
         if settings.get("termination") == TERM_SPARSITY:
             return cls.sparsity_based(k, **settings)
+        check_count("k", k, error=SettingsError)
         if settings.get("kmax", "auto") == "auto":
             settings["kmax"] = min(m, max(k + 1, round((0.5 + 0.5 * (m / n)) * m)))
         return cls.from_dict(settings)
@@ -306,7 +305,6 @@ class ExpansionReport:
     """What one expansion round did."""
 
     terminated: PathState = None
-    consumed: bool = False
     accepted: int = 0
     children_evaluated: int = 0
     equivalent_hits: int = 0
@@ -397,7 +395,6 @@ def expand(trie, best, config):
     limit = 2.0 * threshold
     terms = config.round_terms(norms)
     terminated = None
-    consumed = False
     accepted = evaluated = hits = singular = rejected = 0
     for j in _top_few(corr, width, best.support):
         evaluated += 1
@@ -413,10 +410,9 @@ def expand(trie, best, config):
         if child.fact.residue_norm <= threshold:
             terminated = child
             break
-        if not consumed:
+        if not accepted:
             trie.remove(best)
             trie.insert(child)
-            consumed = True
             accepted += 1
         elif trie.live_count < config.max_paths:
             trie.insert(child)
@@ -429,9 +425,9 @@ def expand(trie, best, config):
                 accepted += 1
             else:
                 rejected += 1
-    if terminated is None and not consumed:
+    if terminated is None and not accepted:
         trie.close(best)
-    return ExpansionReport(terminated, consumed, accepted, evaluated, hits, singular, rejected)
+    return ExpansionReport(terminated, accepted, evaluated, hits, singular, rejected)
 
 
 def _audit_trie(trie, config, checked):
@@ -521,7 +517,7 @@ def hybrid_recover(phi, y, config, k):
     """
     t0 = time.perf_counter()
     m = problem_shape(phi, y)[0]
-    check_k(k, m, "M")
+    check_count("k", k, m, "M", SettingsError)
     _check_fits(config, m)
     out = omp_recover(phi, y, epsilon=config.effective_epsilon(), max_iter=k)
     out.hybrid_stage = "omp"

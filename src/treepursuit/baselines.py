@@ -26,8 +26,8 @@ from .results import (
     REASON_DIVERGED,
     SettingsError,
     _count,
+    check_count,
     check_epsilon,
-    check_k,
     finish,
 )
 
@@ -45,7 +45,7 @@ DEFAULT_EPSILON = 1e-6
 
 
 def _count_or_default(value):
-    """an int >= 1 or None (the default, sized from M)"""
+    """an integer >= 1 or None (the default, sized from M)"""
     return value is None or _count(value)
 
 
@@ -113,8 +113,7 @@ def omp_recover(phi, y, epsilon=DEFAULT_EPSILON, max_iter=None):
     if max_iter is None:
         max_iter = min(m, n)
     check_settings("omp", epsilon=epsilon, max_iter=max_iter)
-    if max_iter > m:
-        raise SettingsError("max_iter must satisfy 1 <= max_iter <= M")
+    check_count("max_iter", max_iter, m, "M", SettingsError)
     threshold = epsilon * problem.ynorm
     fact = IncrementalFactorization.empty(problem)
     reason = REASON_MAX_ITER
@@ -152,7 +151,7 @@ def sp_recover(phi, y, k, max_iter=100):
     phi = problem.phi
     check_settings("sp", max_iter=max_iter)
     m, n = phi.shape
-    check_k(k, min(m // 2, n), "min(M/2, N)")
+    check_count("k", k, min(m // 2, n), "min(M/2, N)", SettingsError)
     if problem.ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "sp", t0)
     first = sorted(top_indices(correlations(phi, problem.y), k))
@@ -205,7 +204,7 @@ def iht_recover(phi, y, k, step=1.0, max_iter=500):
     phi, y, ynorm = problem.phi, problem.y, problem.ynorm
     check_settings("iht", step=step, max_iter=max_iter)
     n = phi.shape[1]
-    check_k(k, n, "N")
+    check_count("k", k, n, "N", SettingsError)
     if ynorm == 0.0:
         return finish(problem, (), (), DEFAULT_EPSILON, REASON_RESIDUE, "iht", t0)
     x = np.zeros(n)
@@ -309,7 +308,7 @@ def mmp_df_recover(phi, y, k, branching=6, max_paths=200, epsilon=DEFAULT_EPSILO
     phi = problem.phi
     check_settings("mmp-df", branching=branching, max_paths=max_paths, epsilon=epsilon)
     m, n = phi.shape
-    check_k(k, m, "M")
+    check_count("k", k, m, "M", SettingsError)
     threshold = epsilon * problem.ynorm
     state = {"complete": 0, "nodes": 0, "singular": 0, "best": None, "best_res": np.inf}
 

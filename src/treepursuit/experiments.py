@@ -34,7 +34,7 @@ from .baselines import (
     mmp_df_recover,
 )
 from .linalg import problem_shape
-from .results import SettingsError, _count, attempt
+from .results import SettingsError, attempt, check_count
 from .siggen import derive_seed, gen_problem
 
 __all__ = [
@@ -284,12 +284,11 @@ def run_batch(solver, n, m, k, ensemble, trials, base_seed, jobs=1):
     call with another solver sees the same instances.  With jobs > 1 the
     trials run in a process pool; results are identical either way.
     Trials run through `results.attempt`, so a SettingsError propagates.
-    trials and jobs must each be an int >= 1 (not a bool); they are
-    checked before any trial runs.
+    trials and jobs are checked by `results.check_count` and base_seed by
+    `siggen.derive_seed` (ValueError), before any trial runs.
     """
-    for name, value in (("trials", trials), ("jobs", jobs)):
-        if not _count(value):
-            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+    check_count("trials", trials)
+    check_count("jobs", jobs)
     args = [
         (solver, n, m, k, ensemble, derive_seed(base_seed, "trial", t))
         for t in range(trials)
@@ -348,13 +347,20 @@ class SweepResult:
 
 
 def sweep_k(solvers, n, m, k_values, ensemble, trials, base_seed, jobs=1):
-    """Rate/ANMSE/time for each solver across sparsity levels, paired."""
+    """Rate/ANMSE/time for each solver across sparsity levels, paired.
+
+    A repeated K (3 and 3.0 are one K) raises ValueError, and so does a
+    K that `results.check_count` rejects, before any batch runs.
+    """
     labels = [s.label for s in solvers]
     if len(set(labels)) != len(labels):
         raise ValueError("solver labels must be unique")
-    k_values = [int(k) for k in k_values]
+    k_values = list(k_values)
     if len(set(k_values)) != len(k_values):
         raise ValueError("k values must be unique")
+    for k in k_values:
+        check_count("k", k)
+    k_values = [int(k) for k in k_values]
     batches = {}
     for k in k_values:
         seed_k = derive_seed(base_seed, "sweep", k)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import _as_real_finite
-from .results import _count
+from .results import check_count
 
 __all__ = [
     "BLOCK",
@@ -26,7 +26,6 @@ __all__ = [
     "haar2d",
     "haar2d_inverse",
     "check_image",
-    "check_block_k",
     "sparsify_blocks",
     "block_sparsity",
 ]
@@ -96,13 +95,6 @@ def check_image(image):
     return image
 
 
-def check_block_k(k):
-    """Raise ValueError unless k, the coefficients kept per block, is an
-    int (not a bool) with 1 <= k <= 64."""
-    if not _count(k) or k > BLOCK * BLOCK:
-        raise ValueError("k must be an integer with 1 <= k <= %d, got %r" % (BLOCK * BLOCK, k))
-
-
 def _blocks(image):
     # the (H/8, W/8, 8, 8) array of an image's blocks, a view: splitting
     # an axis never copies
@@ -126,11 +118,12 @@ def sparsify_blocks(image, k):
     no rounding or clamping is applied, otherwise the sparsity would be
     destroyed.  Every block is transformed, truncated and inverted at
     once, bit for bit as `haar2d`, `top_indices` and `haar2d_inverse`
-    do it block by block.  The image is checked by `check_image` and k
-    by `check_block_k` (ValueError).
+    do it block by block.  The image is checked by `check_image` and k,
+    the coefficients kept per block, by `results.check_count` with
+    1 <= k <= 64 (ValueError).
     """
     image = check_image(image)
-    check_block_k(k)
+    check_count("k", k, BLOCK * BLOCK)
     coeffs = _block_coefficients(image)
     # a stable sort of the negated magnitudes keeps ties in ascending
     # index order, as top_indices does

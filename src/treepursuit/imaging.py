@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import BLOCK, check_block_k, check_image, haar_basis, sparsify_blocks
+from .haar import BLOCK, check_image, haar_basis, sparsify_blocks
 from .linalg import _as_real_finite
-from .results import REASON_RESIDUE, _count, attempt
+from .results import REASON_RESIDUE, _count, attempt, check_count
 from .siggen import gen_matrix, substream
 
 __all__ = [
@@ -101,16 +101,15 @@ def recover_image(image, k, m, solver, seed):
     sees the composed dictionary phi @ haar_basis().T; the assembled
     reconstruction is clamped to [0, 255], the reference is not.  Blocks
     run through `results.attempt`, so a SettingsError propagates.  The
-    image, k and m are checked at entry (ValueError): the image by
-    `haar.check_image`, k by `haar.check_block_k`, and m must be an int
-    (not a bool) with 1 <= m <= 64.
+    image, m, k and seed are checked before any block runs (ValueError):
+    the image by `haar.check_image`, m by `results.check_count` with
+    1 <= m <= 64, k as `haar.sparsify_blocks` checks it and the seed as
+    `siggen.gen_matrix` does.
     """
     t0 = time.perf_counter()
     image = check_image(image)
-    check_block_k(k)
     dim = BLOCK * BLOCK
-    if not _count(m) or m > dim:
-        raise ValueError("m must be an integer with 1 <= m <= %d, got %r" % (dim, m))
+    check_count("m", m, dim)
     target = sparsify_blocks(image, k)
     psi = haar_basis()
     ens = gen_matrix(m, dim, seed)

@@ -19,7 +19,7 @@ __all__ = [
     "NUMERICAL_ERRORS",
     "SettingsError",
     "check_epsilon",
-    "check_k",
+    "check_count",
     "attempt",
 ]
 
@@ -47,16 +47,24 @@ def check_epsilon(epsilon):
 
 
 def _count(value):
-    """an int >= 1"""
+    """an integer >= 1"""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
-def check_k(k, limit, bound):
-    """Raise SettingsError unless k, the sparsity a solver is given, is an
-    int (not a bool) with 1 <= k <= limit; `bound` names the limit, such
-    as "M", in the message."""
-    if not (_count(k) and k <= limit):
-        raise SettingsError("k must be an int with 1 <= k <= %s = %d, got %r" % (bound, limit, k))
+def check_count(name, value, limit=None, bound=None, error=ValueError):
+    """Raise `error` unless `value`, the count argument `name`, is an int
+    or numpy integer, not a bool, with 1 <= value <= limit (no upper limit
+    when limit is None); `bound` names the limit, such as "M", in the
+    message.  The one rule and message of every count argument."""
+    if _count(value) and (limit is None or value <= limit):
+        return
+    if limit is None:
+        rule = ">= 1"
+    elif bound is None:
+        rule = "with 1 <= %s <= %d" % (name, limit)
+    else:
+        rule = "with 1 <= %s <= %s = %d" % (name, bound, limit)
+    raise error("%s must be an integer %s, got %r" % (name, rule, value))
 
 
 def attempt(solver, phi, y, k):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .results import _count
+from .results import check_count
 
 __all__ = [
     "ENSEMBLES",
@@ -30,8 +30,13 @@ ENSEMBLES = ("gaussian", "uniform", "cars")
 _SEED_MASK = (1 << 64) - 1
 
 
-def _key_ints(keys):
-    out = []
+def _entropy(seed, keys):
+    """The SeedSequence entropy of (seed, keys); ValueError unless the
+    seed is an int or numpy integer, not a bool.  A str key enters as its
+    CRC-32, any other as an int."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer, got %r" % (seed,))
+    out = [int(seed) & _SEED_MASK]
     for k in keys:
         if isinstance(k, str):
             out.append(zlib.crc32(k.encode("utf-8")))
@@ -41,19 +46,20 @@ def _key_ints(keys):
 
 
 def substream(seed, *keys):
-    """Independent Generator for the given (seed, keys) combination."""
-    entropy = [int(seed) & _SEED_MASK] + _key_ints(keys)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    """Independent Generator for the given (seed, keys) combination; the
+    seed is checked as `derive_seed` checks it."""
+    return np.random.default_rng(np.random.SeedSequence(_entropy(seed, keys)))
 
 
 def derive_seed(seed, *keys):
     """Deterministic 63-bit child seed for (seed, keys).
 
     Used to key per-trial instances off a single experiment seed while
-    keeping every instance reproducible from its own integer seed.
+    keeping every instance reproducible from its own integer seed.  The
+    seed must be an int or numpy integer, not a bool; ValueError
+    otherwise, so a seed of 2.5 never runs seed 2's trials.
     """
-    entropy = [int(seed) & _SEED_MASK] + _key_ints(keys)
-    state = np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)
+    state = np.random.SeedSequence(_entropy(seed, keys)).generate_state(1, dtype=np.uint64)
     return int(state[0] >> 1)
 
 
@@ -81,16 +87,6 @@ class SparseInstance:
     seed: int
 
 
-def _check_counts(seed, **counts):
-    # each count an int >= 1 and the seed an int, neither a bool; a
-    # ValueError names the argument
-    for name, value in counts.items():
-        if not _count(value):
-            raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer, got %r" % (seed,))
-
-
 def gen_matrix(m, n, seed, entry_std=None):
     """M x N matrix with i.i.d. zero-mean Gaussian entries.
 
@@ -99,7 +95,8 @@ def gen_matrix(m, n, seed, entry_std=None):
     to override it.  Any other value raises ValueError.  The same
     (m, n, seed, entry_std) always reproduces the same matrix bit for bit.
     """
-    _check_counts(seed, m=m, n=n)
+    check_count("m", m)
+    check_count("n", n)
     std = 1.0 / n if entry_std is None else float(entry_std)
     if not 0.0 < std < math.inf:
         raise ValueError("entry_std must be positive and finite, got %r" % std)
@@ -133,9 +130,8 @@ def gen_instance(n, k, ensemble, seed, phi):
     stored independently.  n and k must be ints with 1 <= k <= n and seed
     an int, none of them a bool; ValueError otherwise.
     """
-    _check_counts(seed, n=n, k=k)
-    if k > n:
-        raise ValueError("k must satisfy 1 <= k <= n")
+    check_count("n", n)
+    check_count("k", k, n, "n")
     if ensemble not in ENSEMBLES:
         raise ValueError("unknown ensemble %r" % (ensemble,))
     phi = np.asarray(phi, dtype=float)

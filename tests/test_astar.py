@@ -547,7 +547,7 @@ def test_expansion_round_post_conditions():
             assert trie.live_count <= cfg.max_paths
             if report.terminated is not None:
                 break
-            if report.consumed:
+            if report.accepted:
                 assert best not in trie.paths()  # replaced by its first child
                 assert trie.live_count >= before
             else:
@@ -803,7 +803,7 @@ def test_hybrid_validates_k():
     # k is checked by the one rule of every solver, not handed on to OMP
     # as its max_iter
     for k in (2.5, True, np.float64(3.0)):
-        with pytest.raises(SettingsError, match=r"^k must be an int with 1 <= k <= M = 10, got "):
+        with pytest.raises(SettingsError, match=r"^k must be an integer with 1 <= k <= M = 10, got "):
             hybrid_recover(ens.phi, inst.y, AompConfig(kmax=5), k)
 
 

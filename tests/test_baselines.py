@@ -537,7 +537,7 @@ def test_a_k_that_is_not_an_int_in_range_raises_at_solver_entry(solve, limit, k)
     # end in a numpy error, and True must not run as K = 1
     ens, inst = gen_problem(12, 30, 3, "gaussian", 2)
     k = limit + 1 if k is None else k
-    with pytest.raises(SettingsError, match=r"^k must be an int with 1 <= k <= .* = %d, got "
+    with pytest.raises(SettingsError, match=r"^k must be an integer with 1 <= k <= .* = %d, got "
                        % limit):
         solve(ens.phi, inst.y, k)
     assert solve(ens.phi, inst.y, np.int64(limit)).support is not None

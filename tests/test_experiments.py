@@ -2,6 +2,7 @@
 
 import csv
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from treepursuit.experiments import (
     sweep_k,
     write_records_csv,
 )
+from treepursuit.imaging import synthetic_image
 from treepursuit.results import SettingsError
-from treepursuit.siggen import derive_seed, gen_problem
+from treepursuit.siggen import derive_seed, gen_problem, substream
 
 
 def test_relative_error_and_exact_threshold():
@@ -292,6 +294,53 @@ def test_sweep_runs_each_solver_on_shared_instances(tmp_path):
     for k_values in ([3, 3], [3, 5, 3.0]):
         with pytest.raises(ValueError, match="k values must be unique"):
             sweep_k([make_solver("omp")], 40, 20, k_values, "gaussian", 2, 1)
+
+
+class _NoTrial:
+    """A solver that fails the test if a trial reaches it."""
+
+    label = "no-trial"
+
+    def run(self, phi, y, k):
+        raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("seed", [2.5, True, np.float64(2.0), "2"], ids=repr)
+def test_a_seed_that_is_not_an_int_is_rejected_before_any_trial_runs(seed):
+    # a base seed of 2.5 ran the trials of base seed 2, and
+    # synthetic_image(seed=2.7) drew seed 2's image
+    pattern = r"^seed must be an integer, got %s$" % re.escape(repr(seed))
+    for call in (
+        lambda: derive_seed(seed, "trial", 0),
+        lambda: substream(seed, "matrix"),
+        lambda: run_batch(_NoTrial(), 20, 10, 2, "gaussian", 2, seed),
+        lambda: sweep_k([_NoTrial()], 20, 10, [2], "gaussian", 2, seed),
+        lambda: phase_transition(_NoTrial(), 16, [0.5], [0.25], 2, seed),
+        lambda: synthetic_image(8, seed=seed),
+    ):
+        with pytest.raises(ValueError, match=pattern):
+            call()
+
+
+@pytest.mark.parametrize("label", ["amul-aompk", "mul-aompk", "aomp"])
+@pytest.mark.parametrize("k", [6.5, True, 0], ids=repr)
+def test_a_search_k_that_is_not_a_count_raises_a_settings_error_naming_k(label, k):
+    # K = 6.5 ran as K = 6 and True as one atom, and under residue
+    # termination K = 8.5 failed on a float kmax the caller never gave
+    ens, inst = gen_problem(10, 20, 3, "gaussian", 1)
+    with pytest.raises(SettingsError, match=r"^k must be an integer >= 1, got %s$" % k):
+        make_solver(label).run(ens.phi, inst.y, k)
+    with pytest.raises(SettingsError, match=r"^k must be an integer >= 1, got "):
+        AompConfig.sparsity_based(k)
+    # past M the search's own fit check answers, as before
+    with pytest.raises(SettingsError, match=r"^kmax = 11 exceeds the number of measurements"):
+        make_solver("amul-aompk").run(ens.phi, inst.y, 11)
+
+
+def test_sweep_k_rejects_a_fractional_k_by_name_before_any_batch_runs():
+    # K = 2.5 ran, and was recorded, as K = 2
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 2.5$"):
+        sweep_k([_NoTrial()], 20, 10, [3, 2.5], "gaussian", 2, 1)
 
 
 @pytest.mark.parametrize("label", sorted(SOLVERS))

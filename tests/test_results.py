@@ -1,11 +1,17 @@
 """Recovery output records: sparse serialization and the exit contract."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treepursuit.experiments import SOLVERS, make_solver
+from treepursuit.astar import AompConfig, hybrid_recover
+from treepursuit.baselines import iht_recover, mmp_df_recover, sp_recover
+from treepursuit.experiments import SOLVERS, make_solver, phase_transition, run_batch, sweep_k
+from treepursuit.haar import sparsify_blocks
+from treepursuit.imaging import recover_image, synthetic_image
 from treepursuit.linalg import check_problem
 from treepursuit.results import (
     REASON_ALL_COMPLETE,
@@ -14,9 +20,10 @@ from treepursuit.results import (
     REASON_MAX_ITER,
     REASON_RESIDUE,
     RecoveryOutput,
+    SettingsError,
     finish,
 )
-from treepursuit.siggen import ENSEMBLES, gen_problem
+from treepursuit.siggen import ENSEMBLES, gen_instance, gen_matrix, gen_problem
 
 
 def make_output():
@@ -111,3 +118,119 @@ def test_every_solver_keeps_the_exit_contract(label, shape, ensemble, seed, vari
     assert out.converged == (out.reason not in (REASON_BUDGET, REASON_DIVERGED))
     again = solver.run(phi, y, k)
     assert again.to_dict(include_times=False) == out.to_dict(include_times=False)
+
+
+# one row per entry point and count or seed argument: (id, call, name,
+# good value, limit, error class, type message); `call` maps the value to
+# a comparable result, `limit` is None where the rule has no upper limit,
+# name "seed" marks a seed (0 is a good seed, so it has no 0 column), and
+# a type message, where given, is what a float, bool or str meets first
+_ENS, _INST = gen_problem(12, 30, 3, "gaussian", 2)
+_PHI, _Y = _ENS.phi, _INST.y
+_IMAGE = synthetic_image(8, seed=1)
+
+
+def _solved(out):
+    return out.support, out.xhat.tobytes()
+
+
+def _batch(trials=2, seed=1, jobs=1):
+    batch = run_batch(make_solver("omp"), 20, 10, 2, "gaussian", trials, seed, jobs=jobs)
+    return [(r.seed, r.exact, r.rel_err) for r in batch.records]
+
+
+def _sweep(k=2, seed=1):
+    result = sweep_k([make_solver("omp")], 20, 10, [k], "gaussian", 2, seed)
+    return [(r["solver"], r["K"], r["rate"], r["anmse"]) for r in result.summary_rows()]
+
+
+def _phase(trials=2, seed=1):
+    return phase_transition(make_solver("omp"), 16, [0.5], [0.25], trials, seed).cells
+
+
+def _image(k=4, m=16, seed=1):
+    return recover_image(_IMAGE, k, m, make_solver("omp"), seed).reconstruction.tobytes()
+
+
+def _search(label):
+    def call(v):
+        return _solved(make_solver(label).run(_PHI, _Y, v))
+    return "%s-k" % label, call, "k", 3, None, SettingsError, None
+
+
+def _config(key, good):
+    def call(v):
+        return AompConfig(**{key: v}).to_dict()
+    return "AompConfig-" + key, call, key, good, None, ValueError, (
+        "config key %r must be of type int" % key)
+
+
+_COUNT_ROWS = [
+    ("gen_matrix-m", lambda v: gen_matrix(v, 5, 1).phi.tobytes(), "m", 3, None, ValueError, None),
+    ("gen_matrix-n", lambda v: gen_matrix(3, v, 1).phi.tobytes(), "n", 5, None, ValueError, None),
+    ("gen_matrix-seed", lambda v: gen_matrix(3, 5, v).phi.tobytes(), "seed", 7, None, ValueError,
+     None),
+    ("gen_instance-n", lambda v: gen_instance(v, 1, "gaussian", 1, _PHI).x.tobytes(), "n", 30,
+     None, ValueError, None),
+    ("gen_instance-k", lambda v: gen_instance(30, v, "gaussian", 1, _PHI).x.tobytes(), "k", 4, 30,
+     ValueError, None),
+    ("gen_instance-seed", lambda v: gen_instance(30, 4, "gaussian", v, _PHI).x.tobytes(), "seed",
+     7, None, ValueError, None),
+    ("run_batch-trials", lambda v: _batch(trials=v), "trials", 2, None, ValueError, None),
+    ("run_batch-jobs", lambda v: _batch(jobs=v), "jobs", 1, None, ValueError, None),
+    ("run_batch-seed", lambda v: _batch(seed=v), "seed", 3, None, ValueError, None),
+    ("sweep_k-k", lambda v: _sweep(k=v), "k", 2, None, ValueError, None),
+    ("sweep_k-seed", lambda v: _sweep(seed=v), "seed", 3, None, ValueError, None),
+    ("phase_transition-trials", lambda v: _phase(trials=v), "trials", 2, None, ValueError, None),
+    ("phase_transition-seed", lambda v: _phase(seed=v), "seed", 3, None, ValueError, None),
+    ("synthetic_image-seed", lambda v: synthetic_image(8, seed=v).tobytes(), "seed", 3, None,
+     ValueError, None),
+    ("recover_image-k", lambda v: _image(k=v), "k", 4, 64, ValueError, None),
+    ("recover_image-m", lambda v: _image(m=v), "m", 16, 64, ValueError, None),
+    ("recover_image-seed", lambda v: _image(seed=v), "seed", 3, None, ValueError, None),
+    ("sparsify_blocks-k", lambda v: sparsify_blocks(_IMAGE, v).tobytes(), "k", 4, 64, ValueError,
+     None),
+    ("sp-k", lambda v: _solved(sp_recover(_PHI, _Y, v)), "k", 3, 6, SettingsError, None),
+    ("iht-k", lambda v: _solved(iht_recover(_PHI, _Y, v)), "k", 3, 30, SettingsError, None),
+    ("mmp-df-k", lambda v: _solved(mmp_df_recover(_PHI, _Y, v)), "k", 3, 12, SettingsError, None),
+    ("hybrid-k", lambda v: _solved(hybrid_recover(_PHI, _Y, AompConfig(kmax=5), v)), "k", 3, 12,
+     SettingsError, None),
+    _search("amul-aompk"),
+    _search("mul-aompk"),
+    _search("aomp"),
+    _config("initial_paths", 3),
+    _config("branch", 2),
+    _config("kmax", 20),
+    _config("max_iterations", 50),
+]
+
+
+def _cells():
+    for row in _COUNT_ROWS:
+        name, limit = row[2], row[4]
+        bad = {"float": 2.5, "bool": True, "str": "3"}
+        if name != "seed":
+            bad["0"] = 0
+        if limit is not None:
+            bad["limit+1"] = limit + 1
+        for column, value in (*bad.items(), ("np.int64", None)):
+            yield pytest.param(row, value, id="%s-%s" % (row[0], column))
+
+
+@pytest.mark.parametrize("row, value", _cells())
+def test_every_count_and_seed_argument_meets_the_one_rule(row, value):
+    # an int or numpy integer, not a bool, with 1 <= value <= its limit,
+    # and a seed any int; a numpy integer gives the int's result
+    _, call, name, good, _, error, type_message = row
+    if value is None:
+        assert call(np.int64(good)) == call(good)
+        return
+    if name == "seed":
+        prefix = "seed must be an integer, got "
+    elif type_message and type(value) is not int:
+        prefix = type_message
+    else:
+        prefix = "%s must be an integer" % name
+    with pytest.raises(error, match="^" + re.escape(prefix)) as info:
+        call(value)
+    assert str(info.value).endswith(repr(value))
